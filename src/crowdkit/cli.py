@@ -18,6 +18,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .charts import CHART_KINDS, write_chart
 from .collect import merge_parent_directory, merge_simulations, read_snapshot
 from .config import FileStructure, load_config, validate
@@ -67,7 +68,7 @@ def _usage_fail(message: str) -> None:
 
 
 @click.group()
-@click.version_option(package_name="crowdkit")
+@click.version_option(version=__version__)
 def main():
     """Configuration-driven agent-based simulations on networks."""
 

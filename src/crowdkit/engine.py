@@ -58,7 +58,7 @@ from .config import (
 )
 from .errors import CollectError, ConfigError, HookError
 from .graph import AttributeTable, Graph
-from .rules import CountDown, CountdownLedger, Rule, apply_rules
+from .rules import CountdownLedger, Rule, apply_rules
 
 _MASK64 = (1 << 64) - 1
 
@@ -347,10 +347,6 @@ def simulate(
     ctx = SimContext(g, states, attrs, net_params, rng, tuple(d.nodetypes))
     rules: list[Rule] = build_rules(d) if d.model_kind == MODEL_DIFFUSION and d.rules else []
     ledger = CountdownLedger()
-    countdown_names_by_type: dict[str, list[str]] = {}
-    for rule in rules:
-        if isinstance(rule.compartment, CountDown):
-            countdown_names_by_type.setdefault(rule.from_type, []).append(rule.compartment.name)
 
     registry = registry or HookRegistry()
     if record_node_counts and NODE_COUNTS_HOOK not in registry:
@@ -428,16 +424,6 @@ def simulate(
                         for hook in agent_hooks:
                             _call_hook(hook, ctx, node)
             if rules:
-                if countdown_names_by_type and agent_hooks and len(ledger):
-                    # A hook moving a node out of a rule's source type clears
-                    # that node's pending countdowns, like a rule move would.
-                    frozen = ctx.frozen_states
-                    for node, current in ctx.states.items():
-                        old = frozen[node]
-                        if current != old:
-                            names = countdown_names_by_type.get(old)
-                            if names:
-                                ledger.clear_node(node, names)
                 transitions = apply_rules(ctx.states, g, attrs, rules, ledger, rng)
                 if transitions:
                     ctx.states.update(transitions)

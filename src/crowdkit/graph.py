@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+from itertools import chain
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -32,7 +33,7 @@ def _value_kind(value: AttributeValue) -> type:
 class Graph:
     """Simple graph over dense integer node ids with O(degree) adjacency."""
 
-    __slots__ = ("directed", "_adj", "_pred", "_num_edges", "version")
+    __slots__ = ("directed", "_adj", "_pred", "_num_edges", "version", "_in_csr")
 
     def __init__(self, num_nodes: int, directed: bool = False):
         if num_nodes < 0:
@@ -43,6 +44,7 @@ class Graph:
         self._num_edges = 0
         # Bumped on every mutation; caches key on it.
         self.version = 0
+        self._in_csr: tuple[int, np.ndarray, np.ndarray] | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -139,6 +141,21 @@ class Graph:
         """Sorted neighbor lists (out-neighbors when directed). Deterministic order."""
         return [sorted(nbrs) for nbrs in self._adj]
 
+    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """In-neighbor lists as CSR ``(indptr, indices)``, cached per ``version``.
+
+        Row v lists the in-neighbors of v (its neighbors when undirected), in
+        no particular order.
+        """
+        cached = self._in_csr
+        if cached is None or cached[0] != self.version:
+            rows = self._pred if self.directed else self._adj
+            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=indptr[1:])
+            indices = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=int(indptr[-1]))
+            cached = self._in_csr = (self.version, indptr, indices)
+        return cached[1], cached[2]
+
     def copy(self) -> "Graph":
         g = Graph(self.num_nodes, self.directed)
         g._adj = [set(s) for s in self._adj]
@@ -161,16 +178,12 @@ class Graph:
 
     def to_sparse(self):
         """Adjacency as a scipy CSR matrix (row u -> out-neighbors)."""
-        from scipy.sparse import csr_matrix
+        from scipy.sparse import csc_matrix
 
+        # Column v of the adjacency lists the in-neighbors of v.
+        indptr, indices = self.in_csr()
         n = self.num_nodes
-        rows: list[int] = []
-        cols: list[int] = []
-        for u, nbrs in enumerate(self._adj):
-            rows.extend([u] * len(nbrs))
-            cols.extend(nbrs)
-        data = np.ones(len(rows), dtype=np.float64)
-        return csr_matrix((data, (rows, cols)), shape=(n, n))
+        return csc_matrix((np.ones(indices.size), indices, indptr), shape=(n, n)).tocsr()
 
 
 class AttributeTable:

@@ -4,29 +4,40 @@ A rule moves nodes from one type to another when its compartment fires.
 ``apply_rules`` evaluates every node against the state mapping it is given and
 never mutates it, so all transitions within one iteration are decided from the
 same frozen view; the caller applies the returned transition map afterwards.
+Nodes are visited in ascending id order, each node's rules in declaration
+order, and the first firing rule wins.
 
 Compartment kinds:
 
 * ``NodeStochastic`` — eligible when the triggering status is absent or at
-  least one neighbor holds it in the frozen view; fires with probability
-  ``ratio`` (one Bernoulli draw per eligible node, rule, and iteration).
+  least one in-neighbor (neighbor, when undirected) holds it in the frozen
+  view; fires with probability ``ratio``.
 * ``CountDown`` — a per-node counter starts at ``iteration_count`` on the
   first evaluation after the node enters the rule's source type and is
   decremented on every evaluation, firing when it reaches zero. A node that
   entered the source type at iteration t therefore transitions at exactly
-  t + iteration_count. Firing or leaving the source type clears the counter.
+  t + iteration_count.
 * ``NodeCategorical`` — eligible when the node's categorical attribute equals
   ``value``; fires with probability ``probability``. A missing attribute makes
-  the node ineligible (logged once per attribute, never an exception).
+  the node ineligible (logged once per attribute and run, never an exception).
 
-For directed graphs the triggering-status check inspects in-neighbors:
-influence flows along incoming edges.
+Random stream: one ``rng.random()`` draw per drawing (stochastic or
+categorical) rule that a node reaches while eligible, in ascending node id and
+then declaration order, and none after the rule that fired. A pass takes them
+with one ``rng.random`` call, rewinding the generator when nodes fired before
+using every draw they might have needed.
+
+Count-down clearing: leaving the source type by any means clears the counter.
+A rule move clears the node's counters of the type it left, and a pass drops
+the counter of every node that it finds outside all source types of the
+counter's name (a hook moved it, say).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -35,8 +46,6 @@ from .errors import ConfigError
 from .graph import AttributeTable, Graph
 
 logger = logging.getLogger(__name__)
-
-_warned_missing_attrs: set[str] = set()
 
 
 @dataclass(frozen=True)
@@ -70,90 +79,94 @@ class Rule:
 
 
 class CountdownLedger:
-    """Pending count-down counters keyed by (node, compartment name)."""
+    """Per-run rule state: count-down counters and attributes already warned about.
 
-    __slots__ = ("_counters",)
+    Counters live in one int32 array per count-down name, indexed by node;
+    0 means "no pending counter".
+    """
+
+    __slots__ = ("_counters", "warned_attrs")
 
     def __init__(self):
-        self._counters: dict[tuple[int, str], int] = {}
+        self._counters: dict[str, np.ndarray] = {}
+        self.warned_attrs: set[str] = set()
+
+    def counters(self, name: str, size: int) -> np.ndarray:
+        """The live counter array of ``name``, grown to hold at least ``size`` nodes."""
+        arr = self._counters.get(name, np.zeros(0, dtype=np.int32))
+        if arr.size < size:
+            arr = self._counters[name] = np.pad(arr, (0, size - arr.size))
+        return arr
 
     def get(self, node: int, name: str) -> int | None:
-        return self._counters.get((node, name))
+        return int(self.counters(name, node + 1)[node]) or None
 
     def set(self, node: int, name: str, value: int) -> None:
-        self._counters[(node, name)] = value
+        self.counters(name, node + 1)[node] = value
 
     def pop(self, node: int, name: str) -> None:
-        self._counters.pop((node, name), None)
-
-    def clear_node(self, node: int, names) -> None:
-        for name in names:
-            self._counters.pop((node, name), None)
+        self.counters(name, node + 1)[node] = 0
 
     def __len__(self) -> int:
-        return len(self._counters)
+        return sum(int(np.count_nonzero(arr)) for arr in self._counters.values())
 
-    def items(self):
-        return self._counters.items()
-
-
-@dataclass
-class FrozenView:
-    """Iteration-start node types plus live topology and attributes."""
-
-    graph: Graph
-    states: dict[int, str]
-    attrs: AttributeTable
-
-    def state_of(self, node: int) -> str:
-        return self.states[node]
+    def items(self) -> list[tuple[tuple[int, str], int]]:
+        return [
+            ((int(node), name), int(arr[node]))
+            for name, arr in self._counters.items()
+            for node in np.flatnonzero(arr)
+        ]
 
 
-def evaluate_compartment(
-    node: int,
-    compartment: Compartment,
-    view: FrozenView,
-    ledger: CountdownLedger,
-    rng: np.random.Generator,
-) -> bool:
-    """Decide whether a compartment fires for ``node`` against the frozen view."""
-    if type(compartment) is NodeStochastic:
-        trigger = compartment.triggering_status
-        if trigger is not None:
-            states = view.states
-            graph = view.graph
-            nbrs = graph.in_neighbors(node) if graph.directed else graph._adj[node]
-            if not any(states[u] == trigger for u in nbrs):
-                return False
-        return rng.random() < compartment.ratio
+def _drawing_rule(comp, members, codes, code_of, graph, attrs, ledger) -> tuple[np.ndarray, float]:
+    """Which ``members`` may draw for a stochastic or categorical compartment, and its probability."""
+    if type(comp) is NodeStochastic:
+        if comp.triggering_status is None:
+            return np.ones(members.size, dtype=bool), comp.ratio
+        indptr, indices = graph.in_csr()
+        # held[i]: how many of the first i CSR entries hold the trigger.
+        held = np.zeros(indices.size + 1, dtype=np.int32)
+        np.cumsum(codes[indices] == code_of[comp.triggering_status], out=held[1:])
+        return held[indptr[members + 1]] > held[indptr[members]], comp.ratio
+    if type(comp) is NodeCategorical:
+        column = attrs.node.get(comp.attribute, {})
+        values = list(map(column.get, members.tolist()))
+        if None in values and comp.attribute not in ledger.warned_attrs:
+            ledger.warned_attrs.add(comp.attribute)
+            logger.warning(
+                "node %d lacks categorical attribute %r; treating as not eligible",
+                members[values.index(None)],
+                comp.attribute,
+            )
+        return np.array([value == comp.value for value in values], dtype=bool), comp.probability
+    raise ConfigError(f"unknown compartment kind {type(comp).__name__}")
 
-    if type(compartment) is CountDown:
-        counter = ledger.get(node, compartment.name)
-        if counter is None:
-            counter = compartment.iteration_count
-        counter -= 1
-        if counter <= 0:
-            ledger.pop(node, compartment.name)
-            return True
-        ledger.set(node, compartment.name, counter)
-        return False
 
-    if type(compartment) is NodeCategorical:
-        value = view.attrs.get_node(node, compartment.attribute)
-        if value is None:
-            if compartment.attribute not in _warned_missing_attrs:
-                _warned_missing_attrs.add(compartment.attribute)
-                logger.warning(
-                    "node %d lacks categorical attribute %r; treating as not eligible",
-                    node,
-                    compartment.attribute,
-                )
-            return False
-        if value != compartment.value:
-            return False
-        return rng.random() < compartment.probability
+def _walk(group, size, draws, passes, counters) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Walk a source type's rules in declaration order over its ``size`` members.
 
-    raise ConfigError(f"unknown compartment kind {type(compartment).__name__}")
+    ``draws[j]``: drawing rule j's (eligible mask, probability); ``passes[j]``:
+    members whose draw for it succeeds (``None``: every draw fails). Updates
+    ``counters`` (name -> member counters) where a count-down is reached.
+    Returns the winning rule per member (-1: none) and the members drawing
+    for each drawing rule.
+    """
+    winner = np.full(size, -1, dtype=np.int32)
+    alive = np.ones(size, dtype=bool)
+    drawn = {}
+    for j, rule in enumerate(group):
+        comp = rule.compartment
+        if type(comp) is CountDown:
+            current = counters[comp.name]
+            left = np.where(current == 0, comp.iteration_count, current) - 1
+            fires = alive & (left <= 0)
+            counters[comp.name] = np.where(alive, np.where(fires, 0, left), current)
+        else:
+            drawn[j] = alive & draws[j][0]
+            fires = drawn[j] & passes[j] if passes else np.zeros(size, dtype=bool)
+        winner[fires] = j
+        alive &= ~fires
+    return winner, drawn
 
 
 def apply_rules(
@@ -166,30 +179,80 @@ def apply_rules(
 ) -> dict[int, str]:
     """One synchronous rule pass. Returns the transition map without applying it.
 
-    Nodes are visited in ascending id order and each node's rules in
-    declaration order; the first firing rule wins. Count-down counters of
-    nodes that leave a rule's source type are cleared.
+    See the module docstring for the visiting order, the random-stream
+    contract and the count-down clearing rule.
     """
-    by_type: dict[str, list[Rule]] = {}
-    countdown_names_by_type: dict[str, list[str]] = {}
+    n = graph.num_nodes
+    groups: dict[str, list[Rule]] = {}
     for rule in rules:
-        by_type.setdefault(rule.from_type, []).append(rule)
-        if type(rule.compartment) is CountDown:
-            countdown_names_by_type.setdefault(rule.from_type, []).append(rule.compartment.name)
+        groups.setdefault(rule.from_type, []).append(rule)
+    comps = [rule.compartment for rule in rules]
+    triggers = [c.triggering_status for c in comps if getattr(c, "triggering_status", None) is not None]
+    code_of = {name: code for code, name in enumerate(dict.fromkeys([*groups, *triggers]))}
+    codes = np.empty(n, dtype=np.int8 if len(code_of) < 128 else np.int32)
+    codes[np.fromiter(state, dtype=np.int32, count=n)] = np.fromiter(
+        map(code_of.get, state.values(), repeat(-1)), dtype=codes.dtype, count=n
+    )
+    # Counters survive the pass only for nodes in a source type of their name.
+    kept = {c.name: np.zeros(n, dtype=np.int32) for c in comps if type(c) is CountDown}
 
-    view = FrozenView(graph, state, attrs)
+    # Every draw a node could need: one per eligible drawing rule it reaches
+    # when all of its earlier draws fail.
+    plans = []
+    slots = np.zeros(n, dtype=np.int32)
+    for from_type, group in groups.items():
+        members = np.flatnonzero(codes == code_of[from_type])
+        draws = {
+            j: _drawing_rule(rule.compartment, members, codes, code_of, graph, attrs, ledger)
+            for j, rule in enumerate(group)
+            if type(rule.compartment) is not CountDown
+        }
+        counters = {
+            rule.compartment.name: ledger.counters(rule.compartment.name, n)[members]
+            for rule in group
+            if type(rule.compartment) is CountDown
+        }
+        _, drawn = _walk(group, members.size, draws, None, dict(counters))
+        for mask in drawn.values():
+            slots[members] += mask
+        plans.append((group, members, draws, counters, drawn))
+
+    start = np.cumsum(slots, dtype=np.int32) - slots
+    saved = rng.bit_generator.state
+    values = rng.random(int(slots.sum()))
+    # A node that fires before its last possible draw leaves the rest unused,
+    # so every later node's draws start that much earlier.
+    pending = sorted(
+        (members[i], [draws[j][1] for j, mask in drawn.items() if mask[i]])
+        for _, members, draws, _, drawn in plans
+        for i in np.flatnonzero(slots[members] > 1)
+    )
+    unused = np.zeros(n, dtype=np.int32)
+    skipped = 0
+    for node, probabilities in pending:
+        hits = np.flatnonzero(values[start[node] - skipped :][: len(probabilities)] < probabilities)
+        unused[node] = len(probabilities) - 1 - hits[0] if hits.size else 0
+        skipped += unused[node]
+    if skipped:
+        # Replay just the draws used: bit_generator.advance would also drop a
+        # buffered 32-bit half-word left by an earlier bounded draw.
+        rng.bit_generator.state = saved
+        rng.random(values.size - skipped)
+        start -= np.cumsum(unused, dtype=np.int32) - unused
+
     transitions: dict[int, str] = {}
-    for node in range(graph.num_nodes):
-        node_rules = by_type.get(state[node])
-        if not node_rules:
-            continue
-        for rule in node_rules:
-            if evaluate_compartment(node, rule.compartment, view, ledger, rng):
-                transitions[node] = rule.to_type
-                break
-
-    for node in transitions:
-        names = countdown_names_by_type.get(state[node])
-        if names:
-            ledger.clear_node(node, names)
-    return transitions
+    for group, members, draws, counters, drawn in plans:
+        at = start[members]
+        passes = {}
+        for j, mask in drawn.items():
+            passes[j] = np.zeros(members.size, dtype=bool)
+            passes[j][mask] = values[at[mask]] < draws[j][1]
+            at = at + mask
+        winner, _ = _walk(group, members.size, draws, passes, counters)
+        fired = winner >= 0
+        for name, left in counters.items():
+            kept[name][members] = np.where(fired, 0, left)
+        targets = [rule.to_type for rule in group]
+        transitions.update(zip(members[fired].tolist(), map(targets.__getitem__, winner[fired].tolist())))
+    ledger._counters.update(kept)
+    return dict(sorted(transitions.items()))

@@ -310,6 +310,92 @@ definitions:
 
 
 # ---------------------------------------------------------------------------
+# Rule state kept across iterations
+# ---------------------------------------------------------------------------
+
+
+MISSING_LOCATION = """
+name: missing-location
+structure:
+  random:
+    type: random-regular
+    count: 10
+    degree: 2
+definitions:
+  pd-model:
+    name: diffusion
+    nodetypes:
+      S:
+        random-with-weight:
+          initial-weight: 1.0
+      I:
+        random-with-weight:
+          initial-weight: 0.0
+    node-parameters:
+      categorical:
+        location:
+          options: [grid, home]
+    compartments:
+      ambient:
+        type: node-categorical
+        attribute: location
+        value: grid
+        probability: 0.5
+    rules:
+      infect: [S, I, ambient]
+"""
+
+
+class TestRuleState:
+    @pytest.mark.parametrize("phase,move_at", [(PHASE_BEFORE, 3), (PHASE_AFTER, 2)])
+    def test_hook_moved_nodes_restart_their_countdown(self, phase, move_at):
+        # Infected even nodes sent back to Susceptible by a hook are
+        # re-infected at once (ratio 1) and must then take the full
+        # iteration-count of 4 to recover, not what a stale counter left.
+        text = fixture_path("sir.yaml").read_text(encoding="utf-8")
+        text = text.replace("count: 100\n", "count: 200\n").replace("ratio: 0.1\n", "ratio: 1.0\n")
+        history: list[dict[int, str]] = []
+        sent_back: set[int] = set()
+
+        def send_back(ctx):
+            if ctx.iteration == move_at:
+                for node, state in ctx.states.items():
+                    if state == "Infected" and node % 2 == 0:
+                        ctx.states[node] = "Susceptible"
+                        sent_back.add(node)
+
+        reg = HookRegistry()
+        reg.add(phase, "send_back", send_back)
+        reg.add(PHASE_AFTER, "history", lambda ctx: history.append(dict(ctx.states)))
+        simulate(parse_config(text), epochs=12, master_seed=4, registry=reg)
+
+        delays = set()
+        for node in sent_back:
+            trail = [states[node] for states in history[move_at - 1:]]
+            infected_at = trail.index("Infected") + move_at
+            recovered_at = trail.index("Recovered") + move_at
+            delays.add(recovered_at - infected_at)
+        assert sent_back
+        assert delays == {4}
+
+    def test_missing_attribute_warns_once_per_batch(self, tmp_path, caplog):
+        def registry_factory():
+            def drop_location(ctx):
+                del ctx.attrs.node["location"][0]
+
+            return None, drop_location
+
+        with caplog.at_level("WARNING", logger="crowdkit.rules"):
+            outcomes = batch_run(
+                parse_config(MISSING_LOCATION), tmp_path, batches=2, epochs=3,
+                registry_factory=registry_factory,
+            )
+        assert all(o.error is None for o in outcomes)
+        warnings = [r.getMessage() for r in caplog.records if "lacks categorical" in r.getMessage()]
+        assert warnings == ["node 0 lacks categorical attribute 'location'; treating as not eligible"] * 2
+
+
+# ---------------------------------------------------------------------------
 # Snapshot cadence and persistence
 # ---------------------------------------------------------------------------
 

@@ -1,0 +1,112 @@
+"""Stored output digests: determinism pinned across versions, not just runs.
+
+Each bundled scenario runs one persisted batch at a fixed seed and a small
+size. The sha256 of every collector file, of ``summary.json`` and of the
+final-state list must match the digests stored below. A change that alters
+how a run consumes its random stream, or what it writes, fails here even when
+two runs inside one process still agree with each other.
+
+To re-pin after an intended output change, run this file as a script from
+the repository root and paste what it prints into ``GOLDEN``:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+from conftest import _surrogate_social_graph
+
+from crowdkit import SCENARIOS, batch_run, fixture_path, load_config
+
+SEED = 20240917
+
+# scenario -> (epochs, snapshot period). Infmax always runs on the offline
+# surrogate graph, even when a real edge list is configured for other tests.
+PLANS = {
+    "sir": (20, 5),
+    "stayhome": (20, 5),
+    "trust": (10, 5),
+    "infmax": (4, None),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_digests(name: str, parent: Path) -> dict[str, str]:
+    """Digests of one persisted batch of scenario ``name`` written under ``parent``."""
+    epochs, period = PLANS[name]
+    scenario = SCENARIOS[name]
+    graph = _surrogate_social_graph() if name == "infmax" else None
+    (outcome,) = batch_run(
+        load_config(fixture_path(scenario.fixture)),
+        parent,
+        batches=1,
+        epochs=epochs,
+        snapshot_period=period,
+        master_seed=SEED,
+        registry_factory=scenario.make_hooks,
+        graph=graph,
+        keep_results=True,
+    )
+    assert outcome.error is None, outcome.error
+    run_dir = outcome.run_dir
+    digests = {
+        f"collectors/{path.name}": _sha256(path.read_bytes())
+        for path in sorted((run_dir / "collectors").glob("*.json"))
+    }
+    digests["summary.json"] = _sha256((run_dir / "summary.json").read_bytes())
+    states = outcome.result.states
+    final = json.dumps([states[v] for v in range(len(states))]).encode("utf-8")
+    digests["final_states"] = _sha256(final)
+    return digests
+
+
+GOLDEN = {
+    "infmax": {
+        "collectors/ic_prepare.json": "fa9be7faf11df814defcb2b85f6eda04cda0e969f45b70ddab7b3ec7ec5d7614",
+        "collectors/node_counts.json": "589978d5ed7ee439b19656a2586bc86c87df8ace09627bf93034850510c07618",
+        "collectors/total_active.json": "182ffba171d78fa44b2a45a96e70af480cd8f381ee2dfb70946c5c47cc7e7de4",
+        "summary.json": "490e805653a1a865410aa2db0ed424d3d73ecaecae9994a93a6c1aef495613fa",
+        "final_states": "a924d13feb04a534529b13b5609b992fbc9243a3e7959d46bef5fbe88810a29a"
+    },
+    "sir": {
+        "collectors/node_counts.json": "400da95a5fe5d4e2bcdf0dcb698268e34a1adaeac13330bdd5b7b966833270ad",
+        "collectors/percentage_infected.json": "346bafa07ab86cfe954d2882e64a647b2a222241be4fd5d5c476cb1113a22617",
+        "summary.json": "3d9e965f3ec21b7c9026d3133e9e6b6d5bd3cfa41fc25eeef6fe97ca44fc1d04",
+        "final_states": "2b9537207db9cc0c0bc67130f02d94353b2985d56753313adfc653743950c27a"
+    },
+    "stayhome": {
+        "collectors/home_count.json": "5437b40866f8b4518730af0acf74af55fd9cb919753be893755c2ce51102a9c9",
+        "collectors/new_case_fraction.json": "c81d295c0b2e7359e945878d5869b4c7fdbee5ccc9fc2c6ea5c49ce5037f02be",
+        "collectors/node_counts.json": "67a9bbed9a83ab7b244c4d6681e5309b83357c46d137d623bb961648b770f7cd",
+        "summary.json": "28837630220338eb5f256b6d6b489d3b3221a8245ef2d63865c34324a6554921",
+        "final_states": "9be7caba4d8c0d65ca430f7b245b7303e5de7e98653a0eebae8c72eaf934e19c"
+    },
+    "trust": {
+        "collectors/global_payoff.json": "011fac7cbf0dcc783a70014bbcc8adecbc0954cbb0cc823baebbf78482046d0e",
+        "collectors/node_counts.json": "47998cc6dae5313110c61f4914f1feda88669708103a12ef789d4a860a884480",
+        "collectors/trust_draws.json": "d628186ad71246e1b930c90e07985c0ad41f42876397fe82e7b8bcb5ce542095",
+        "summary.json": "8a6ccd1b51f18d7acf414496797473f07760b40b546bc54f97e638efcc95e5e5",
+        "final_states": "cf1e79970f3dd64e6f008c96aac9549939f1ebae1360eab6527e6e9c1106c6fe"
+    }
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANS))
+def test_outputs_match_stored_digests(name, tmp_path):
+    assert run_digests(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        pinned = {name: run_digests(name, Path(tmp) / name) for name in sorted(PLANS)}
+    print(json.dumps(pinned, indent=4))

@@ -125,6 +125,26 @@ class TestGraphContainer:
         assert np.array_equal(dense, dense.T)
         assert dense.sum() == 4.0
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_in_csr_rows_are_in_neighbors_cached_per_version(self, directed):
+        g = Graph(4, directed=directed)
+        g.add_edge(0, 1)
+        g.add_edge(2, 1)
+
+        def rows(graph):
+            indptr, indices = graph.in_csr()
+            return [sorted(indices[indptr[v]:indptr[v + 1]].tolist()) for v in graph.nodes()]
+
+        assert rows(g) == [sorted(g.in_neighbors(v)) for v in g.nodes()]
+        assert g.in_csr()[1] is g.in_csr()[1]  # cached while the version holds
+        g.add_edge(3, 1)
+        assert rows(g)[1] == [0, 2, 3]
+        h = g.copy()
+        assert h._in_csr is None  # a copy starts without the cache
+        h.remove_edge(0, 1)
+        assert rows(h)[1] == [2, 3]
+        assert rows(g)[1] == [0, 2, 3]
+
 
 # ---------------------------------------------------------------------------
 # Random-regular generator

@@ -1,4 +1,4 @@
-"""Compartment evaluation and synchronous rule application."""
+"""Synchronous rule application, checked against a scalar reference pass."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from crowdkit import (
     Rule,
     apply_rules,
 )
-from crowdkit.rules import FrozenView, evaluate_compartment
 
 
 def make_rng(seed: int = 0) -> np.random.Generator:
@@ -30,6 +29,15 @@ def two_path() -> Graph:
     g = Graph(2)
     g.add_edge(0, 1)
     return g
+
+
+def fires(state, graph, compartment, node, rng=None, attrs=None, ledger=None):
+    """Whether a one-rule pass moves ``node`` out of its current type."""
+    rules = [Rule(state[node], "Z", compartment, "r")]
+    attrs = AttributeTable() if attrs is None else attrs
+    ledger = CountdownLedger() if ledger is None else ledger
+    rng = make_rng() if rng is None else rng
+    return node in apply_rules(state, graph, attrs, rules, ledger, rng)
 
 
 def run_rounds(states, graph, rules, rng, rounds, attrs=None):
@@ -52,57 +60,47 @@ def run_rounds(states, graph, rules, rng, rounds, attrs=None):
 
 class TestNodeStochastic:
     def test_ratio_one_with_trigger_fires(self):
-        g = two_path()
-        view = FrozenView(g, {0: "I", 1: "S"}, AttributeTable())
         comp = NodeStochastic(ratio=1.0, triggering_status="I")
-        assert evaluate_compartment(1, comp, view, CountdownLedger(), make_rng()) is True
+        assert fires({0: "I", 1: "S"}, two_path(), comp, 1) is True
 
     def test_ratio_zero_never_fires(self):
-        g = two_path()
-        view = FrozenView(g, {0: "I", 1: "S"}, AttributeTable())
         comp = NodeStochastic(ratio=0.0, triggering_status="I")
         rng = make_rng()
-        assert all(
-            evaluate_compartment(1, comp, view, CountdownLedger(), rng) is False
-            for _ in range(100)
-        )
+        assert not any(fires({0: "I", 1: "S"}, two_path(), comp, 1, rng) for _ in range(100))
 
     def test_no_triggering_neighbor_not_eligible(self):
-        g = two_path()
-        view = FrozenView(g, {0: "S", 1: "S"}, AttributeTable())
         comp = NodeStochastic(ratio=1.0, triggering_status="I")
-        assert evaluate_compartment(1, comp, view, CountdownLedger(), make_rng()) is False
+        rng = make_rng()
+        before = rng.bit_generator.state
+        assert fires({0: "S", 1: "S"}, two_path(), comp, 1, rng) is False
+        assert rng.bit_generator.state == before  # an ineligible node draws nothing
 
     def test_absent_trigger_always_eligible(self):
-        g = Graph(1)
-        view = FrozenView(g, {0: "S"}, AttributeTable())
-        comp = NodeStochastic(ratio=1.0)
-        assert evaluate_compartment(0, comp, view, CountdownLedger(), make_rng()) is True
+        assert fires({0: "S"}, Graph(1), NodeStochastic(ratio=1.0), 0) is True
 
     def test_directed_trigger_uses_incoming_edges(self):
         g = Graph(2, directed=True)
         g.add_edge(0, 1)  # 0 -> 1
         comp = NodeStochastic(ratio=1.0, triggering_status="I")
-        view = FrozenView(g, {0: "I", 1: "S"}, AttributeTable())
-        assert evaluate_compartment(1, comp, view, CountdownLedger(), make_rng()) is True
+        assert fires({0: "I", 1: "S"}, g, comp, 1) is True
         # reversed roles: node 0 has no incoming edge from an I node
-        view2 = FrozenView(g, {0: "S", 1: "I"}, AttributeTable())
-        assert evaluate_compartment(0, comp, view2, CountdownLedger(), make_rng()) is False
+        assert fires({0: "S", 1: "I"}, g, comp, 0) is False
 
     def test_one_draw_per_node_regardless_of_neighbor_count(self):
         # A node with many triggering neighbors fires with probability ratio,
         # not 1 - (1-ratio)^k: the empirical rate must match a single draw.
-        hub = Graph(6)
-        for leaf in range(1, 6):
-            hub.add_edge(0, leaf)
-        states = {0: "S", **{v: "I" for v in range(1, 6)}}
-        view = FrozenView(hub, states, AttributeTable())
-        comp = NodeStochastic(ratio=0.1, triggering_status="I")
-        rng = make_rng(42)
         trials = 20000
-        fired = sum(
-            evaluate_compartment(0, comp, view, CountdownLedger(), rng) for _ in range(trials)
-        )
+        g = Graph(6 * trials)
+        states = {}
+        for hub in range(0, 6 * trials, 6):
+            states[hub] = "S"
+            for leaf in range(hub + 1, hub + 6):
+                g.add_edge(hub, leaf)
+                states[leaf] = "I"
+        rules = [Rule("S", "I", NodeStochastic(ratio=0.1, triggering_status="I"), "r1")]
+        rng = make_rng(42)
+        fired = len(apply_rules(states, g, AttributeTable(), rules, CountdownLedger(), rng))
+        assert rng.bit_generator.state == make_rng(42).bit_generator.advance(trials).state
         sigma = (trials * 0.1 * 0.9) ** 0.5
         assert abs(fired - trials * 0.1) <= 3 * sigma
 
@@ -131,25 +129,22 @@ class TestNodeStochastic:
 class TestCountDown:
     def test_normative_trace_k4(self):
         g = Graph(1)
-        view = FrozenView(g, {0: "I"}, AttributeTable())
         comp = CountDown(name="heal", iteration_count=4)
         ledger = CountdownLedger()
         rng = make_rng()
         # evaluations 1..3 decrement without firing; the 4th fires
-        assert evaluate_compartment(0, comp, view, ledger, rng) is False
+        assert fires({0: "I"}, g, comp, 0, rng, ledger=ledger) is False
         assert ledger.get(0, "heal") == 3
-        assert evaluate_compartment(0, comp, view, ledger, rng) is False
+        assert fires({0: "I"}, g, comp, 0, rng, ledger=ledger) is False
         assert ledger.get(0, "heal") == 2
-        assert evaluate_compartment(0, comp, view, ledger, rng) is False
+        assert fires({0: "I"}, g, comp, 0, rng, ledger=ledger) is False
         assert ledger.get(0, "heal") == 1
-        assert evaluate_compartment(0, comp, view, ledger, rng) is True
+        assert fires({0: "I"}, g, comp, 0, rng, ledger=ledger) is True
         assert ledger.get(0, "heal") is None  # firing clears the entry
+        assert len(ledger) == 0
 
     def test_k1_fires_on_first_evaluation(self):
-        g = Graph(1)
-        view = FrozenView(g, {0: "I"}, AttributeTable())
-        comp = CountDown(name="tick", iteration_count=1)
-        assert evaluate_compartment(0, comp, view, CountdownLedger(), make_rng()) is True
+        assert fires({0: "I"}, Graph(1), CountDown(name="tick", iteration_count=1), 0) is True
 
     @pytest.mark.parametrize("k", list(range(1, 11)))
     def test_exactness_for_all_k(self, k):
@@ -182,31 +177,28 @@ class TestCountDown:
 
 class TestNodeCategorical:
     def test_matching_value_fires(self):
-        g = Graph(1)
         attrs = AttributeTable()
         attrs.set_node(0, "location", "grid")
-        view = FrozenView(g, {0: "S"}, attrs)
         comp = NodeCategorical(attribute="location", value="grid", probability=1.0)
-        assert evaluate_compartment(0, comp, view, CountdownLedger(), make_rng()) is True
+        assert fires({0: "S"}, Graph(1), comp, 0, attrs=attrs) is True
 
     def test_mismatching_value_never_fires(self):
-        g = Graph(1)
         attrs = AttributeTable()
         attrs.set_node(0, "location", "home")
-        view = FrozenView(g, {0: "S"}, attrs)
         comp = NodeCategorical(attribute="location", value="grid", probability=1.0)
         rng = make_rng()
-        assert all(
-            evaluate_compartment(0, comp, view, CountdownLedger(), rng) is False
-            for _ in range(20)
-        )
+        assert not any(fires({0: "S"}, Graph(1), comp, 0, rng, attrs=attrs) for _ in range(20))
 
-    def test_missing_attribute_is_not_an_error(self):
-        g = Graph(1)
-        view = FrozenView(g, {0: "S"}, AttributeTable())
+    def test_missing_attribute_is_not_an_error(self, caplog):
         comp = NodeCategorical(attribute="location", value="grid", probability=1.0)
-        # evaluates not-eligible instead of raising
-        assert evaluate_compartment(0, comp, view, CountdownLedger(), make_rng()) is False
+        ledger = CountdownLedger()
+        # evaluates not-eligible instead of raising, and warns once per ledger
+        with caplog.at_level("WARNING", logger="crowdkit.rules"):
+            assert fires({0: "S"}, Graph(1), comp, 0, ledger=ledger) is False
+            assert fires({0: "S"}, Graph(1), comp, 0, ledger=ledger) is False
+        assert [r.getMessage() for r in caplog.records] == [
+            "node 0 lacks categorical attribute 'location'; treating as not eligible"
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +336,131 @@ def test_property_countdown_exactness(k, seed):
             assert current[0] == "I", f"fired early at round {t}"
         else:
             assert current[0] == "R", f"did not fire at round {k}"
+
+
+# ---------------------------------------------------------------------------
+# The array pass against the scalar reference it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_fires(node, compartment, state, graph, attrs, counters, rng):
+    """The scalar per-node evaluation: one draw per eligible drawing rule."""
+    if type(compartment) is NodeStochastic:
+        trigger = compartment.triggering_status
+        if trigger is not None:
+            nbrs = graph.in_neighbors(node) if graph.directed else graph.neighbors(node)
+            if not any(state[u] == trigger for u in nbrs):
+                return False
+        return rng.random() < compartment.ratio
+    if type(compartment) is CountDown:
+        key = (node, compartment.name)
+        counter = counters.get(key, compartment.iteration_count) - 1
+        if counter <= 0:
+            counters.pop(key, None)
+            return True
+        counters[key] = counter
+        return False
+    value = attrs.get_node(node, compartment.attribute)
+    if value is None or value != compartment.value:
+        return False
+    return rng.random() < compartment.probability
+
+
+def reference_apply_rules(state, graph, attrs, rules, counters, rng):
+    """Node by node in id order, rules in declaration order, first firing wins.
+
+    ``counters`` is a plain ``{(node, name): value}`` dict. A counter whose
+    node is outside every source type of its name is dropped first; a rule
+    move drops the node's counters of the type it left.
+    """
+    by_type, names_by_type, sources = {}, {}, {}
+    for rule in rules:
+        by_type.setdefault(rule.from_type, []).append(rule)
+        if type(rule.compartment) is CountDown:
+            names_by_type.setdefault(rule.from_type, []).append(rule.compartment.name)
+            sources.setdefault(rule.compartment.name, set()).add(rule.from_type)
+    for node, name in list(counters):
+        if name in sources and state[node] not in sources[name]:
+            del counters[(node, name)]
+    transitions = {}
+    for node in range(graph.num_nodes):
+        for rule in by_type.get(state[node], ()):
+            if reference_fires(node, rule.compartment, state, graph, attrs, counters, rng):
+                transitions[node] = rule.to_type
+                break
+    for node in transitions:
+        for name in names_by_type.get(state[node], ()):
+            counters.pop((node, name), None)
+    return transitions
+
+
+TYPES = ("A", "B", "C", "D")  # D is the source of no rule
+
+
+def compartments():
+    probability = st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0])
+    return st.one_of(
+        st.builds(NodeStochastic, probability, st.sampled_from([None, *TYPES])),
+        st.builds(
+            NodeCategorical, st.sampled_from(["loc", "absent"]), st.sampled_from(["x", "y"]), probability
+        ),
+        st.builds(CountDown, st.sampled_from(["t1", "t2"]), st.integers(1, 4)),
+    )
+
+
+@st.composite
+def rule_sets(draw):
+    """1-3 rules on B and C; A always has two drawing rules plus maybe a count-down."""
+    stochastic = st.builds(NodeStochastic, st.sampled_from([0.3, 0.6, 1.0]), st.sampled_from([None, "B"]))
+    countdown = st.builds(CountDown, st.sampled_from(["t1", "t2"]), st.integers(1, 4))
+    comps = [draw(stochastic), draw(st.one_of(stochastic, compartments()))]
+    if draw(st.booleans()):
+        comps.insert(draw(st.integers(0, 2)), draw(countdown))
+    rules = [Rule("A", draw(st.sampled_from(TYPES)), comp) for comp in comps]
+    for source in ("B", "C"):
+        for comp in draw(st.lists(compartments(), min_size=1, max_size=3)):
+            rules.append(Rule(source, draw(st.sampled_from(TYPES)), comp))
+    return rules
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(1, 25))
+    directed = draw(st.booleans())
+    g = Graph(n, directed=directed)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(pairs, max_size=3 * n)):
+        if u != v:
+            g.add_edge(u, v)
+    attrs = AttributeTable()
+    for node in range(n):
+        value = draw(st.sampled_from(["x", "y", None]))
+        if value is not None:
+            attrs.set_node(node, "loc", value)
+    states = {node: draw(st.sampled_from(TYPES)) for node in range(n)}
+    node_types = st.tuples(st.integers(0, n - 1), st.sampled_from(TYPES))
+    edits = draw(st.lists(st.lists(node_types, max_size=4), min_size=1, max_size=6))
+    shuffles = draw(st.lists(st.booleans(), min_size=len(edits), max_size=len(edits)))
+    return g, attrs, states, draw(rule_sets()), edits, shuffles
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scenarios(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_property_array_pass_matches_scalar_reference(case, seed):
+    g, attrs, states, rules, edits, shuffles = case
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    ledger, counters = CountdownLedger(), {}
+    current, ref_current = dict(states), dict(states)
+    for pass_edits, shuffle in zip(edits, shuffles):
+        if shuffle:  # leaves a buffered 32-bit half-word, as the agent phase does
+            rng.permutation(g.num_nodes)
+            ref_rng.permutation(g.num_nodes)
+        transitions = apply_rules(current, g, attrs, rules, ledger, rng)
+        expected = reference_apply_rules(ref_current, g, attrs, rules, counters, ref_rng)
+        assert transitions == expected
+        assert dict(ledger.items()) == counters
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        current.update(transitions)
+        ref_current.update(expected)
+        for node, type_name in pass_edits:  # hook moves between passes
+            current[node] = ref_current[node] = type_name
