@@ -20,7 +20,7 @@ import click
 
 from . import __version__
 from .charts import CHART_KINDS, write_chart
-from .collect import merge_parent_directory, merge_simulations, read_snapshot
+from .collect import export_gexf, merge_parent_directory, merge_simulations, read_snapshot
 from .config import FileStructure, load_config, validate
 from .engine import (
     HOME_ENV_VAR,
@@ -39,7 +39,6 @@ from .errors import (
     HookError,
     MetricError,
 )
-from .gexf import write_gexf
 from .scenarios import SCENARIOS, fixture_path
 
 EXIT_USAGE = 2
@@ -340,10 +339,9 @@ def cmd_export(run_dir, iteration, fmt, out_path):
         if fmt != "gexf":
             _usage_fail(f"unknown export format {fmt!r} (valid: gexf)")
         path = _snapshot_path(Path(run_dir), iteration)
-        _, graph, states, attrs, _ = read_snapshot(path)
         if out_path is None:
             out_path = Path(run_dir) / f"export-iter_{iteration}.gexf"
-        write_gexf(graph, out_path, states, attrs)
+        export_gexf(path, out_path)
     except CrowdkitError as exc:
         _fail(exc)
     click.echo(str(out_path))

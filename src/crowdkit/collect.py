@@ -2,9 +2,9 @@
 
 Collector files are JSON documents ``{"name": ..., "entries": [{"iteration",
 "value"}, ...]}`` with iterations strictly increasing. Values are numbers or
-flat string-to-number maps (one map shape per series). Snapshots pair a
-columnar JSON document (full graph + states + attributes + network params)
-with a GEXF twin of the same iteration.
+flat string-to-number maps (one map shape per series). A snapshot is one
+compact JSON file (graph + states + attributes + network params), edge columns
+as ``{"pairs": [u0, v0, ...], "values": [...]}`` in (u, v) order; ``crowdkit export`` gives GEXF.
 
 Merging: ``merge_batches`` averages a collector across sibling batch runs
 entry-by-entry (exact up to float addition, permutation-invariant via
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from itertools import chain
 from pathlib import Path
 from typing import Any, Union
 
@@ -96,11 +98,20 @@ class SeriesRecorder:
         return {"name": self.name, "entries": self.entries}
 
 
-def _dump_json(document: dict, path: Path) -> None:
+def write_atomic(path: Path, text: str) -> None:
+    """Write via ``<name>.tmp`` (not a ``*.json``) and ``os.replace``; a failure leaves no temp."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _dump_json(document: dict, path: Path) -> None:
+    write_atomic(path, json.dumps(document, indent=2) + "\n")
 
 
 def _load_json(path: Path) -> dict:
@@ -153,19 +164,18 @@ def snapshot_document(
     attrs: AttributeTable,
     net_params: dict[str, Any],
 ) -> dict:
-    nodes = list(range(graph.num_nodes))
-    links = [[u, v] for u, v in graph.edges()]
-    node_attrs = {
-        key: [column.get(v) for v in nodes] for key, column in sorted(attrs.node.items())
-    }
-    edge_attrs: dict[str, dict[str, Any]] = {}
+    nodes = range(graph.num_nodes)
+    edge_attrs = {}
     for key, column in sorted(attrs.edge.items()):
-        edge_attrs[key] = {f"{u},{v}": value for (u, v), value in sorted(column.items())}
+        keys = np.fromiter(chain.from_iterable(column), dtype=np.int64, count=2 * len(column))
+        order = np.lexsort((keys[1::2], keys[0::2]))
+        values = np.array(list(column.values()), dtype=object)[order].tolist()
+        edge_attrs[key] = {"pairs": keys.reshape(-1, 2)[order].ravel().tolist(), "values": values}
     return {
         "iteration": iteration,
-        "graph": {"directed": graph.directed, "nodes": len(nodes), "links": links},
+        "graph": {"directed": graph.directed, "nodes": len(nodes), "links": list(map(list, graph.edges()))},
         "states": [states.get(v) for v in nodes],
-        "node_attrs": node_attrs,
+        "node_attrs": {key: [col.get(v) for v in nodes] for key, col in sorted(attrs.node.items())},
         "edge_attrs": edge_attrs,
         "net_params": dict(sorted(net_params.items())),
     }
@@ -178,15 +188,12 @@ def write_snapshot(
     attrs: AttributeTable,
     net_params: dict[str, Any],
     run_dir,
-) -> tuple[Path, Path]:
-    """Write iter_<i>.json and its GEXF twin under <run_dir>/snapshots/."""
-    snap_dir = Path(run_dir) / SNAPSHOT_DIR
-    json_path = snap_dir / f"iter_{iteration}.json"
-    _dump_json(snapshot_document(iteration, graph, states, attrs, net_params), json_path)
-    gexf_path = snap_dir / f"iter_{iteration}.gexf"
-    gexf_path.parent.mkdir(parents=True, exist_ok=True)
-    write_gexf(graph, gexf_path, states, attrs)
-    return json_path, gexf_path
+) -> list[Path]:
+    """Write <run_dir>/snapshots/iter_<i>.json; returns the files written."""
+    path = Path(run_dir) / SNAPSHOT_DIR / f"iter_{iteration}.json"
+    document = snapshot_document(iteration, graph, states, attrs, net_params)
+    write_atomic(path, json.dumps(document, separators=(",", ":")) + "\n")
+    return [path]
 
 
 def read_snapshot(path) -> tuple[int, Graph, dict[int, str], AttributeTable, dict[str, Any]]:
@@ -202,14 +209,17 @@ def read_snapshot(path) -> tuple[int, Graph, dict[int, str], AttributeTable, dic
         for key, values in doc["node_attrs"].items():
             attrs.set_node_column(key, {i: v for i, v in enumerate(values) if v is not None})
         for key, column in doc["edge_attrs"].items():
-            parsed = {}
-            for pair, value in column.items():
-                u_str, v_str = pair.split(",")
-                parsed[(int(u_str), int(v_str))] = value
-            attrs.set_edge_column(key, parsed)
+            pairs = zip(column["pairs"][0::2], column["pairs"][1::2], strict=True)
+            attrs.set_edge_column(key, dict(zip(pairs, column["values"], strict=True)))
         return doc["iteration"], graph, states, attrs, dict(doc["net_params"])
     except (KeyError, ValueError, TypeError) as exc:
         raise CollectError(f"malformed snapshot {path}: {exc}") from exc
+
+
+def export_gexf(snapshot_path, out_path) -> None:
+    """Write the GEXF form of a JSON snapshot to ``out_path``."""
+    _, graph, states, attrs, _ = read_snapshot(snapshot_path)
+    write_gexf(graph, out_path, states, attrs)
 
 
 def list_snapshots(run_dir) -> list[Path]:

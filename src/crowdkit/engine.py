@@ -11,14 +11,14 @@ Each iteration runs in a fixed order:
    all transitions apply at once.
 5. ``after_iteration`` hooks, in registration order. Scalar or flat-map
    returns are recorded as (iteration, value) series.
-6. At snapshot periods, the full state is written to disk and collector
-   files are flushed.
+6. At snapshot periods, the full state is written to disk as one compact JSON
+   snapshot and collector files are flushed.
 
 ``after_simulation`` hooks run once at the end; their returns become the run
 summary. Hooks marked ``record_initial`` also record an iteration-0 baseline
 entry before the first iteration (after the setup callable has run). A hook
-that raises aborts the run with the hook name and iteration attached; a
-persisted run still flushes the collector entries gathered so far.
+that raises aborts the run with the hook name and iteration attached; on any
+error a persisted run still flushes its collectors and writes run-meta.json.
 
 Determinism: every random draw in a run flows from one ``numpy`` PCG64
 generator seeded by ``derive_seed(master_seed, batch_index, sweep_index)``,
@@ -44,6 +44,7 @@ from . import __version__ as _version
 from .collect import (
     SeriesRecorder,
     coerce_value,
+    write_atomic,
     write_collectors,
     write_snapshot,
     write_summary,
@@ -213,10 +214,6 @@ class SimContext:
             raise HookError(f"node {node} out of range", iteration=self.iteration)
         self.states[node] = type_name
 
-    def apply_transitions(self, transitions: dict[int, str]) -> None:
-        for node, type_name in transitions.items():
-            self.set_state(node, type_name)
-
     def count(self, type_name: str) -> int:
         return sum(1 for s in self.states.values() if s == type_name)
 
@@ -362,10 +359,7 @@ def simulate(
     persist = run_dir is not None
     run_path = Path(run_dir) if persist else None
     if persist:
-        run_path.mkdir(parents=True, exist_ok=True)
-        (run_path / RUN_CONFIG_FILE).write_text(
-            serialize_config(config, include_sweep=False), encoding="utf-8"
-        )
+        write_atomic(run_path / RUN_CONFIG_FILE, serialize_config(config, include_sweep=False))
 
     def _write_meta(error: str | None = None) -> None:
         meta = {
@@ -381,9 +375,7 @@ def simulate(
         }
         if error is not None:
             meta["error"] = error
-        with open(run_path / RUN_META_FILE, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+        write_atomic(run_path / RUN_META_FILE, json.dumps(meta, indent=2) + "\n")
 
     try:
         if setup is not None:
@@ -442,7 +434,7 @@ def simulate(
                 if hook.name in summary:
                     raise CollectError(f"summary key {hook.name!r} written twice")
                 summary[hook.name] = coerce_value(value, f"summary[{hook.name!r}]")
-    except HookError as exc:
+    except Exception as exc:
         if persist:
             write_collectors(recorders.values(), run_path)
             _write_meta(error=str(exc))

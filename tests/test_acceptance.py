@@ -499,8 +499,8 @@ def test_criterion_09_export_round_trips(tmp_path, facebook_graph):
             and attrs2.edge == attrs.edge
         )
 
-        json_path, _ = write_snapshot(7, graph, states, attrs, net_params,
-                                      tmp_path / name)
+        [json_path] = write_snapshot(7, graph, states, attrs, net_params,
+                                     tmp_path / name)
         it2, g3, states3, attrs3, params3 = read_snapshot(json_path)
         json_ok = (
             it2 == 7

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdkit import (
     AttributeTable,
@@ -167,9 +171,8 @@ class TestSnapshots:
 
     def test_round_trip_identity(self, tmp_path):
         g, states, attrs, params = self.build()
-        json_path, gexf_path = write_snapshot(17, g, states, attrs, params, tmp_path)
+        [json_path] = write_snapshot(17, g, states, attrs, params, tmp_path)
         assert json_path.name == "iter_17.json"
-        assert gexf_path.name == "iter_17.gexf"
         it, g2, states2, attrs2, params2 = read_snapshot(json_path)
         assert it == 17
         assert sorted(g2.edges()) == sorted(g.edges())
@@ -178,16 +181,22 @@ class TestSnapshots:
         assert attrs2 == attrs
         assert params2 == params
 
-    def test_gexf_twin_loads(self, tmp_path):
+    def test_export_of_run_snapshot_loads(self, tmp_path):
+        from click.testing import CliRunner
+
         from crowdkit import load_gexf
+        from crowdkit.cli import main
 
         g, states, attrs, params = self.build()
-        _, gexf_path = write_snapshot(0, g, states, attrs, params, tmp_path)
-        g2, states2, attrs2 = load_gexf(gexf_path)
-        assert sorted(g2.edges()) == sorted(g.edges())
+        write_snapshot(3, g, states, attrs, params, tmp_path)
+        assert [p.name for p in (tmp_path / "snapshots").iterdir()] == ["iter_3.json"]
+        out = tmp_path / "snap.gexf"
+        res = CliRunner().invoke(main, ["export", str(tmp_path), "--iteration", "3", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        g2, states2, attrs2 = load_gexf(out)
+        assert (g2.num_nodes, g2.directed, sorted(g2.edges())) == (4, False, sorted(g.edges()))
         assert states2 == states
-        assert attrs2.get_edge(0, 1, "influence_prob") == 0.5
-        assert attrs2.get_edge(1, 0, "influence_prob") == 0.25
+        assert attrs2 == attrs
 
     def test_list_snapshots_numeric_order(self, tmp_path):
         g, states, attrs, params = self.build()
@@ -209,6 +218,104 @@ class TestSnapshots:
         bad.write_text(json.dumps({"iteration": 0}))
         with pytest.raises(CollectError):
             read_snapshot(bad)
+        g, states, attrs, params = self.build()
+        [path] = write_snapshot(0, g, states, attrs, params, tmp_path)
+        doc = json.loads(path.read_text())
+        # the string-keyed edge columns of the earlier layout are not read
+        doc["edge_attrs"] = {"influence_prob": {"0,1": 0.5, "1,0": 0.25}}
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(CollectError, match="malformed snapshot"):
+            read_snapshot(bad)
+        for pairs in ([0, 1, 1], [0, 1]):
+            doc["edge_attrs"] = {"influence_prob": {"pairs": pairs, "values": [0.5, 0.25]}}
+            bad.write_text(json.dumps(doc))
+            with pytest.raises(CollectError, match="malformed snapshot"):
+                read_snapshot(bad)
+
+    def test_failed_write_keeps_previous_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        g, states, attrs, params = self.build()
+        [path] = write_snapshot(0, g, states, attrs, params, tmp_path)
+        before = path.read_bytes()
+        # the encoder raises partway through the document
+        with pytest.raises(TypeError):
+            write_snapshot(0, g, states, attrs, {**params, "zz": object()}, tmp_path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == ["iter_0.json"]
+
+        def failing_replace(src, dst):
+            raise OSError("disk went away")
+
+        # the temp file is complete but the rename fails
+        monkeypatch.setattr("crowdkit.collect.os.replace", failing_replace)
+        states[0] = "B"
+        with pytest.raises(OSError):
+            write_snapshot(0, g, states, attrs, params, tmp_path)
+        with pytest.raises(OSError):
+            write_collectors([SeriesRecorder("c")], tmp_path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == ["iter_0.json"]
+        assert list((tmp_path / COLLECTOR_DIR).iterdir()) == []
+
+
+VALUES_BY_KIND = {
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(max_size=4),
+}
+
+
+@st.composite
+def snapshot_inputs(draw):
+    n = draw(st.integers(1, 7))
+    graph = Graph(n, directed=draw(st.booleans()))
+    node = st.integers(0, n - 1)
+    ordered = st.tuples(node, node)
+    for u, v in draw(st.lists(ordered, max_size=12)):
+        if u != v:
+            graph.add_edge(u, v)
+    attrs = AttributeTable()
+    for key in draw(st.lists(st.sampled_from(["age", "loc", "w"]), unique=True)):
+        values = VALUES_BY_KIND[draw(st.sampled_from(sorted(VALUES_BY_KIND)))]
+        attrs.set_node_column(key, draw(st.dictionaries(node, values)))
+    for key in draw(st.lists(st.sampled_from(["influence_prob", "kind", "weight"]), unique=True)):
+        values = VALUES_BY_KIND[draw(st.sampled_from(sorted(VALUES_BY_KIND)))]
+        # any ordered pair: edges, reverse pairs of undirected edges and non-edges
+        attrs.set_edge_column(key, draw(st.dictionaries(ordered, values)))
+    states = draw(st.dictionaries(node, st.sampled_from(["S", "I", "R"])))
+    params = draw(st.dictionaries(st.text(max_size=3), st.one_of(*VALUES_BY_KIND.values()), max_size=3))
+    return draw(st.integers(0, 500)), graph, states, attrs, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(snapshot_inputs())
+def test_property_snapshot_round_trip_and_stable_bytes(inputs):
+    iteration, graph, states, attrs, params = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        [path] = write_snapshot(iteration, graph, states, attrs, params, Path(tmp) / "a")
+        first = path.read_bytes()
+        it2, g2, states2, attrs2, params2 = read_snapshot(path)
+        assert it2 == iteration
+        assert (g2.num_nodes, g2.directed, list(g2.edges())) == (
+            graph.num_nodes, graph.directed, list(graph.edges())
+        )
+        assert states2 == states
+        assert attrs2 == attrs
+        for key in attrs.node:
+            assert attrs2.node_kind(key) == attrs.node_kind(key)
+        for key in attrs.edge:
+            assert attrs2.edge_kind(key) == attrs.edge_kind(key)
+        assert params2 == params
+        # the array sort matches the scalar (u, v) order it replaced
+        doc = json.loads(first)
+        for key, column in attrs.edge.items():
+            ordered = sorted(column.items())
+            assert doc["edge_attrs"][key] == {
+                "pairs": [x for pair, _ in ordered for x in pair],
+                "values": [value for _, value in ordered],
+            }
+        # writing the read-back copy, whose dict orders differ, gives the same bytes
+        [again] = write_snapshot(it2, g2, states2, attrs2, params2, Path(tmp) / "b")
+        assert again.read_bytes() == first
 
 
 # ---------------------------------------------------------------------------

@@ -620,6 +620,22 @@ class TestHookFailure:
         meta = json.loads((run_dir / RUN_META_FILE).read_text())
         assert "wobbly" in meta["error"]
 
+    def test_non_hook_error_still_flushes_collectors_and_meta(self, tmp_path):
+        # A scalar then a map fails in SeriesRecorder.record (CollectError),
+        # outside the hook call itself.
+        def shape_shifter(ctx):
+            return float(ctx.iteration) if ctx.iteration < 3 else {"x": 1.0}
+
+        reg = HookRegistry()
+        reg.add(PHASE_AFTER, "shifty", shape_shifter)
+        run_dir = tmp_path / "r"
+        with pytest.raises(CollectError, match="value shape changed"):
+            simulate(tiny_config(), epochs=5, registry=reg, run_dir=run_dir)
+        doc = read_collector(run_dir / "collectors" / "shifty.json")
+        assert [e["iteration"] for e in doc["entries"]] == [1, 2]
+        meta = json.loads((run_dir / RUN_META_FILE).read_text())
+        assert "value shape changed at iteration 3" in meta["error"]
+
 
 # ---------------------------------------------------------------------------
 # RunSettings
