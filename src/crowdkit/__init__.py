@@ -35,12 +35,10 @@ from .engine import (
     Hook,
     HookRegistry,
     Project,
-    RunSettings,
     SimContext,
     SimResult,
     batch_run,
     derive_seed,
-    run_simulation,
     simulate,
     sweep_run,
 )
@@ -99,7 +97,6 @@ __all__ = [
     "Project",
     "ProjectConfig",
     "Rule",
-    "RunSettings",
     "SCENARIOS",
     "Scenario",
     "SeriesRecorder",
@@ -129,7 +126,6 @@ __all__ = [
     "read_collector",
     "read_snapshot",
     "read_summary",
-    "run_simulation",
     "serialize_config",
     "simulate",
     "sweep_run",

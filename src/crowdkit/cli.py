@@ -106,8 +106,28 @@ def project_list(home):
         click.echo(name)
 
 
-def _load_run_inputs(config_path, scenario_name):
+def _run_options(command):
+    """The options ``run`` and ``sweep`` share, declared once."""
+    options = [
+        click.option("--config", "config_path", type=click.Path(path_type=Path), default=None, help="Config YAML path."),
+        click.option("--scenario", "scenario_name", type=click.Choice(sorted(SCENARIOS)), default=None, help="Attach a built-in scenario's hooks (and use its fixture when --config is omitted)."),
+        click.option("--epochs", type=click.IntRange(min=1), default=50, show_default=True, help="Number of iterations."),
+        click.option("--snapshot", "snapshot_period", type=click.IntRange(min=1), default=None, help="Snapshot every N iterations."),
+        click.option("--batches", type=click.IntRange(min=1), default=1, show_default=True, help="Independent replicas."),
+        click.option("--seed", "master_seed", type=int, default=0, show_default=True, help="Master seed."),
+        click.option("--project", "project_name", default="default", show_default=True, help="Project name."),
+        click.option("--name", "sim_name", default=None, help="Simulation directory name (default: config name)."),
+        _home_option,
+    ]
+    for option in reversed(options):
+        command = option(command)
+    return command
+
+
+def _load_run_inputs(config_path, scenario_name, epochs, snapshot_period):
     """Resolve (config, base_dir, registry_factory) for run/sweep commands."""
+    if snapshot_period is not None and snapshot_period > epochs:
+        _usage_fail(f"--snapshot must be <= --epochs, got {snapshot_period} with --epochs {epochs}")
     scenario = SCENARIOS[scenario_name] if scenario_name else None
     if config_path is None:
         if scenario is None:
@@ -144,25 +164,11 @@ def _report_batches(outcomes) -> bool:
 
 
 @main.command("run")
-@click.option("--config", "config_path", type=click.Path(path_type=Path), default=None, help="Config YAML path.")
-@click.option("--scenario", "scenario_name", type=click.Choice(sorted(SCENARIOS)), default=None, help="Attach a built-in scenario's hooks (and use its fixture when --config is omitted).")
-@click.option("--epochs", type=int, default=50, show_default=True, help="Number of iterations.")
-@click.option("--snapshot", "snapshot_period", type=int, default=None, help="Snapshot every N iterations.")
-@click.option("--batches", type=int, default=1, show_default=True, help="Independent replicas.")
-@click.option("--seed", "master_seed", type=int, default=0, show_default=True, help="Master seed.")
-@click.option("--project", "project_name", default="default", show_default=True, help="Project name.")
-@click.option("--name", "sim_name", default=None, help="Simulation directory name (default: config name).")
-@_home_option
+@_run_options
 def cmd_run(config_path, scenario_name, epochs, snapshot_period, batches, master_seed, project_name, sim_name, home):
     """Run a config (optionally with scenario hooks) for one or more batches."""
     try:
-        if epochs < 1:
-            _usage_fail(f"--epochs must be >= 1, got {epochs}")
-        if batches < 1:
-            _usage_fail(f"--batches must be >= 1, got {batches}")
-        if snapshot_period is not None and not 1 <= snapshot_period <= epochs:
-            _usage_fail(f"--snapshot must be in [1, epochs], got {snapshot_period}")
-        config, base_dir, registry_factory = _load_run_inputs(config_path, scenario_name)
+        config, base_dir, registry_factory = _load_run_inputs(config_path, scenario_name, epochs, snapshot_period)
         project = Project.load_or_create(project_name, root=home)
         sim_dir = project.simulation_dir(sim_name or config.name)
         outcomes = batch_run(
@@ -182,23 +188,11 @@ def cmd_run(config_path, scenario_name, epochs, snapshot_period, batches, master
 
 
 @main.command("sweep")
-@click.option("--config", "config_path", type=click.Path(path_type=Path), default=None, help="Config YAML path (must contain a sweep section).")
-@click.option("--scenario", "scenario_name", type=click.Choice(sorted(SCENARIOS)), default=None, help="Attach a built-in scenario's hooks.")
-@click.option("--epochs", type=int, default=50, show_default=True)
-@click.option("--snapshot", "snapshot_period", type=int, default=None)
-@click.option("--batches", type=int, default=1, show_default=True)
-@click.option("--seed", "master_seed", type=int, default=0, show_default=True)
-@click.option("--project", "project_name", default="default", show_default=True)
-@click.option("--name", "sim_name", default=None)
-@_home_option
+@_run_options
 def cmd_sweep(config_path, scenario_name, epochs, snapshot_period, batches, master_seed, project_name, sim_name, home):
     """Expand the config's sweep section and run every variant."""
     try:
-        if epochs < 1:
-            _usage_fail(f"--epochs must be >= 1, got {epochs}")
-        if batches < 1:
-            _usage_fail(f"--batches must be >= 1, got {batches}")
-        config, base_dir, registry_factory = _load_run_inputs(config_path, scenario_name)
+        config, base_dir, registry_factory = _load_run_inputs(config_path, scenario_name, epochs, snapshot_period)
         if not config.sweep:
             _usage_fail("no sweep section in config")
         project = Project.load_or_create(project_name, root=home)

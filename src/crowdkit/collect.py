@@ -23,7 +23,7 @@ from typing import Any, Union
 
 import numpy as np
 
-from .errors import CollectError
+from .errors import CollectError, GraphError
 from .gexf import write_gexf
 from .graph import AttributeTable, Graph
 
@@ -212,7 +212,7 @@ def read_snapshot(path) -> tuple[int, Graph, dict[int, str], AttributeTable, dic
             pairs = zip(column["pairs"][0::2], column["pairs"][1::2], strict=True)
             attrs.set_edge_column(key, dict(zip(pairs, column["values"], strict=True)))
         return doc["iteration"], graph, states, attrs, dict(doc["net_params"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, GraphError) as exc:
         raise CollectError(f"malformed snapshot {path}: {exc}") from exc
 
 

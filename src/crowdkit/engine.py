@@ -265,34 +265,14 @@ class SimResult:
     run_dir: Path | None = None
 
 
-@dataclass(frozen=True)
-class RunSettings:
-    """Run-shape parameters: length, snapshot cadence, batch index, seed."""
-
-    epochs: int
-    snapshot_period: int | None = None
-    curr_batch: int = 0
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.snapshot_period is not None and not 1 <= self.snapshot_period <= self.epochs:
-            raise ConfigError(
-                f"snapshot period must be in [1, epochs], got {self.snapshot_period} with epochs {self.epochs}"
-            )
-        if self.curr_batch < 0:
-            raise ConfigError(f"batch index must be >= 0, got {self.curr_batch}")
-
-
 # ---------------------------------------------------------------------------
 # Core loop.
 # ---------------------------------------------------------------------------
 
 
-def _call_hook(hook: Hook, ctx: SimContext, *args):
+def _call_hook(hook: Hook, ctx: SimContext):
     try:
-        return hook.fn(ctx, *args)
+        return hook.fn(ctx)
     except HookError:
         raise
     except Exception as exc:
@@ -389,8 +369,6 @@ def simulate(
         if persist:
             write_snapshot(0, g, ctx.states, attrs, ctx.net_params, run_path)
 
-        single_agent = agent_hooks[0] if len(agent_hooks) == 1 else None
-
         for it in range(1, epochs + 1):
             ctx.iteration = it
             for hook in before_hooks:
@@ -400,21 +378,14 @@ def simulate(
             ctx.frozen_states = dict(ctx.states)
             if agent_hooks:
                 order = shuffle_agents(ctx)
-                if single_agent is not None:
-                    fn = single_agent.fn
-                    try:
-                        for node in order:
-                            fn(ctx, node)
-                    except HookError:
-                        raise
-                    except Exception as exc:
-                        raise HookError(
-                            str(exc) or repr(exc), hook=single_agent.name, iteration=it
-                        ) from exc
-                else:
+                try:
                     for node in order:
                         for hook in agent_hooks:
-                            _call_hook(hook, ctx, node)
+                            hook.fn(ctx, node)
+                except HookError:
+                    raise
+                except Exception as exc:
+                    raise HookError(str(exc) or repr(exc), hook=hook.name, iteration=it) from exc
             if rules:
                 transitions = apply_rules(ctx.states, g, attrs, rules, ledger, rng)
                 if transitions:
@@ -521,35 +492,6 @@ class Project:
         while (self.dir / f"{sim_name}-{k}").exists():
             k += 1
         return self.dir / f"{sim_name}-{k}"
-
-    def simulations(self) -> list[str]:
-        return sorted(p.name for p in self.dir.iterdir() if p.is_dir())
-
-
-def run_simulation(
-    config: ProjectConfig,
-    project: Project,
-    settings: RunSettings,
-    registry: HookRegistry | None = None,
-    setup: Callable | None = None,
-    base_dir=None,
-    sim_dir=None,
-) -> Path:
-    """Run one batch of a config into the project, returning the run directory."""
-    parent = Path(sim_dir) if sim_dir is not None else project.simulation_dir(config.name)
-    run_dir = parent / f"batch-{settings.curr_batch}"
-    simulate(
-        config,
-        epochs=settings.epochs,
-        master_seed=settings.master_seed,
-        batch_index=settings.curr_batch,
-        registry=registry,
-        setup=setup,
-        base_dir=base_dir,
-        run_dir=run_dir,
-        snapshot_period=settings.snapshot_period,
-    )
-    return run_dir
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """GEXF 1.2 reading and writing.
 
 Node types travel under the reserved attribute key ``node_type``. Edge
-attributes are stored per declared direction: the value for (source, target)
-under the attribute's own id and, when a reverse-direction value exists on an
-undirected edge, under ``<id>__reverse``. Attribute kinds map to GEXF types
-integer -> long, number -> double, category -> string.
+attributes are stored per written edge: the value for (source, target) under
+the attribute's own id and the value for (target, source), when that pair is
+not itself a written edge (the reverse of an undirected edge, or of a directed
+edge with no reverse edge), under ``<id>__reverse``. A value on a pair with no
+edge in either direction cannot be written and raises ``GexfError``. Attribute
+kinds map to GEXF types integer -> long, number -> double, category -> string.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ def write_gexf(
     attrs: AttributeTable | None = None,
 ) -> None:
     """Write the graph with node types and attributes to a GEXF 1.2 file."""
+    document = gexf_document(graph, states, attrs)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(gexf_document(graph, states, attrs))
+        fh.write(document)
 
 
 def gexf_document(
@@ -110,16 +113,23 @@ def gexf_document(
             out.append(f'      <node id="{v}" label="{v}"/>\n')
     out.append("    </nodes>\n")
 
+    edges = list(graph.edges())
+    edge_set = set(edges)
+    for key, _, column in edge_columns:
+        for u, v in column:
+            if (u, v) not in edge_set and (v, u) not in edge_set:
+                raise GexfError(f"edge attribute {key!r} has a value on ({u}, {v}), which is not an edge")
+
     out.append("    <edges>\n")
     edge_id = 0
-    for u, v in graph.edges():
+    for u, v in edges:
         values = []
         for key, _, column in edge_columns:
             if (u, v) in column:
                 values.append(
                     f'        <attvalue for={quoteattr(key)} value={quoteattr(_format_value(column[(u, v)]))}/>\n'
                 )
-            if not graph.directed and (v, u) in column:
+            if (v, u) in column and (v, u) not in edge_set:
                 values.append(
                     f'        <attvalue for={quoteattr(key + _REVERSE_SUFFIX)}'
                     f" value={quoteattr(_format_value(column[(v, u)]))}/>\n"

@@ -119,17 +119,6 @@ class Graph:
             return len(self._adj[v]) + len(self._pred[v])  # type: ignore[index]
         return len(self._adj[v])
 
-    def out_degree(self, v: int) -> int:
-        self._check_node(v)
-        return len(self._adj[v])
-
-    def in_degree(self, v: int) -> int:
-        """In undirected graphs in-degree is defined as plain degree."""
-        self._check_node(v)
-        if self.directed:
-            return len(self._pred[v])  # type: ignore[index]
-        return len(self._adj[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges in sorted order; undirected edges once with u < v."""
         for u, nbrs in enumerate(self._adj):

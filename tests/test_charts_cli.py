@@ -307,11 +307,15 @@ class TestRunCommand:
         assert "--config" in res.output
 
     def test_bad_epochs_is_usage_error(self, tmp_path, project_home):
-        cfg = write_tiny(tmp_path)
-        assert invoke("run", "--config", cfg, "--epochs", 0).exit_code == 2
-        assert invoke("run", "--config", cfg, "--batches", 0).exit_code == 2
-        assert invoke("run", "--config", cfg, "--epochs", 5,
-                      "--snapshot", 9).exit_code == 2
+        # run and sweep share these flags and their checks; nothing is created
+        bad_flags = [("--epochs", 0), ("--batches", 0), ("--snapshot", 0),
+                     ("--epochs", 5, "--snapshot", 9)]
+        for command in ("run", "sweep"):
+            cfg = write_tiny(tmp_path, sweep=command == "sweep")
+            for flags in bad_flags:
+                res = invoke(command, "--config", cfg, *flags)
+                assert res.exit_code == 2, (command, flags, res.output)
+                assert not list((project_home / "default").glob("tiny*")), (command, flags)
 
     def test_invalid_config_lists_violations(self, tmp_path, project_home):
         cfg = tmp_path / "bad.yaml"
@@ -515,6 +519,15 @@ class TestInspectCommand:
         res = invoke("inspect", sir_run_dir, "--iteration", 3, "--node", 0)
         assert res.exit_code == 2
         assert "iteration 3" in res.output
+
+    def test_corrupt_snapshot_is_data_error(self, sir_run_dir):
+        path = sir_run_dir / "snapshots" / "iter_0.json"
+        doc = json.loads(path.read_text())
+        doc["graph"]["links"].append([0, 100])
+        path.write_text(json.dumps(doc))
+        res = invoke("inspect", sir_run_dir, "--node", 0)
+        assert res.exit_code == 4
+        assert "malformed snapshot" in res.output
 
 
 class TestExportCommand:

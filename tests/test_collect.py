@@ -231,6 +231,13 @@ class TestSnapshots:
             bad.write_text(json.dumps(doc))
             with pytest.raises(CollectError, match="malformed snapshot"):
                 read_snapshot(bad)
+        doc["edge_attrs"] = {}
+        # a link to a node out of range, and a self-loop link
+        for link in ([0, 9], [2, 2]):
+            doc["graph"]["links"] = [[0, 1], link]
+            bad.write_text(json.dumps(doc))
+            with pytest.raises(CollectError, match="malformed snapshot"):
+                read_snapshot(bad)
 
     def test_failed_write_keeps_previous_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
         g, states, attrs, params = self.build()

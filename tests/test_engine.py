@@ -14,7 +14,6 @@ from crowdkit import (
     HookError,
     HookRegistry,
     Project,
-    RunSettings,
     batch_run,
     derive_seed,
     fixture_path,
@@ -22,7 +21,6 @@ from crowdkit import (
     parse_config,
     read_collector,
     read_summary,
-    run_simulation,
     simulate,
     sweep_run,
 )
@@ -604,6 +602,46 @@ class TestHookFailure:
         assert "fragile" in msg
         assert "3" in msg
 
+    @pytest.mark.parametrize(
+        "names, raiser",
+        [(("solo",), "solo"), (("first", "second"), "first"), (("first", "second"), "second")],
+    )
+    def test_agent_hook_error_names_hook_and_iteration(self, names, raiser):
+        def make_agent(name):
+            def agent(ctx, node):
+                if name == raiser and ctx.iteration == 3:
+                    raise ValueError("boom")
+
+            return agent
+
+        reg = HookRegistry()
+        for name in names:
+            reg.add(PHASE_AGENT, name, make_agent(name))
+        with pytest.raises(HookError) as exc:
+            simulate(tiny_config(), epochs=5, registry=reg)
+        assert exc.value.hook == raiser
+        assert exc.value.iteration == 3
+        assert str(exc.value) == f"hook {raiser} (iteration 3): boom"
+        assert isinstance(exc.value.__cause__, ValueError)
+
+    def test_hook_error_from_agent_hook_propagates_unchanged(self):
+        raised = []
+
+        def zombify(ctx, node):
+            try:
+                ctx.set_state(node, "Zombie")
+            except HookError as err:
+                raised.append(err)
+                raise
+
+        reg = HookRegistry()
+        reg.add(PHASE_AGENT, "zombify", zombify)
+        with pytest.raises(HookError) as exc:
+            simulate(tiny_config(), epochs=2, registry=reg)
+        assert exc.value is raised[0]
+        assert exc.value.hook == ""
+        assert exc.value.__cause__ is None
+
     def test_partial_output_persisted_on_failure(self, tmp_path):
         def explode(ctx):
             if ctx.iteration == 3:
@@ -635,31 +673,6 @@ class TestHookFailure:
         assert [e["iteration"] for e in doc["entries"]] == [1, 2]
         meta = json.loads((run_dir / RUN_META_FILE).read_text())
         assert "value shape changed at iteration 3" in meta["error"]
-
-
-# ---------------------------------------------------------------------------
-# RunSettings
-# ---------------------------------------------------------------------------
-
-
-class TestRunSettings:
-    def test_valid(self):
-        s = RunSettings(epochs=10, snapshot_period=5, curr_batch=2, master_seed=1)
-        assert s.epochs == 10
-
-    def test_epochs_at_least_one(self):
-        with pytest.raises(ConfigError):
-            RunSettings(epochs=0)
-
-    def test_period_within_epochs(self):
-        with pytest.raises(ConfigError):
-            RunSettings(epochs=5, snapshot_period=6)
-        with pytest.raises(ConfigError):
-            RunSettings(epochs=5, snapshot_period=0)
-
-    def test_batch_non_negative(self):
-        with pytest.raises(ConfigError):
-            RunSettings(epochs=5, curr_batch=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -697,14 +710,6 @@ class TestProject:
         assert d2.name == "sir-2"
         d2.mkdir(parents=True)
         assert p.simulation_dir("sir").name == "sir-3"
-
-    def test_run_simulation_places_batch_dir(self, project_home):
-        p = Project.create("epidemics")
-        cfg = load_config(fixture_path("sir.yaml"))
-        run_dir = run_simulation(cfg, p, RunSettings(epochs=5, curr_batch=0))
-        assert run_dir.name == "batch-0"
-        assert (run_dir / "collectors" / "node_counts.json").is_file()
-        assert run_dir.is_relative_to(p.dir)
 
 
 # ---------------------------------------------------------------------------

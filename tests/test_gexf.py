@@ -73,6 +73,19 @@ class TestRoundTrip:
         assert attrs2.get_edge(0, 1, "influence") == 0.25
         assert attrs2.get_edge(1, 0, "influence") == 0.75
 
+    def test_directed_reverse_pair_values_survive(self, tmp_path):
+        path = tmp_path / "dir-edges.gexf"
+        g = Graph(3, directed=True)
+        g.add_edge(0, 1)
+        g.add_edge(1, 2)
+        attrs = AttributeTable()
+        for (u, v), w in [((0, 1), 0.5), ((1, 0), 0.25), ((1, 2), 2.0)]:
+            attrs.set_edge(u, v, "w", w)
+        write_gexf(g, path, None, attrs)
+        g2, _, attrs2 = load_gexf(path)
+        assert sorted(g2.edges()) == [(0, 1), (1, 2)]
+        assert attrs2 == attrs
+
     def test_float_precision_survives(self, tmp_path):
         path = tmp_path / "prec.gexf"
         g = Graph(2)
@@ -122,6 +135,17 @@ class TestValidation:
         attrs.set_edge(0, 1, "w__reverse", 1.0)
         with pytest.raises(GexfError):
             write_gexf(triangle(), tmp_path / "x.gexf", None, attrs)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_value_on_non_edge_rejected_on_write(self, tmp_path, directed):
+        g = Graph(3, directed=directed)
+        g.add_edge(0, 1)
+        attrs = AttributeTable()
+        attrs.set_edge(0, 1, "w", 0.5)
+        attrs.set_edge(2, 0, "w", 0.25)
+        with pytest.raises(GexfError, match=r"'w'.*\(2, 0\)"):
+            write_gexf(g, tmp_path / "x.gexf", None, attrs)
+        assert not (tmp_path / "x.gexf").exists()
 
     def test_edge_referencing_undeclared_node(self, tmp_path):
         path = tmp_path / "dangling.gexf"
