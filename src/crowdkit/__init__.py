@@ -18,6 +18,7 @@ from .collect import (
     read_collector,
     read_snapshot,
     read_summary,
+    write_gexf,
     write_snapshot,
 )
 from .config import (
@@ -52,7 +53,7 @@ from .errors import (
     HookError,
     MetricError,
 )
-from .gexf import load_gexf, write_gexf
+from .gexf import load_gexf
 from .graph import (
     AttributeTable,
     Graph,

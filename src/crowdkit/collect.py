@@ -24,7 +24,7 @@ from typing import Any, Union
 import numpy as np
 
 from .errors import CollectError, GraphError
-from .gexf import write_gexf
+from .gexf import gexf_document
 from .graph import AttributeTable, Graph
 
 Value = Union[int, float, dict]
@@ -171,9 +171,10 @@ def snapshot_document(
         order = np.lexsort((keys[1::2], keys[0::2]))
         values = np.array(list(column.values()), dtype=object)[order].tolist()
         edge_attrs[key] = {"pairs": keys.reshape(-1, 2)[order].ravel().tolist(), "values": values}
+    links = np.stack(graph.edge_arrays(), axis=1).tolist()
     return {
         "iteration": iteration,
-        "graph": {"directed": graph.directed, "nodes": len(nodes), "links": list(map(list, graph.edges()))},
+        "graph": {"directed": graph.directed, "nodes": len(nodes), "links": links},
         "states": [states.get(v) for v in nodes],
         "node_attrs": {key: [col.get(v) for v in nodes] for key, col in sorted(attrs.node.items())},
         "edge_attrs": edge_attrs,
@@ -201,9 +202,8 @@ def read_snapshot(path) -> tuple[int, Graph, dict[int, str], AttributeTable, dic
     doc = _load_json(Path(path))
     try:
         g = doc["graph"]
-        graph = Graph(g["nodes"], directed=g["directed"])
-        for u, v in g["links"]:
-            graph.add_edge(u, v)
+        src, dst = zip(*g["links"], strict=True) if g["links"] else ((), ())
+        graph, _ = Graph.from_edges(g["nodes"], src, dst, g["directed"])
         states = {i: s for i, s in enumerate(doc["states"]) if s is not None}
         attrs = AttributeTable()
         for key, values in doc["node_attrs"].items():
@@ -214,6 +214,11 @@ def read_snapshot(path) -> tuple[int, Graph, dict[int, str], AttributeTable, dic
         return doc["iteration"], graph, states, attrs, dict(doc["net_params"])
     except (KeyError, ValueError, TypeError, GraphError) as exc:
         raise CollectError(f"malformed snapshot {path}: {exc}") from exc
+
+
+def write_gexf(graph: Graph, path, states: dict[int, str] | None = None, attrs: AttributeTable | None = None) -> None:
+    """Write the graph with node types and attributes to a GEXF 1.2 file, atomically."""
+    write_atomic(Path(path), gexf_document(graph, states, attrs))
 
 
 def export_gexf(snapshot_path, out_path) -> None:

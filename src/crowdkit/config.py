@@ -862,7 +862,7 @@ def initialize_population(
                 idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(options) - 1)
             attrs.set_node_column(key, {v: options[i] for v, i in enumerate(idx.tolist())})
 
-    edges = list(graph.edges())
+    edges = list(graph.edges()) if d.edge_parameters else []
     for key, spec in d.edge_parameters.items():
         column: dict[tuple[int, int], Any] = {}
         if isinstance(spec, NumericalParam):

@@ -1,4 +1,6 @@
-"""GEXF 1.2 reading and writing.
+"""GEXF 1.2 documents: ``gexf_document`` renders one, ``load_gexf`` reads one.
+
+``collect.write_gexf`` writes the rendered document to disk atomically.
 
 Node types travel under the reserved attribute key ``node_type``. Edge
 attributes are stored per written edge: the value for (source, target) under
@@ -14,7 +16,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import GexfError, GraphError
+from .errors import GexfError
 from .graph import AttributeTable, AttributeValue, Graph
 
 NODE_TYPE_KEY = "node_type"
@@ -34,18 +36,6 @@ def _format_value(value: AttributeValue) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def write_gexf(
-    graph: Graph,
-    path,
-    states: dict[int, str] | None = None,
-    attrs: AttributeTable | None = None,
-) -> None:
-    """Write the graph with node types and attributes to a GEXF 1.2 file."""
-    document = gexf_document(graph, states, attrs)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(document)
 
 
 def gexf_document(
@@ -221,25 +211,26 @@ def load_gexf(path) -> tuple[Graph, dict[int, str], AttributeTable]:
         else:
             attrs.set_node(dense, key, value)
 
-    if edges_el is not None:
-        for edge in edges_el:
-            if _local_name(edge.tag) != "edge":
-                continue
-            raw_u, raw_v = edge.get("source"), edge.get("target")
-            if raw_u is None or raw_v is None:
-                raise GexfError(f"{path}: <edge> missing source/target")
-            if raw_u not in id_map or raw_v not in id_map:
-                raise GexfError(f"{path}: edge ({raw_u!r}, {raw_v!r}) references an undeclared node")
-            u, v = id_map[raw_u], id_map[raw_v]
-            try:
-                graph.add_edge(u, v)
-            except GraphError as exc:
-                raise GexfError(f"{path}: invalid edge ({raw_u!r}, {raw_v!r}): {exc}") from exc
-            for key, value in _iter_attvalues(edge, edge_attr_parsers, path):
-                if key.endswith(_REVERSE_SUFFIX):
-                    attrs.set_edge(v, u, key[: -len(_REVERSE_SUFFIX)], value)
-                else:
-                    attrs.set_edge(u, v, key, value)
+    src, dst = [], []
+    for edge in edges_el if edges_el is not None else ():
+        if _local_name(edge.tag) != "edge":
+            continue
+        raw_u, raw_v = edge.get("source"), edge.get("target")
+        if raw_u is None or raw_v is None:
+            raise GexfError(f"{path}: <edge> missing source/target")
+        if raw_u not in id_map or raw_v not in id_map:
+            raise GexfError(f"{path}: edge ({raw_u!r}, {raw_v!r}) references an undeclared node")
+        u, v = id_map[raw_u], id_map[raw_v]
+        if u == v:
+            raise GexfError(f"{path}: invalid edge ({raw_u!r}, {raw_v!r}): self-loop ({u}, {u}) not allowed")
+        src.append(u)
+        dst.append(v)
+        for key, value in _iter_attvalues(edge, edge_attr_parsers, path):
+            if key.endswith(_REVERSE_SUFFIX):
+                attrs.set_edge(v, u, key[: -len(_REVERSE_SUFFIX)], value)
+            else:
+                attrs.set_edge(u, v, key, value)
+    graph, _ = Graph.from_edges(len(id_map), src, dst, directed)
     return graph, states, attrs
 
 

@@ -1,8 +1,15 @@
 """Graph storage, attribute tables, network generators, and edge-list loading.
 
 Nodes are dense 0-based integer ids. Graphs are simple: no self-loops, no
-parallel edges. Undirected graphs store each edge once (canonical ``u < v``)
+parallel edges. Undirected graphs count each edge once (listed as ``u < v``)
 but answer adjacency symmetrically.
+
+A graph is stored as read-only CSR arrays ``(indptr, indices)``: row u lists
+the out-neighbors of u (every neighbor when undirected) in ascending order.
+Generators and loaders build it in bulk with ``Graph.from_edges``, and copies
+share the arrays. Per-node sets appear only on the first ``add_edge`` or
+``remove_edge``; from then on they hold the topology, and the arrays are
+rebuilt from them once per ``version``.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from itertools import chain
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -30,43 +37,104 @@ def _value_kind(value: AttributeValue) -> type:
     return float if isinstance(value, float) else (int if isinstance(value, int) else str)
 
 
-class Graph:
-    """Simple graph over dense integer node ids with O(degree) adjacency."""
+def _sorted_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only CSR ``(indptr, indices)`` of pairs already sorted by (row, col)."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = cols.astype(np.int32)
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices
 
-    __slots__ = ("directed", "_adj", "_pred", "_num_edges", "version", "_in_csr")
+
+def _row_lists(csr: tuple[np.ndarray, np.ndarray]) -> list[list[int]]:
+    bounds, flat = csr[0].tolist(), csr[1].tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _row(csr: tuple[np.ndarray, np.ndarray], v: int) -> np.ndarray:
+    return csr[1][csr[0][v] : csr[0][v + 1]]
+
+
+def _node_ids(values) -> np.ndarray:
+    ids = np.asarray(values)
+    if ids.size and ids.dtype.kind not in "iu":
+        bad = next((v for v in values if type(v) is bool or not isinstance(v, (int, np.integer))), None)
+        raise GraphError(f"node id must be an integer, got {bad!r}")
+    return ids.astype(np.int64)
+
+
+class Graph:
+    """Simple graph over dense integer node ids, stored as sorted CSR arrays."""
+
+    __slots__ = ("directed", "num_nodes", "_num_edges", "version", "_out", "_in", "_csr_version", "_adj", "_pred")
 
     def __init__(self, num_nodes: int, directed: bool = False):
         if num_nodes < 0:
             raise GraphError(f"num_nodes must be >= 0, got {num_nodes}")
         self.directed = directed
-        self._adj: list[set[int]] = [set() for _ in range(num_nodes)]
-        self._pred: list[set[int]] | None = [set() for _ in range(num_nodes)] if directed else None
+        self.num_nodes = num_nodes
         self._num_edges = 0
         # Bumped on every mutation; caches key on it.
-        self.version = 0
-        self._in_csr: tuple[int, np.ndarray, np.ndarray] | None = None
+        self.version = self._csr_version = 0
+        self._out = _sorted_csr(num_nodes, *np.empty((2, 0), dtype=np.int64))
+        # _in: a directed graph's in-CSR, derived on demand; _adj/_pred: neighbor sets after a mutation.
+        self._in = self._adj = self._pred = None
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self._adj)
+    @classmethod
+    def from_edges(cls, num_nodes: int, src, dst, directed: bool = False) -> tuple["Graph", int]:
+        """Build a graph from parallel endpoint sequences; returns it and how many pairs collapsed.
+
+        Repeats (and reversed pairs when undirected) collapse; the first bad pair raises ``add_edge``'s error.
+        """
+        g = cls(num_nodes, directed)
+        src, dst = _node_ids(src), _node_ids(dst)
+        if src.shape != dst.shape:
+            raise GraphError(f"{src.size} edge sources but {dst.size} targets")
+        n, pairs = num_nodes, src.size
+        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst)
+        if bad.any():  # add_edge raises its error for the first bad pair
+            g.add_edge(src[bad.argmax()].item(), dst[bad.argmax()].item())
+        if not directed:
+            src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+        keys = np.sort(src * n + dst)  # then drop repeats: many times faster than np.unique here
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if keys.size else keys
+        g._num_edges = keys.size if directed else keys.size // 2
+        g._out = _sorted_csr(n, *np.divmod(keys, max(n, 1)))
+        return g, pairs - g._num_edges
 
     @property
     def num_edges(self) -> int:
         return self._num_edges
 
     def nodes(self) -> range:
-        return range(len(self._adj))
+        return range(self.num_nodes)
 
     def _check_node(self, v: int) -> None:
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
             raise GraphError(f"node id must be an integer, got {v!r}")
-        if not 0 <= v < len(self._adj):
-            raise GraphError(f"node id {v} out of range [0, {len(self._adj)})")
+        if not 0 <= v < self.num_nodes:
+            raise GraphError(f"node id {v} out of range [0, {self.num_nodes})")
+
+    def _out_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The out-CSR, rebuilt from the sets once per version after a mutation."""
+        if self._csr_version != self.version:
+            rows = np.repeat(np.arange(self.num_nodes), [len(s) for s in self._adj])
+            cols = np.fromiter(chain.from_iterable(map(sorted, self._adj)), dtype=np.int64, count=rows.size)
+            self._out, self._in = _sorted_csr(self.num_nodes, rows, cols), None
+            self._csr_version = self.version
+        return self._out
+
+    def _sets(self) -> list[set[int]]:
+        """The per-node sets, created from the arrays on the first mutation."""
+        if self._adj is None:
+            self._adj = list(map(set, _row_lists(self._out_csr())))
+            self._pred = list(map(set, _row_lists(self.in_csr()))) if self.directed else None
+        return self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
-        return v in self._adj[u]
+        return v in (self._adj[u] if self._adj is not None else _row(self._out, u))
 
     def add_edge(self, u: int, v: int) -> bool:
         """Add edge u->v (both directions for undirected). Returns False on duplicate."""
@@ -74,13 +142,14 @@ class Graph:
         self._check_node(v)
         if u == v:
             raise GraphError(f"self-loop ({u}, {u}) not allowed")
-        if v in self._adj[u]:
+        adj = self._sets()
+        if v in adj[u]:
             return False
-        self._adj[u].add(v)
+        adj[u].add(v)
         if self.directed:
             self._pred[v].add(u)  # type: ignore[index]
         else:
-            self._adj[v].add(u)
+            adj[v].add(u)
         self._num_edges += 1
         self.version += 1
         return True
@@ -89,13 +158,14 @@ class Graph:
         """Remove edge u->v. Returns False if absent."""
         self._check_node(u)
         self._check_node(v)
-        if v not in self._adj[u]:
+        adj = self._sets()
+        if v not in adj[u]:
             return False
-        self._adj[u].discard(v)
+        adj[u].discard(v)
         if self.directed:
             self._pred[v].discard(u)  # type: ignore[index]
         else:
-            self._adj[v].discard(u)
+            adj[v].discard(u)
         self._num_edges -= 1
         self.version += 1
         return True
@@ -103,62 +173,61 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         """Out-neighbors for directed graphs, neighbors for undirected."""
         self._check_node(v)
-        return frozenset(self._adj[v])
+        return frozenset(self._adj[v] if self._adj is not None else _row(self._out, v).tolist())
 
     def in_neighbors(self, v: int) -> frozenset[int]:
         """In-neighbors for directed graphs; same as neighbors when undirected."""
+        if not self.directed:
+            return self.neighbors(v)
         self._check_node(v)
-        if self.directed:
-            return frozenset(self._pred[v])  # type: ignore[index]
-        return frozenset(self._adj[v])
+        return frozenset(self._pred[v] if self._pred is not None else _row(self.in_csr(), v).tolist())
 
     def degree(self, v: int) -> int:
         """Neighbor count; for directed graphs, in-degree + out-degree."""
-        self._check_node(v)
-        if self.directed:
-            return len(self._adj[v]) + len(self._pred[v])  # type: ignore[index]
-        return len(self._adj[v])
+        return len(self.neighbors(v)) + (len(self.in_neighbors(v)) if self.directed else 0)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges in sorted order; undirected edges once with u < v."""
-        for u, nbrs in enumerate(self._adj):
-            for v in sorted(nbrs):
-                if self.directed or u < v:
-                    yield (u, v)
+        ids = list(range(self.num_nodes))  # one int object per node, shared by every pair
+        src, dst = self.edge_arrays()
+        return zip(map(ids.__getitem__, src.tolist()), map(ids.__getitem__, dst.tolist()))
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` arrays of the edges, in ``edges()`` order."""
+        indptr, indices = self._out_csr()
+        src = np.repeat(np.arange(self.num_nodes), np.diff(indptr))
+        keep = self.directed | (src < indices)
+        return src[keep], indices[keep]
 
     def adjacency_lists(self) -> list[list[int]]:
         """Sorted neighbor lists (out-neighbors when directed). Deterministic order."""
-        return [sorted(nbrs) for nbrs in self._adj]
+        return _row_lists(self._out_csr())
 
     def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """In-neighbor lists as CSR ``(indptr, indices)``, cached per ``version``.
+        """In-neighbor rows (neighbors when undirected), ascending, as read-only CSR ``(indptr, indices)``.
 
-        Row v lists the in-neighbors of v (its neighbors when undirected), in
-        no particular order.
+        A directed graph derives them from its out-neighbor rows once per ``version``.
         """
-        cached = self._in_csr
-        if cached is None or cached[0] != self.version:
-            rows = self._pred if self.directed else self._adj
-            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-            np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=indptr[1:])
-            indices = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=int(indptr[-1]))
-            cached = self._in_csr = (self.version, indptr, indices)
-        return cached[1], cached[2]
+        out = self._out_csr()
+        if not self.directed:
+            return out
+        if self._in is None:
+            src, dst = self.edge_arrays()
+            order = np.argsort(dst, kind="stable")
+            self._in = _sorted_csr(self.num_nodes, dst[order], src[order])
+        return self._in
 
     def copy(self) -> "Graph":
+        """An independent graph that shares this graph's read-only arrays."""
         g = Graph(self.num_nodes, self.directed)
-        g._adj = [set(s) for s in self._adj]
-        g._pred = [set(s) for s in self._pred] if self._pred is not None else None
-        g._num_edges = self._num_edges
+        g._out, g._in, g._num_edges = self._out_csr(), self._in, self._num_edges
         return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.directed == other.directed
-            and self.num_nodes == other.num_nodes
-            and self._adj == other._adj
+        return (self.directed, self.num_nodes) == (other.directed, other.num_nodes) and all(
+            map(np.array_equal, self._out_csr(), other._out_csr())
         )
 
     def __repr__(self) -> str:
@@ -167,12 +236,10 @@ class Graph:
 
     def to_sparse(self):
         """Adjacency as a scipy CSR matrix (row u -> out-neighbors)."""
-        from scipy.sparse import csc_matrix
+        from scipy.sparse import csr_matrix
 
-        # Column v of the adjacency lists the in-neighbors of v.
-        indptr, indices = self.in_csr()
-        n = self.num_nodes
-        return csc_matrix((np.ones(indices.size), indices, indptr), shape=(n, n)).tocsr()
+        indptr, indices = self._out_csr()
+        return csr_matrix((np.ones(indices.size), indices, indptr), shape=(self.num_nodes, self.num_nodes))
 
 
 class AttributeTable:
@@ -211,13 +278,18 @@ class AttributeTable:
             return default
         return col.get(node, default)
 
+    def _check_column(self, kinds: dict[str, type], key: str, values: dict) -> None:
+        column_kinds = set(map(type, values.values()))
+        if not column_kinds <= _KIND_NAMES.keys():  # bool, numpy scalars, subclasses: check each value
+            column_kinds = set(map(_value_kind, values.values()))
+        if len(column_kinds) > 1:
+            raise GraphError(f"attribute {key!r}: mixed value kinds in column")
+        if column_kinds:
+            self._check_kind(kinds, key, next(iter(values.values())))
+
     def set_node_column(self, key: str, values: dict[int, AttributeValue]) -> None:
         """Replace a whole node column. Values must share one kind."""
-        kinds = {_value_kind(v) for v in values.values()}
-        if len(kinds) > 1:
-            raise GraphError(f"attribute {key!r}: mixed value kinds in column")
-        if kinds:
-            self._check_kind(self._node_kinds, key, next(iter(values.values())))
+        self._check_column(self._node_kinds, key, values)
         self.node[key] = dict(values)
 
     def set_edge(self, u: int, v: int, key: str, value: AttributeValue) -> None:
@@ -231,11 +303,7 @@ class AttributeTable:
         return col.get((u, v), default)
 
     def set_edge_column(self, key: str, values: dict[tuple[int, int], AttributeValue]) -> None:
-        kinds = {_value_kind(v) for v in values.values()}
-        if len(kinds) > 1:
-            raise GraphError(f"attribute {key!r}: mixed value kinds in column")
-        if kinds:
-            self._check_kind(self._edge_kinds, key, next(iter(values.values())))
+        self._check_column(self._edge_kinds, key, values)
         self.edge[key] = dict(values)
 
     def drop_edge(self, u: int, v: int) -> None:
@@ -281,39 +349,39 @@ def generate_random_regular(num_nodes: int, degree: int, rng: np.random.Generato
         raise GraphError(f"no {degree}-regular graph on {num_nodes} nodes: odd stub count")
     if degree >= num_nodes and degree > 0:
         raise GraphError(f"degree {degree} must be < num_nodes {num_nodes}")
-    g = Graph(num_nodes)
     if degree == 0 or num_nodes == 0:
-        return g
+        return Graph(num_nodes)
 
     for _attempt in range(100):
-        edges = _try_stub_pairing(num_nodes, degree, rng)
-        if edges is not None:
-            for u, v in edges:
-                g.add_edge(u, v)
-            return g
+        keys = _try_stub_pairing(num_nodes, degree, rng)
+        if keys is not None:
+            return Graph.from_edges(num_nodes, *np.divmod(keys, num_nodes))[0]
     raise GraphError(f"could not realize a {degree}-regular graph on {num_nodes} nodes")
 
 
-def _try_stub_pairing(n: int, d: int, rng: np.random.Generator) -> set[tuple[int, int]] | None:
-    edges: set[tuple[int, int]] = set()
-    stubs = np.repeat(np.arange(n), d)
+def _try_stub_pairing(n: int, d: int, rng: np.random.Generator) -> np.ndarray | None:
+    """Sorted ``u * n + v`` keys (u < v) of a d-regular pairing; None when a pass gets stuck.
+
+    A pass keeps each shuffled stub pair that is no self-loop, taken edge or repeat within it.
+    """
+    taken = np.empty(0, dtype=np.int64)
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     while stubs.size:
         rng.shuffle(stubs)
-        leftover: list[int] = []
-        it = stubs.tolist()
-        for i in range(0, len(it), 2):
-            u, v = it[i], it[i + 1]
-            if u > v:
-                u, v = v, u
-            if u == v or (u, v) in edges:
-                leftover.append(it[i])
-                leftover.append(it[i + 1])
-            else:
-                edges.add((u, v))
-        if len(leftover) == len(it):
+        a, b = stubs[0::2], stubs[1::2]
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        # keys >= 0, so the -1 pad past the end never matches.
+        ok = (a != b) & (np.append(taken, -1)[np.searchsorted(taken, keys)] != keys)
+        ordered = np.sort(keys)
+        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeats.size:  # a pair repeated within the pass: only its first copy may be kept
+            where = np.flatnonzero(np.isin(keys, repeats))
+            ok[np.setdiff1d(where, where[np.unique(keys[where], return_index=True)[1]])] = False
+        if not ok.any():
             return None  # stuck; caller restarts from scratch
-        stubs = np.array(leftover, dtype=np.int64)
-    return edges
+        taken = np.sort(np.concatenate((taken, keys[ok])))  # disjoint by construction
+        stubs = np.stack((a, b), axis=1)[~ok].ravel()
+    return taken
 
 
 def generate_barabasi_albert(num_nodes: int, m: int, rng: np.random.Generator) -> Graph:
@@ -327,10 +395,7 @@ def generate_barabasi_albert(num_nodes: int, m: int, rng: np.random.Generator) -
         raise GraphError(f"m must be >= 1, got {m}")
     if num_nodes < m:
         raise GraphError(f"num_nodes {num_nodes} must be >= m {m}")
-    g = Graph(num_nodes)
-    for u in range(m):
-        for v in range(u + 1, m):
-            g.add_edge(u, v)
+    src, dst = (pairs.tolist() for pairs in np.triu_indices(m, 1))
     # One entry per degree unit: sampling uniformly from this list is
     # preferential attachment.
     repeated: list[int] = [u for u in range(m) for _ in range(m - 1)]
@@ -341,24 +406,22 @@ def generate_barabasi_albert(num_nodes: int, m: int, rng: np.random.Generator) -
         while len(targets) < m:
             targets.add(repeated[int(rng.integers(0, len(repeated)))])
         for t in sorted(targets):
-            g.add_edge(v, t)
+            src.append(v)
+            dst.append(t)
             repeated.append(t)
         repeated.extend([v] * m)
-    return g
+    return Graph.from_edges(num_nodes, src, dst)[0]
 
 
 def generate_erdos_renyi(num_nodes: int, p: float, rng: np.random.Generator) -> Graph:
     """G(n, p) random graph via geometric edge skipping, O(n + E)."""
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability must be in [0, 1], got {p}")
-    g = Graph(num_nodes)
     if p == 0.0 or num_nodes < 2:
-        return g
+        return Graph(num_nodes)
     if p == 1.0:
-        for u in range(num_nodes):
-            for v in range(u + 1, num_nodes):
-                g.add_edge(u, v)
-        return g
+        return Graph.from_edges(num_nodes, *np.triu_indices(num_nodes, 1))[0]
+    src, dst = [], []
     log_q = math.log(1.0 - p)
     v, w = 1, -1
     while v < num_nodes:
@@ -368,8 +431,9 @@ def generate_erdos_renyi(num_nodes: int, p: float, rng: np.random.Generator) -> 
             w -= v
             v += 1
         if v < num_nodes:
-            g.add_edge(v, w)
-    return g
+            src.append(v)
+            dst.append(w)
+    return Graph.from_edges(num_nodes, src, dst)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +449,7 @@ def load_edge_list(path, directed: bool = False, return_id_map: bool = False):
     collapse (count logged).
     """
     id_map: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
+    src, dst = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -403,12 +467,9 @@ def load_edge_list(path, directed: bool = False, return_id_map: bool = False):
             for orig in (a, b):
                 if orig not in id_map:
                     id_map[orig] = len(id_map)
-            edges.append((id_map[a], id_map[b]))
-    g = Graph(len(id_map), directed=directed)
-    duplicates = 0
-    for u, v in edges:
-        if not g.add_edge(u, v):
-            duplicates += 1
+            src.append(id_map[a])
+            dst.append(id_map[b])
+    g, duplicates = Graph.from_edges(len(id_map), src, dst, directed)
     if duplicates:
         logger.info("edge list %s: collapsed %d duplicate edges", path, duplicates)
     if return_id_map:

@@ -80,19 +80,14 @@ INFLUENCE_PROB_KEY = "influence_prob"
 
 def ic_initialize(ctx: SimContext) -> None:
     """Annotate every directed edge pair with influence_prob = 1/degree(target)."""
-    graph = ctx.graph
-    n = graph.num_nodes
-    column: dict[tuple[int, int], float] = {}
-    if graph.directed:
-        in_deg = [len(graph.in_neighbors(v)) for v in range(n)]
-        for u, v in graph.edges():
-            column[(u, v)] = 1.0 / in_deg[v]
-    else:
-        deg = [graph.degree(v) for v in range(n)]
-        for u, v in graph.edges():
-            column[(u, v)] = 1.0 / deg[v]
-            column[(v, u)] = 1.0 / deg[u]
-    ctx.attrs.set_edge_column(INFLUENCE_PROB_KEY, column)
+    n = ctx.graph.num_nodes
+    # Row v lists every u with an edge pair (u, v): in-neighbors, or neighbors when undirected.
+    indptr, indices = ctx.graph.in_csr()
+    in_deg = np.diff(indptr)
+    ids = list(range(n))  # one int object per node, shared by every key
+    pairs = zip(map(ids.__getitem__, indices.tolist()), map(ids.__getitem__, np.repeat(ids, in_deg).tolist()))
+    probs = np.repeat(1.0 / np.maximum(in_deg, 1), in_deg).tolist()
+    ctx.attrs.set_edge_column(INFLUENCE_PROB_KEY, dict(zip(pairs, probs)))
 
 
 def _ic_refresh_caches(ctx: SimContext) -> None:
@@ -102,15 +97,12 @@ def _ic_refresh_caches(ctx: SimContext) -> None:
     if sc.get("ic_graph_version") == graph.version:
         return
     probs = ctx.attrs.edge.get(INFLUENCE_PROB_KEY, {})
-    n = graph.num_nodes
-    in_nbrs: list[list[int]] = []
-    in_probs: list[list[float]] = []
-    for v in range(n):
-        sources = sorted(graph.in_neighbors(v)) if graph.directed else sorted(graph.neighbors(v))
-        in_nbrs.append(sources)
-        in_probs.append([probs.get((s, v), 0.0) for s in sources])
-    sc["ic_in_nbrs"] = in_nbrs
-    sc["ic_in_probs"] = in_probs
+    indptr, indices = graph.in_csr()
+    ids = list(range(graph.num_nodes))
+    flat = list(map(ids.__getitem__, indices.tolist()))
+    bounds = indptr.tolist()
+    sc["ic_in_nbrs"] = in_nbrs = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    sc["ic_in_probs"] = [[probs.get((s, v), 0.0) for s in sources] for v, sources in enumerate(in_nbrs)]
     sc["ic_graph_version"] = graph.version
 
 
@@ -200,7 +192,7 @@ def trust_setup(ctx: SimContext) -> None:
     n = graph.num_nodes
     sc = ctx.scratch
     sc["trust_csr"] = graph.to_sparse()
-    sc["trust_adj"] = [sorted(graph.neighbors(v)) for v in range(n)]
+    sc["trust_adj"] = graph.adjacency_lists()
     params = ctx.net_params
     r_ut = float(params.get("r_UT", 0.5))
     r_t = float(params.get("R_T", 6.0))

@@ -239,6 +239,19 @@ class TestSnapshots:
             with pytest.raises(CollectError, match="malformed snapshot"):
                 read_snapshot(bad)
 
+    def test_non_integer_or_ragged_links_are_malformed(self, tmp_path):
+        g, states, attrs, params = self.build()
+        [path] = write_snapshot(0, g, states, attrs, params, tmp_path)
+        doc = json.loads(path.read_text())
+        for links in ([[0, 1], [1.5, 2]], [[0, "1"]], [[0, 1], [2]], [[0, 1, 2]], [[0, 1], [1, 2, 3]]):
+            doc["graph"]["links"] = links
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CollectError, match="malformed snapshot"):
+                read_snapshot(path)
+        doc["graph"]["links"] = []
+        path.write_text(json.dumps(doc))
+        assert read_snapshot(path)[1].num_edges == 0
+
     def test_failed_write_keeps_previous_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
         g, states, attrs, params = self.build()
         [path] = write_snapshot(0, g, states, attrs, params, tmp_path)

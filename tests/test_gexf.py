@@ -210,3 +210,38 @@ class TestValidation:
         path.write_text("<gexf><graph><nodes>")
         with pytest.raises(GexfError):
             load_gexf(path)
+
+    def test_self_loop_edge_rejected_with_its_ids(self, tmp_path):
+        path = tmp_path / "loop.gexf"
+        path.write_text(
+            """<?xml version="1.0" encoding="UTF-8"?>
+<gexf xmlns="http://www.gexf.net/1.2draft" version="1.2">
+  <graph defaultedgetype="undirected">
+    <nodes>
+      <node id="a" label="a"/>
+      <node id="b" label="b"/>
+    </nodes>
+    <edges>
+      <edge id="0" source="a" target="b"/>
+      <edge id="1" source="b" target="b"/>
+    </edges>
+  </graph>
+</gexf>
+"""
+        )
+        with pytest.raises(GexfError, match=r"invalid edge \('b', 'b'\): self-loop \(1, 1\) not allowed"):
+            load_gexf(path)
+
+    def test_failed_write_keeps_previous_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.gexf"
+        write_gexf(triangle(), path)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr("os.replace", failing_replace)
+        with pytest.raises(OSError):
+            write_gexf(generate_random_regular(10, 2, np.random.default_rng(0)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.gexf"]

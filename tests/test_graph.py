@@ -21,6 +21,7 @@ from crowdkit import (
     load_edge_list,
     write_edge_list,
 )
+from crowdkit.graph import _try_stub_pairing, _value_kind
 
 
 def make_rng(seed: int = 0) -> np.random.Generator:
@@ -133,14 +134,15 @@ class TestGraphContainer:
 
         def rows(graph):
             indptr, indices = graph.in_csr()
-            return [sorted(indices[indptr[v]:indptr[v + 1]].tolist()) for v in graph.nodes()]
+            return [indices[indptr[v]:indptr[v + 1]].tolist() for v in graph.nodes()]
 
-        assert rows(g) == [sorted(g.in_neighbors(v)) for v in g.nodes()]
-        assert g.in_csr()[1] is g.in_csr()[1]  # cached while the version holds
+        assert rows(g) == [sorted(g.in_neighbors(v)) for v in g.nodes()]  # rows ascending
+        cached = g.in_csr()[1]
+        assert g.in_csr()[1] is cached  # cached while the version holds
         g.add_edge(3, 1)
+        assert g.in_csr()[1] is not cached
         assert rows(g)[1] == [0, 2, 3]
         h = g.copy()
-        assert h._in_csr is None  # a copy starts without the cache
         h.remove_edge(0, 1)
         assert rows(h)[1] == [2, 3]
         assert rows(g)[1] == [0, 2, 3]
@@ -414,3 +416,218 @@ def test_property_ba_handshake_and_count(n, seed):
     total = sum(g.degree(v) for v in range(n))
     assert total == 2 * g.num_edges
     assert g.num_edges == m * (n - m) + m * (m - 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# Bulk build against the scalar references it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_stub_pairing(n: int, d: int, rng: np.random.Generator) -> set[tuple[int, int]] | None:
+    """The scalar stub pairing that ``_try_stub_pairing`` replaced."""
+    edges: set[tuple[int, int]] = set()
+    stubs = np.repeat(np.arange(n), d)
+    while stubs.size:
+        rng.shuffle(stubs)
+        leftover: list[int] = []
+        it = stubs.tolist()
+        for i in range(0, len(it), 2):
+            u, v = it[i], it[i + 1]
+            if u > v:
+                u, v = v, u
+            if u == v or (u, v) in edges:
+                leftover.append(it[i])
+                leftover.append(it[i + 1])
+            else:
+                edges.add((u, v))
+        if len(leftover) == len(it):
+            return None  # stuck; caller restarts from scratch
+        stubs = np.array(leftover, dtype=np.int64)
+    return edges
+
+
+def test_stub_pairing_matches_scalar_reference():
+    stuck = 0
+    for n in range(2, 24):
+        for d in range(1, min(n, 7)):
+            if n * d % 2:
+                continue
+            for seed in range(8):
+                ref_rng, rng = make_rng(seed), make_rng(seed)
+                for _attempt in range(3):  # attempts after a stuck pass restart on the same stream
+                    expected = reference_stub_pairing(n, d, ref_rng)
+                    keys = _try_stub_pairing(n, d, rng)
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+                    if expected is None:
+                        stuck += 1
+                        assert keys is None
+                    else:
+                        assert {divmod(k, n) for k in keys.tolist()} == expected
+    assert stuck > 100  # restarts were exercised
+    # and at a size where the pairing runs several passes
+    ref_rng, rng = make_rng(3), make_rng(3)
+    expected = reference_stub_pairing(5000, 4, ref_rng)
+    assert {divmod(k, 5000) for k in _try_stub_pairing(5000, 4, rng).tolist()} == expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def scalar_build(n: int, directed: bool, pairs):
+    """(graph, duplicates) built one ``add_edge`` at a time, or the text of the first error."""
+    g = Graph(n, directed)
+    try:
+        return g, sum(not g.add_edge(u, v) for u, v in pairs)
+    except GraphError as exc:
+        return str(exc)
+
+
+def graph_view(g: Graph):
+    indptr, indices = g.in_csr()
+    return (
+        g.num_edges,
+        list(g.edges()),
+        [indices[indptr[v] : indptr[v + 1]].tolist() for v in g.nodes()],
+        g.adjacency_lists(),
+        [sorted(g.neighbors(v)) for v in g.nodes()],
+        [sorted(g.in_neighbors(v)) for v in g.nodes()],
+        [g.degree(v) for v in g.nodes()],
+        [[g.has_edge(u, v) for v in g.nodes()] for u in g.nodes()],
+    )
+
+
+@st.composite
+def edge_inputs(draw):
+    # ids of 8 and up make set iteration order differ from sorted order
+    n = draw(st.integers(min_value=2, max_value=8) | st.integers(min_value=20, max_value=40))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=30))
+    # reverse and repeated pairs, so that duplicates collapse in both directions
+    pairs += draw(st.lists(st.sampled_from(pairs).map(lambda p: p[::-1]), max_size=5)) if pairs else []
+    pairs = draw(st.permutations(pairs + pairs[: draw(st.integers(0, 3))]))
+    for _ in range(draw(st.integers(0, 2))):  # bad pairs: out of range or a self-loop
+        w = draw(st.integers(min_value=-2, max_value=n + 1))
+        bad = draw(st.sampled_from([(w, w), (0, w if w not in (0, 1) else n), (n, 1)]))
+        pairs.insert(draw(st.integers(0, len(pairs))), bad)
+    return n, draw(st.booleans()), pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=edge_inputs(), data=st.data())
+def test_property_from_edges_matches_scalar_build(case, data):
+    n, directed, pairs = case
+    expected = scalar_build(n, directed, pairs)
+    src, dst = [u for u, _ in pairs], [v for _, v in pairs]
+    if isinstance(expected, str):
+        with pytest.raises(GraphError) as exc:
+            Graph.from_edges(n, src, dst, directed)
+        assert str(exc.value) == expected
+        return
+    ref, ref_duplicates = expected
+    g, duplicates = Graph.from_edges(n, src, dst, directed)
+    assert g == ref and duplicates == ref_duplicates
+    assert graph_view(g) == graph_view(ref)
+    # the same mutations on both: the bulk graph switches to its sets
+    for _ in range(data.draw(st.integers(1, 3))):
+        u, v = data.draw(st.sampled_from([(u, v) for u in range(n) for v in range(n) if u != v]))
+        if data.draw(st.booleans()):
+            assert g.add_edge(u, v) == ref.add_edge(u, v)
+        else:
+            assert g.remove_edge(u, v) == ref.remove_edge(u, v)
+        assert g == ref
+        assert graph_view(g) == graph_view(ref)
+
+
+def test_from_edges_rejects_non_integer_ids():
+    with pytest.raises(GraphError, match="must be an integer, got 1.5"):
+        Graph.from_edges(3, [0, 1.5], [1, 2])
+    with pytest.raises(GraphError, match="must be an integer"):
+        Graph.from_edges(3, [True], [1])
+    with pytest.raises(GraphError, match="2 edge sources but 1 targets"):
+        Graph.from_edges(3, [0, 1], [2])
+    g, duplicates = Graph.from_edges(3, [], [])
+    assert (g.num_edges, duplicates, list(g.edges())) == (0, 0, [])
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_copy_shares_read_only_arrays_and_is_independent(directed):
+    g, _ = Graph.from_edges(4, [0, 1, 2], [1, 2, 3], directed)
+    h = g.copy()
+    for arr in (*g.in_csr(), *h.in_csr()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    before = graph_view(g)
+    h.add_edge(0, 3)
+    h.remove_edge(1, 2)
+    assert graph_view(g) == before
+    assert list(h.edges()) == [(0, 1), (0, 3), (2, 3)]
+    g.remove_edge(0, 1)
+    assert list(h.edges()) == [(0, 1), (0, 3), (2, 3)]
+    assert list(g.edges()) == [(1, 2), (2, 3)]
+    # a copy of a mutated graph starts from its current topology, and is independent too
+    k = g.copy()
+    assert list(k.edges()) == [(1, 2), (2, 3)]
+    k.add_edge(0, 2)
+    g.add_edge(1, 3)
+    assert list(k.edges()) == [(0, 2), (1, 2), (2, 3)]
+    assert list(g.edges()) == [(1, 2), (1, 3), (2, 3)]
+
+
+# ---------------------------------------------------------------------------
+# Column kind checks against the per-value reference
+# ---------------------------------------------------------------------------
+
+
+class IntSubclass(int):
+    pass
+
+
+def reference_set_node_column(table: AttributeTable, key: str, values: dict) -> None:
+    """The per-value kind check ``set_node_column`` had before its one-pass check."""
+    kinds = {_value_kind(v) for v in values.values()}
+    if len(kinds) > 1:
+        raise GraphError(f"attribute {key!r}: mixed value kinds in column")
+    if kinds:
+        table._check_kind(table._node_kinds, key, next(iter(values.values())))
+    table.node[key] = dict(values)
+
+
+column_values = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+    st.integers(-1000, 1000).map(np.int64),
+    st.floats(allow_nan=False).map(np.float64),
+    st.integers(-1000, 1000).map(IntSubclass),
+)
+
+
+def outcome(fn, *args):
+    try:
+        fn(*args)
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prior=st.one_of(st.none(), st.integers(), st.floats(allow_nan=False), st.text(max_size=3)),
+    values=st.lists(st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=3))) | st.lists(column_values),
+)
+def test_property_column_kind_check_matches_per_value_reference(prior, values):
+    tables = []
+    for _ in range(2):
+        table = AttributeTable()
+        if prior is not None:
+            table.set_node(0, "k", prior)
+            table.set_edge(0, 1, "k", prior)
+        tables.append(table)
+    column = dict(enumerate(values))
+    expected = outcome(reference_set_node_column, tables[0], "k", column)
+    assert outcome(tables[1].set_node_column, "k", column) == expected
+    assert tables[1].node == tables[0].node and tables[1].node_kind("k") == tables[0].node_kind("k")
+    # edge columns share the check
+    edge_column = {(i, i + 1): v for i, v in enumerate(values)}
+    assert outcome(tables[1].set_edge_column, "k", edge_column) == expected
