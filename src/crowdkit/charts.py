@@ -15,6 +15,7 @@ import math
 from pathlib import Path
 
 from .errors import CollectError
+from .graph import write_atomic
 
 CHART_KINDS = ("line", "bar", "area", "scatter")
 
@@ -290,9 +291,5 @@ def write_chart(input_paths, kind: str, out_path, title: str | None = None) -> P
         title = Path(out_path).stem
     svg = render_chart(series, kind, title=title)
     out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if out.suffix.lower() in (".html", ".htm"):
-        out.write_text(render_html(svg, title), encoding="utf-8")
-    else:
-        out.write_text(svg, encoding="utf-8")
+    write_atomic(out, render_html(svg, title) if out.suffix.lower() in (".html", ".htm") else svg)
     return out

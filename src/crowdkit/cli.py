@@ -21,7 +21,7 @@ import click
 from . import __version__
 from .charts import CHART_KINDS, write_chart
 from .collect import export_gexf, merge_parent_directory, merge_simulations, read_snapshot
-from .config import FileStructure, load_config, validate
+from .config import FileStructure, _structure_file, load_config, validate
 from .engine import (
     HOME_ENV_VAR,
     Project,
@@ -143,11 +143,7 @@ def _load_run_inputs(config_path, scenario_name, epochs, snapshot_period):
         sys.exit(EXIT_USAGE)
     base_dir = config_path.parent
     if isinstance(config.structure, FileStructure):
-        structure_path = Path(config.structure.path)
-        if not structure_path.is_absolute():
-            structure_path = base_dir / structure_path
-        if not structure_path.is_file():
-            raise ConfigError(f"structure file not found: {structure_path}", "structure.file.path")
+        _structure_file(config.structure, base_dir)
     registry_factory = scenario.make_hooks if scenario else None
     return config, base_dir, registry_factory
 

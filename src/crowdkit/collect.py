@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
+import os  # noqa: F401 -- kept so that ``crowdkit.collect.os.replace`` stays patchable
 from itertools import chain
 from pathlib import Path
 from typing import Any, Union
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CollectError, GraphError
 from .gexf import gexf_document
-from .graph import AttributeTable, Graph
+from .graph import AttributeTable, Graph, write_atomic
 
 Value = Union[int, float, dict]
 
@@ -96,18 +96,6 @@ class SeriesRecorder:
 
     def as_document(self) -> dict:
         return {"name": self.name, "entries": self.entries}
-
-
-def write_atomic(path: Path, text: str) -> None:
-    """Write via ``<name>.tmp`` (not a ``*.json``) and ``os.replace``; a failure leaves no temp."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _dump_json(document: dict, path: Path) -> None:

@@ -9,7 +9,13 @@ The YAML schema (see config-reference.md at the repository root):
   ``nodetypes``, ``node-parameters``, ``edge-parameters``, ``compartments``,
   ``rules``, ``network-parameters``.
 * ``sweep`` — map of dotted config paths to value lists, expanded
-  one-factor-at-a-time.
+  one-factor-at-a-time. ``null`` or an empty map means no sweep.
+
+The schema is declared once, in ``_RECORDS``: each record class lists its
+``(YAML key, attribute, reader)`` triples in canonical key order, and both
+``parse_config`` and ``to_mapping`` walk that table. A field is optional when
+its dataclass field has a default, and ``to_mapping`` leaves it out while it
+holds that default.
 
 Parsing is strict: unknown keys and wrong value kinds raise ``ConfigError``
 with the document path to the offending node. ``validate`` reports semantic
@@ -19,7 +25,8 @@ violations (weight sums, dangling references, bad bounds) without raising.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache, partial
 from pathlib import Path
 from typing import Any, Union
 
@@ -119,11 +126,11 @@ class RuleSpec:
 class Definitions:
     model_kind: str
     nodetypes: dict[str, NodeTypeInit]
-    node_parameters: dict[str, ParamSpec]
-    edge_parameters: dict[str, ParamSpec]
-    compartments: dict[str, Compartment]
-    rules: dict[str, RuleSpec]
-    network_parameters: dict[str, Any]
+    node_parameters: dict[str, ParamSpec] = field(default_factory=dict)
+    edge_parameters: dict[str, ParamSpec] = field(default_factory=dict)
+    compartments: dict[str, Compartment] = field(default_factory=dict)
+    rules: dict[str, RuleSpec] = field(default_factory=dict)
+    network_parameters: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,10 @@ class ProjectConfig:
 # ---------------------------------------------------------------------------
 
 
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
 def _as_map(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"expected a mapping, got {type(value).__name__}", path)
@@ -151,36 +162,28 @@ def _as_list(value, path: str) -> list:
     return value
 
 
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"expected a string, got {value!r}", path)
-    return value
+def _scalar(what: str, *kinds: type, convert=None):
+    """Reader of a scalar of one of ``kinds``; a bool passes only where ``bool`` is named."""
+
+    def read(value, path: str):
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            raise ConfigError(f"expected {what}, got {value!r}", path)
+        return value if convert is None else convert(value)
+
+    return read
 
 
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"expected an integer, got {value!r}", path)
-    return value
-
-
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}", path)
-    return float(value)
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"expected a boolean, got {value!r}", path)
-    return value
+_as_str = _scalar("a string", str)
+_as_int = _scalar("an integer", int)
+_as_number = _scalar("a number", int, float, convert=float)
+_as_bool = _scalar("a boolean", bool)
+_as_optional_str = _scalar("a string", str, type(None))
 
 
 def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
     for key in mapping:
         if key not in allowed:
-            raise ConfigError(
-                f"unknown key {key!r} (allowed: {', '.join(sorted(allowed))})", f"{path}.{key}" if path else str(key)
-            )
+            raise ConfigError(f"unknown key {key!r} (allowed: {', '.join(sorted(allowed))})", _join(path, key))
 
 
 def _require(mapping: dict, key: str, path: str):
@@ -189,248 +192,253 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def _parse_structure(value, path: str) -> Structure:
+@cache
+def _defaults(cls) -> dict:
+    """The default of every optional field of a record class."""
+    return {
+        f.name: f.default if f.default is not MISSING else f.default_factory()
+        for f in fields(cls)
+        if f.default is not MISSING or f.default_factory is not MISSING
+    }
+
+
+def _read(cls, value, path: str, extra: tuple[str, ...] = ()):
+    """Read a ``cls`` row (a list) or record (a mapping that may also hold ``extra`` keys)."""
+    if cls in _ROWS:
+        shape, read_item = _ROWS[cls]
+        row = _as_list(value, path)
+        if len(row) != len(fields(cls)):
+            raise ConfigError(f"{shape}, got {len(row)} entries", path)
+        return cls(*(read_item(item, f"{path}[{i}]") for i, item in enumerate(row)))
+    m = _as_map(value, path)
+    record = _RECORDS[cls]
+    _check_keys(m, {key for key, _, _ in record}.union(extra), path)
+    optional = _defaults(cls)
+    kwargs = {}
+    for key, attr, read in record:
+        if key in m:
+            kwargs[attr] = read(m[key], _join(path, key))
+        elif attr not in optional:
+            raise ConfigError(f"missing required key {key!r}", path or key)
+    return cls(**kwargs)
+
+
+def _to_yaml(value):
+    """The canonical YAML form of a config value; a field at its default is left out."""
+    cls = type(value)
+    if cls in _ROWS:
+        return [getattr(value, f.name) for f in fields(cls)]
+    if cls not in _RECORDS:
+        if isinstance(value, dict):
+            return {key: _to_yaml(item) for key, item in value.items()}
+        return list(value) if isinstance(value, tuple) else value
+    defaults = _defaults(cls)
+    out = {
+        key: _WRITERS.get(read, _to_yaml)(getattr(value, attr))
+        for key, attr, read in _RECORDS[cls]
+        if attr not in defaults or getattr(value, attr) != defaults[attr]
+    }
+    if cls in _INIT_KINDS:
+        return {_INIT_KINDS[cls]: out}
+    if cls in _COMPARTMENT_KINDS:
+        return {"type": _COMPARTMENT_KINDS[cls], **out}
+    return out
+
+
+def _list_of(read):
+    return lambda value, path: tuple(read(item, f"{path}[{i}]") for i, item in enumerate(_as_list(value, path)))
+
+
+def _map_of(read):
+    """Reader of a named section: names (as strings) to what ``read`` reads."""
+    return lambda value, path: {str(key): read(item, f"{path}.{key}") for key, item in _as_map(value, path).items()}
+
+
+def _read_format(value, path: str) -> str:
+    fmt = _as_str(value, path)
+    if fmt not in ("edge-list", "gexf"):
+        raise ConfigError(f"unknown file format {fmt!r} (valid: edge-list, gexf)", path)
+    return fmt
+
+
+def _read_model_kind(value, path: str) -> str:
+    kind = _as_str(value, path)
+    if kind not in (MODEL_DIFFUSION, MODEL_CUSTOM):
+        raise ConfigError(f"model name must be 'diffusion' or 'custom', got {kind!r}", path)
+    return kind
+
+
+def _read_network_parameter(value, path: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"network parameter must be a number or string, got {value!r}", path)
+    return value
+
+
+def _read_sweep_values(value, path: str) -> tuple:
+    values = _as_list(value, path)
+    if not values:
+        raise ConfigError("sweep values must be a non-empty list", path)
+    return tuple(values)
+
+
+def _read_sweep(value, path: str) -> dict[str, tuple] | None:
+    # An empty map means no sweep, as null does.
+    return None if value is None else _map_of(_read_sweep_values)(value, path) or None
+
+
+# Generator type -> its one parameter and that parameter's reader.
+_GENERATORS = {"random-regular": ("degree", _as_int), "barabasi-albert": ("m", _as_int), "erdos-renyi": ("p", _as_number)}
+
+
+def _read_random(value, path: str) -> RandomStructure:
+    r = _as_map(value, path)
+    gen = _as_str(_require(r, "type", path), f"{path}.type")
+    count = _as_int(_require(r, "count", path), f"{path}.count")
+    if count < 0:
+        raise ConfigError(f"count must be >= 0, got {count}", f"{path}.count")
+    if gen not in _GENERATORS:
+        raise ConfigError(f"unknown generator type {gen!r} (valid: {', '.join(_GENERATORS)})", f"{path}.type")
+    key, read = _GENERATORS[gen]
+    _check_keys(r, {"type", "count", key}, path)
+    return RandomStructure(gen, count, **{key: read(_require(r, key, path), f"{path}.{key}")})
+
+
+def _read_structure(value, path: str) -> Structure:
     m = _as_map(value, path)
     _check_keys(m, {"random", "file"}, path)
     if ("random" in m) == ("file" in m):
         raise ConfigError("structure needs exactly one of 'random' or 'file'", path)
     if "random" in m:
-        r = _as_map(m["random"], f"{path}.random")
-        rpath = f"{path}.random"
-        gen = _as_str(_require(r, "type", rpath), f"{rpath}.type")
-        count = _as_int(_require(r, "count", rpath), f"{rpath}.count")
-        if count < 0:
-            raise ConfigError(f"count must be >= 0, got {count}", f"{rpath}.count")
-        if gen == "random-regular":
-            _check_keys(r, {"type", "count", "degree"}, rpath)
-            degree = _as_int(_require(r, "degree", rpath), f"{rpath}.degree")
-            return RandomStructure(generator=gen, count=count, degree=degree)
-        if gen == "barabasi-albert":
-            _check_keys(r, {"type", "count", "m"}, rpath)
-            m_val = _as_int(_require(r, "m", rpath), f"{rpath}.m")
-            return RandomStructure(generator=gen, count=count, m=m_val)
-        if gen == "erdos-renyi":
-            _check_keys(r, {"type", "count", "p"}, rpath)
-            p_val = _as_number(_require(r, "p", rpath), f"{rpath}.p")
-            return RandomStructure(generator=gen, count=count, p=p_val)
-        raise ConfigError(
-            f"unknown generator type {gen!r} (valid: random-regular, barabasi-albert, erdos-renyi)",
-            f"{rpath}.type",
-        )
-    f = _as_map(m["file"], f"{path}.file")
-    fpath = f"{path}.file"
-    _check_keys(f, {"path", "format", "directed"}, fpath)
-    file_path = _as_str(_require(f, "path", fpath), f"{fpath}.path")
-    fmt = _as_str(_require(f, "format", fpath), f"{fpath}.format")
-    if fmt not in ("edge-list", "gexf"):
-        raise ConfigError(f"unknown file format {fmt!r} (valid: edge-list, gexf)", f"{fpath}.format")
-    directed = _as_bool(f.get("directed", False), f"{fpath}.directed")
-    return FileStructure(path=file_path, format=fmt, directed=directed)
+        return _read_random(m["random"], f"{path}.random")
+    return _read(FileStructure, m["file"], f"{path}.file")
 
 
-_INIT_KINDS = {"random-with-weight", "random-with-count", "choose_with_metric", "from-file"}
+_INITS = {
+    "random-with-weight": RandomWithWeight,
+    "random-with-count": RandomWithCount,
+    "choose_with_metric": ChooseWithMetric,
+    "from-file": FromFile,
+}
+_INIT_KINDS = {cls: kind for kind, cls in _INITS.items()}
 
 
-def _parse_nodetype_init(value, path: str) -> NodeTypeInit:
+def _read_init(value, path: str) -> NodeTypeInit:
     m = _as_map(value, path)
+    valid = ", ".join(sorted(_INITS))
     if len(m) != 1:
-        raise ConfigError(
-            f"node type init must have exactly one kind key (valid: {', '.join(sorted(_INIT_KINDS))})", path
-        )
-    kind, body = next(iter(m.items()))
-    kpath = f"{path}.{kind}"
-    if kind not in _INIT_KINDS:
-        raise ConfigError(f"unknown init kind {kind!r} (valid: {', '.join(sorted(_INIT_KINDS))})", kpath)
-    b = _as_map(body, kpath)
-    if kind == "random-with-weight":
-        _check_keys(b, {"initial-weight"}, kpath)
-        return RandomWithWeight(weight=_as_number(_require(b, "initial-weight", kpath), f"{kpath}.initial-weight"))
-    if kind == "random-with-count":
-        _check_keys(b, {"count"}, kpath)
-        return RandomWithCount(count=_as_int(_require(b, "count", kpath), f"{kpath}.count"))
-    if kind == "choose_with_metric":
-        _check_keys(b, {"metric", "count"}, kpath)
-        return ChooseWithMetric(
-            metric=_as_str(_require(b, "metric", kpath), f"{kpath}.metric"),
-            count=_as_int(_require(b, "count", kpath), f"{kpath}.count"),
-        )
-    _check_keys(b, {"path"}, kpath)
-    return FromFile(path=_as_str(_require(b, "path", kpath), f"{kpath}.path"))
+        raise ConfigError(f"node type init must have exactly one kind key (valid: {valid})", path)
+    ((kind, body),) = m.items()
+    if kind not in _INITS:
+        raise ConfigError(f"unknown init kind {kind!r} (valid: {valid})", f"{path}.{kind}")
+    return _read(_INITS[kind], body, f"{path}.{kind}")
 
 
-def _parse_parameters(value, path: str) -> dict[str, ParamSpec]:
+def _read_nodetypes(value, path: str) -> dict[str, NodeTypeInit]:
+    nodetypes = _map_of(_read_init)(value, path)
+    if not nodetypes:
+        raise ConfigError("at least one node type is required", path)
+    return nodetypes
+
+
+_PARAMS = {"numerical": NumericalParam, "categorical": CategoricalParam}
+
+
+def _read_params(value, path: str) -> dict[str, ParamSpec]:
     m = _as_map(value, path)
-    _check_keys(m, {"numerical", "categorical"}, path)
+    _check_keys(m, set(_PARAMS), path)
     params: dict[str, ParamSpec] = {}
-    if "numerical" in m:
-        num = _as_map(m["numerical"], f"{path}.numerical")
-        for key, bounds in num.items():
-            bpath = f"{path}.numerical.{key}"
-            lst = _as_list(bounds, bpath)
-            if len(lst) != 2:
-                raise ConfigError(f"expected [low, high], got {len(lst)} entries", bpath)
-            low = _as_number(lst[0], f"{bpath}[0]")
-            high = _as_number(lst[1], f"{bpath}[1]")
-            if key in params:
-                raise ConfigError(f"duplicate parameter {key!r}", bpath)
-            params[key] = NumericalParam(low=low, high=high)
-    if "categorical" in m:
-        cat = _as_map(m["categorical"], f"{path}.categorical")
-        for key, spec in cat.items():
-            cpath = f"{path}.categorical.{key}"
-            s = _as_map(spec, cpath)
-            _check_keys(s, {"options", "weights"}, cpath)
-            options = tuple(
-                _as_str(o, f"{cpath}.options[{i}]") for i, o in enumerate(_as_list(_require(s, "options", cpath), f"{cpath}.options"))
-            )
-            weights = None
-            if "weights" in s:
-                weights = tuple(
-                    _as_number(w, f"{cpath}.weights[{i}]") for i, w in enumerate(_as_list(s["weights"], f"{cpath}.weights"))
-                )
-            if key in params:
-                raise ConfigError(f"duplicate parameter {key!r}", cpath)
-            params[key] = CategoricalParam(options=options, weights=weights)
+    for section, cls in _PARAMS.items():
+        for key, spec in _as_map(m.get(section, {}), f"{path}.{section}").items():
+            spath = f"{path}.{section}.{key}"
+            spec = _read(cls, spec, spath)
+            if str(key) in params:
+                raise ConfigError(f"duplicate parameter {str(key)!r}", spath)
+            params[str(key)] = spec
     return params
 
 
-_COMPARTMENT_KINDS = {"node-stochastic", "count-down", "node-categorical"}
+def _write_params(params: dict[str, ParamSpec]) -> dict:
+    sections = {s: {k: _to_yaml(p) for k, p in params.items() if isinstance(p, cls)} for s, cls in _PARAMS.items()}
+    return {section: specs for section, specs in sections.items() if specs}
 
 
-def _parse_compartment(value, path: str) -> Compartment:
+_COMPARTMENTS = {"node-stochastic": NodeStochastic, "count-down": CountDown, "node-categorical": NodeCategorical}
+_COMPARTMENT_KINDS = {cls: kind for kind, cls in _COMPARTMENTS.items()}
+
+
+def _read_compartment(value, path: str) -> Compartment:
     m = _as_map(value, path)
     kind = _as_str(_require(m, "type", path), f"{path}.type")
-    if kind == "node-stochastic":
-        _check_keys(m, {"type", "ratio", "triggering_status"}, path)
-        trigger = m.get("triggering_status")
-        if trigger is not None:
-            trigger = _as_str(trigger, f"{path}.triggering_status")
-        return NodeStochastic(
-            ratio=_as_number(_require(m, "ratio", path), f"{path}.ratio"),
-            triggering_status=trigger,
-        )
-    if kind == "count-down":
-        _check_keys(m, {"type", "name", "iteration-count"}, path)
-        return CountDown(
-            name=_as_str(_require(m, "name", path), f"{path}.name"),
-            iteration_count=_as_int(_require(m, "iteration-count", path), f"{path}.iteration-count"),
-        )
-    if kind == "node-categorical":
-        _check_keys(m, {"type", "attribute", "value", "probability"}, path)
-        return NodeCategorical(
-            attribute=_as_str(_require(m, "attribute", path), f"{path}.attribute"),
-            value=_as_str(_require(m, "value", path), f"{path}.value"),
-            probability=_as_number(_require(m, "probability", path), f"{path}.probability"),
-        )
-    raise ConfigError(
-        f"unknown compartment type {kind!r} (valid: {', '.join(sorted(_COMPARTMENT_KINDS))})", f"{path}.type"
-    )
+    if kind not in _COMPARTMENTS:
+        valid = ", ".join(sorted(_COMPARTMENTS))
+        raise ConfigError(f"unknown compartment type {kind!r} (valid: {valid})", f"{path}.type")
+    return _read(_COMPARTMENTS[kind], m, path, extra=("type",))
 
 
-def _parse_definitions(value, path: str) -> Definitions:
+def _read_definitions(value, path: str) -> Definitions:
     outer = _as_map(value, path)
     _check_keys(outer, {"pd-model"}, path)
-    model = _as_map(_require(outer, "pd-model", path), f"{path}.pd-model")
-    mpath = f"{path}.pd-model"
-    _check_keys(
-        model,
-        {
-            "name",
-            "nodetypes",
-            "node-parameters",
-            "edge-parameters",
-            "compartments",
-            "rules",
-            "network-parameters",
-        },
-        mpath,
-    )
-    kind = _as_str(_require(model, "name", mpath), f"{mpath}.name")
-    if kind not in (MODEL_DIFFUSION, MODEL_CUSTOM):
-        raise ConfigError(f"model name must be 'diffusion' or 'custom', got {kind!r}", f"{mpath}.name")
+    return _read(Definitions, _require(outer, "pd-model", path), f"{path}.pd-model")
 
-    nodetypes: dict[str, NodeTypeInit] = {}
-    nt = _as_map(_require(model, "nodetypes", mpath), f"{mpath}.nodetypes")
-    if not nt:
-        raise ConfigError("at least one node type is required", f"{mpath}.nodetypes")
-    for name, init in nt.items():
-        nodetypes[str(name)] = _parse_nodetype_init(init, f"{mpath}.nodetypes.{name}")
 
-    node_parameters = (
-        _parse_parameters(model["node-parameters"], f"{mpath}.node-parameters")
-        if "node-parameters" in model
-        else {}
-    )
-    edge_parameters = (
-        _parse_parameters(model["edge-parameters"], f"{mpath}.edge-parameters")
-        if "edge-parameters" in model
-        else {}
-    )
-
-    compartments: dict[str, Compartment] = {}
-    if "compartments" in model:
-        for cid, comp in _as_map(model["compartments"], f"{mpath}.compartments").items():
-            compartments[str(cid)] = _parse_compartment(comp, f"{mpath}.compartments.{cid}")
-
-    rules: dict[str, RuleSpec] = {}
-    if "rules" in model:
-        for rid, triple in _as_map(model["rules"], f"{mpath}.rules").items():
-            rpath = f"{mpath}.rules.{rid}"
-            lst = _as_list(triple, rpath)
-            if len(lst) != 3:
-                raise ConfigError(f"rule must be [from, to, compartment], got {len(lst)} entries", rpath)
-            rules[str(rid)] = RuleSpec(
-                from_type=_as_str(lst[0], f"{rpath}[0]"),
-                to_type=_as_str(lst[1], f"{rpath}[1]"),
-                compartment=_as_str(lst[2], f"{rpath}[2]"),
-            )
-
-    network_parameters: dict[str, Any] = {}
-    if "network-parameters" in model:
-        for key, val in _as_map(model["network-parameters"], f"{mpath}.network-parameters").items():
-            if isinstance(val, bool) or not isinstance(val, (int, float, str)):
-                raise ConfigError(
-                    f"network parameter must be a number or string, got {val!r}",
-                    f"{mpath}.network-parameters.{key}",
-                )
-            network_parameters[str(key)] = val
-
-    return Definitions(
-        model_kind=kind,
-        nodetypes=nodetypes,
-        node_parameters=node_parameters,
-        edge_parameters=edge_parameters,
-        compartments=compartments,
-        rules=rules,
-        network_parameters=network_parameters,
-    )
+# The schema: each record's (YAML key, attribute, reader) triples, in
+# canonical key order.
+_RECORDS = {
+    ProjectConfig: (
+        ("name", "name", _as_str),
+        ("structure", "structure", _read_structure),
+        ("definitions", "definitions", _read_definitions),
+        ("sweep", "sweep", _read_sweep),
+    ),
+    RandomStructure: (
+        ("type", "generator", _as_str),
+        ("count", "count", _as_int),
+        *((key, key, read) for key, read in _GENERATORS.values()),
+    ),
+    FileStructure: (("path", "path", _as_str), ("format", "format", _read_format), ("directed", "directed", _as_bool)),
+    RandomWithWeight: (("initial-weight", "weight", _as_number),),
+    RandomWithCount: (("count", "count", _as_int),),
+    ChooseWithMetric: (("metric", "metric", _as_str), ("count", "count", _as_int)),
+    FromFile: (("path", "path", _as_str),),
+    CategoricalParam: (("options", "options", _list_of(_as_str)), ("weights", "weights", _list_of(_as_number))),
+    NodeStochastic: (("ratio", "ratio", _as_number), ("triggering_status", "triggering_status", _as_optional_str)),
+    CountDown: (("name", "name", _as_str), ("iteration-count", "iteration_count", _as_int)),
+    NodeCategorical: (
+        ("attribute", "attribute", _as_str),
+        ("value", "value", _as_str),
+        ("probability", "probability", _as_number),
+    ),
+    Definitions: (
+        ("name", "model_kind", _read_model_kind),
+        ("nodetypes", "nodetypes", _read_nodetypes),
+        ("node-parameters", "node_parameters", _read_params),
+        ("edge-parameters", "edge_parameters", _read_params),
+        ("compartments", "compartments", _map_of(_read_compartment)),
+        ("rules", "rules", _map_of(partial(_read, RuleSpec))),
+        ("network-parameters", "network_parameters", _map_of(_read_network_parameter)),
+    ),
+}
+# Records written as a YAML list: the text naming their shape, and their items' reader.
+_ROWS = {
+    NumericalParam: ("expected [low, high]", _as_number),
+    RuleSpec: ("rule must be [from, to, compartment]", _as_str),
+}
+# Readers whose value has a YAML form of its own; every other value goes through _to_yaml.
+_WRITERS = {
+    _read_structure: lambda s: {"random" if isinstance(s, RandomStructure) else "file": _to_yaml(s)},
+    _read_definitions: lambda d: {"pd-model": _to_yaml(d)},
+    _read_params: _write_params,
+}
 
 
 def parse_config(source) -> ProjectConfig:
     """Parse a YAML text or an already-loaded mapping into a ProjectConfig."""
     if isinstance(source, (str, bytes)):
         try:
-            data = yaml.safe_load(source)
+            source = yaml.safe_load(source)
         except yaml.YAMLError as exc:
             raise ConfigError(f"invalid YAML: {exc}") from exc
-    else:
-        data = source
-    root = _as_map(data, "")
-    _check_keys(root, {"name", "structure", "definitions", "sweep"}, "")
-    name = _as_str(_require(root, "name", "name"), "name")
-    structure = _parse_structure(_require(root, "structure", "structure"), "structure")
-    definitions = _parse_definitions(_require(root, "definitions", "definitions"), "definitions")
-    sweep = None
-    if "sweep" in root and root["sweep"] is not None:
-        sweep_map = _as_map(root["sweep"], "sweep")
-        sweep = {}
-        for key, values in sweep_map.items():
-            vpath = f"sweep.{key}"
-            lst = _as_list(values, vpath)
-            if not lst:
-                raise ConfigError("sweep values must be a non-empty list", vpath)
-            sweep[str(key)] = tuple(lst)
-    return ProjectConfig(name=name, structure=structure, definitions=definitions, sweep=sweep)
+    return _read(ProjectConfig, source, "")
 
 
 def load_config(path) -> ProjectConfig:
@@ -441,93 +449,16 @@ def load_config(path) -> ProjectConfig:
     return parse_config(p.read_text(encoding="utf-8"))
 
 
-# ---------------------------------------------------------------------------
-# Serialization (canonical key order; parse . serialize is the identity).
-# ---------------------------------------------------------------------------
-
-
 def to_mapping(config: ProjectConfig, include_sweep: bool = True) -> dict:
     """ProjectConfig back to a plain mapping in canonical key order."""
-    out: dict[str, Any] = {"name": config.name}
-    s = config.structure
-    if isinstance(s, RandomStructure):
-        random: dict[str, Any] = {"type": s.generator, "count": s.count}
-        if s.degree is not None:
-            random["degree"] = s.degree
-        if s.m is not None:
-            random["m"] = s.m
-        if s.p is not None:
-            random["p"] = s.p
-        out["structure"] = {"random": random}
-    else:
-        file_map: dict[str, Any] = {"path": s.path, "format": s.format}
-        if s.directed:
-            file_map["directed"] = True
-        out["structure"] = {"file": file_map}
-
-    d = config.definitions
-    model: dict[str, Any] = {"name": d.model_kind}
-    nodetypes: dict[str, Any] = {}
-    for name, init in d.nodetypes.items():
-        if isinstance(init, RandomWithWeight):
-            nodetypes[name] = {"random-with-weight": {"initial-weight": init.weight}}
-        elif isinstance(init, RandomWithCount):
-            nodetypes[name] = {"random-with-count": {"count": init.count}}
-        elif isinstance(init, ChooseWithMetric):
-            nodetypes[name] = {"choose_with_metric": {"metric": init.metric, "count": init.count}}
-        else:
-            nodetypes[name] = {"from-file": {"path": init.path}}
-    model["nodetypes"] = nodetypes
-
-    for field_name, params in (("node-parameters", d.node_parameters), ("edge-parameters", d.edge_parameters)):
-        if not params:
-            continue
-        numerical = {k: [p.low, p.high] for k, p in params.items() if isinstance(p, NumericalParam)}
-        categorical = {}
-        for k, p in params.items():
-            if isinstance(p, CategoricalParam):
-                spec: dict[str, Any] = {"options": list(p.options)}
-                if p.weights is not None:
-                    spec["weights"] = list(p.weights)
-                categorical[k] = spec
-        section: dict[str, Any] = {}
-        if numerical:
-            section["numerical"] = numerical
-        if categorical:
-            section["categorical"] = categorical
-        model[field_name] = section
-
-    if d.compartments:
-        comps: dict[str, Any] = {}
-        for cid, comp in d.compartments.items():
-            if isinstance(comp, NodeStochastic):
-                entry: dict[str, Any] = {"type": "node-stochastic", "ratio": comp.ratio}
-                if comp.triggering_status is not None:
-                    entry["triggering_status"] = comp.triggering_status
-            elif isinstance(comp, CountDown):
-                entry = {"type": "count-down", "name": comp.name, "iteration-count": comp.iteration_count}
-            else:
-                entry = {
-                    "type": "node-categorical",
-                    "attribute": comp.attribute,
-                    "value": comp.value,
-                    "probability": comp.probability,
-                }
-            comps[cid] = entry
-        model["compartments"] = comps
-    if d.rules:
-        model["rules"] = {rid: [r.from_type, r.to_type, r.compartment] for rid, r in d.rules.items()}
-    if d.network_parameters:
-        model["network-parameters"] = dict(d.network_parameters)
-
-    out["definitions"] = {"pd-model": model}
-    if include_sweep and config.sweep:
-        out["sweep"] = {k: list(v) for k, v in config.sweep.items()}
+    out = _to_yaml(config)
+    if not (include_sweep and config.sweep):
+        out.pop("sweep", None)
     return out
 
 
 def serialize_config(config: ProjectConfig, include_sweep: bool = True) -> str:
-    """Canonical YAML text for a config."""
+    """Canonical YAML text for a config; ``parse_config`` reads it back to an equal config."""
     return yaml.safe_dump(to_mapping(config, include_sweep=include_sweep), sort_keys=False)
 
 
@@ -542,10 +473,9 @@ def validate(config: ProjectConfig, node_count_hint: int | None = None) -> list[
     d = config.definitions
     base = "definitions.pd-model"
 
-    weight_types = {n: i for n, i in d.nodetypes.items() if isinstance(i, RandomWithWeight)}
-    count_types = {n: i for n, i in d.nodetypes.items() if isinstance(i, RandomWithCount)}
-    metric_types = {n: i for n, i in d.nodetypes.items() if isinstance(i, ChooseWithMetric)}
-    file_types = {n: i for n, i in d.nodetypes.items() if isinstance(i, FromFile)}
+    weight_types, count_types, metric_types, file_types = (
+        {n: i for n, i in d.nodetypes.items() if isinstance(i, cls)} for cls in _INIT_KINDS
+    )
 
     if weight_types and count_types:
         v.append(f"{base}.nodetypes: cannot mix random-with-weight and random-with-count types in one config")
@@ -582,9 +512,7 @@ def validate(config: ProjectConfig, node_count_hint: int | None = None) -> list[
         if count_types and not weight_types and not file_types:
             total_counts = fixed + sum(i.count for i in count_types.values())
             if total_counts != n:
-                v.append(
-                    f"{base}.nodetypes: type counts sum to {total_counts}, expected node count {n}"
-                )
+                v.append(f"{base}.nodetypes: type counts sum to {total_counts}, expected node count {n}")
 
     for scope, params in (("node-parameters", d.node_parameters), ("edge-parameters", d.edge_parameters)):
         for key, spec in params.items():
@@ -656,31 +584,22 @@ def _resolve_sweep_parent(mapping: dict, dotted: str) -> tuple[dict, str]:
     """Walk a dotted path; the pd-model level is transparent after 'definitions'."""
     parts = dotted.split(".")
     node: Any = mapping
-    trail: list[str] = []
     for i, part in enumerate(parts):
         if not isinstance(node, dict):
-            raise ConfigError(f"sweep path {dotted!r} does not resolve at {'.'.join(trail)!r}", f"sweep.{dotted}")
+            raise ConfigError(f"sweep path {dotted!r} does not resolve at {'.'.join(parts[:i])!r}", f"sweep.{dotted}")
         container = node
         if part not in container and "pd-model" in container and part in container["pd-model"]:
             container = container["pd-model"]
         if part not in container:
             raise ConfigError(f"sweep path {dotted!r} does not resolve: no key {part!r}", f"sweep.{dotted}")
-        trail.append(part)
         if i == len(parts) - 1:
             return container, part
         node = container[part]
-    raise ConfigError(f"empty sweep path", f"sweep.{dotted}")
 
 
 def sweep_assignments(config: ProjectConfig) -> list[tuple[str, Any]]:
     """The (dotted path, value) pairs of the expansion, in declaration order."""
-    if not config.sweep:
-        return []
-    out: list[tuple[str, Any]] = []
-    for path_key, values in config.sweep.items():
-        for value in values:
-            out.append((path_key, value))
-    return out
+    return [(path_key, value) for path_key, values in (config.sweep or {}).items() for value in values]
 
 
 def expand_sweep(config: ProjectConfig) -> list[ProjectConfig]:
@@ -705,16 +624,14 @@ def expand_sweep(config: ProjectConfig) -> list[ProjectConfig]:
 
 def sweep_labels(config: ProjectConfig) -> list[str]:
     """Directory labels for the expansion, e.g. ``r_UT=0.4``. Unique per entry."""
-    assignments = sweep_assignments(config)
-    last_segments = [path.split(".")[-1] for path, _ in assignments]
-    seen_paths: dict[str, set[str]] = {}
-    for (path, _), seg in zip(assignments, last_segments):
-        seen_paths.setdefault(seg, set()).add(path)
-    labels = []
-    for (path, value), seg in zip(assignments, last_segments):
-        key = seg if len(seen_paths[seg]) == 1 else path.replace(".", "_")
-        labels.append(f"{key}={value}")
-    return labels
+    assignments = [(path, path.split(".")[-1], value) for path, value in sweep_assignments(config)]
+    paths_by_leaf: dict[str, set[str]] = {}
+    for path, leaf, _ in assignments:
+        paths_by_leaf.setdefault(leaf, set()).add(path)
+    return [
+        f"{leaf if len(paths_by_leaf[leaf]) == 1 else path.replace('.', '_')}={value}"
+        for path, leaf, value in assignments
+    ]
 
 
 def build_rules(definitions: Definitions) -> list[Rule]:
@@ -736,6 +653,21 @@ def build_rules(definitions: Definitions) -> list[Rule]:
 # ---------------------------------------------------------------------------
 
 
+def _resolve(path: str, base_dir) -> Path:
+    """``path``, taken relative to ``base_dir`` unless it is absolute or ``base_dir`` is None."""
+    if base_dir is None or Path(path).is_absolute():
+        return Path(path)
+    return Path(base_dir) / path
+
+
+def _structure_file(structure: FileStructure, base_dir=None) -> Path:
+    """The edge-list or GEXF file a structure reads; a missing file is a ConfigError."""
+    path = _resolve(structure.path, base_dir)
+    if not path.is_file():
+        raise ConfigError(f"structure file not found: {path}", "structure.file.path")
+    return path
+
+
 def build_graph(config: ProjectConfig, rng: np.random.Generator, base_dir=None) -> Graph:
     """Realize the structure section into a Graph (drawing from rng if random)."""
     s = config.structure
@@ -745,11 +677,7 @@ def build_graph(config: ProjectConfig, rng: np.random.Generator, base_dir=None) 
         if s.generator == "barabasi-albert":
             return generate_barabasi_albert(s.count, s.m or 1, rng)
         return generate_erdos_renyi(s.count, s.p or 0.0, rng)
-    path = Path(s.path)
-    if base_dir is not None and not path.is_absolute():
-        path = Path(base_dir) / path
-    if not path.is_file():
-        raise ConfigError(f"structure file not found: {path}", "structure.file.path")
+    path = _structure_file(s, base_dir)
     if s.format == "edge-list":
         return load_edge_list(path, directed=s.directed)
     graph, _, _ = gexf_io.load_gexf(path)
@@ -768,6 +696,22 @@ def _read_node_id_file(path: Path) -> list[int]:
             except ValueError:
                 raise ConfigError(f"line {line_no}: expected a node id, got {line!r}", str(path)) from None
     return ids
+
+
+def _weighted_choice(weights, draws: np.ndarray) -> np.ndarray:
+    """Index of the weight whose cumulative interval holds each uniform draw."""
+    return np.minimum(np.searchsorted(np.cumsum(weights), draws, side="right"), len(weights) - 1)
+
+
+def _draw(spec: ParamSpec, size: int, rng: np.random.Generator) -> list:
+    """``size`` values of one node or edge parameter."""
+    if isinstance(spec, NumericalParam):
+        return rng.uniform(spec.low, spec.high, size).tolist()
+    if spec.weights is None:
+        idx = rng.integers(0, len(spec.options), size)
+    else:
+        idx = _weighted_choice(spec.weights, rng.random(size))
+    return [spec.options[i] for i in idx.tolist()]
 
 
 def initialize_population(
@@ -802,21 +746,15 @@ def initialize_population(
     for type_name, init in d.nodetypes.items():
         if not isinstance(init, FromFile):
             continue
-        path = Path(init.path)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
+        where = f"definitions.pd-model.nodetypes.{type_name}"
+        path = _resolve(init.path, base_dir)
         if not path.is_file():
-            raise ConfigError(f"node id file not found: {path}", f"definitions.pd-model.nodetypes.{type_name}")
+            raise ConfigError(f"node id file not found: {path}", where)
         for node in _read_node_id_file(path):
             if not 0 <= node < n:
-                raise ConfigError(
-                    f"node id {node} out of range [0, {n})", f"definitions.pd-model.nodetypes.{type_name}"
-                )
+                raise ConfigError(f"node id {node} out of range [0, {n})", where)
             if node in states:
-                raise ConfigError(
-                    f"node {node} assigned twice during initialization",
-                    f"definitions.pd-model.nodetypes.{type_name}",
-                )
+                raise ConfigError(f"node {node} assigned twice during initialization", where)
             states[node] = type_name
 
     remaining = np.array([v for v in range(n) if v not in states], dtype=np.int64)
@@ -824,9 +762,7 @@ def initialize_population(
     count_types = [(t, i.count) for t, i in d.nodetypes.items() if isinstance(i, RandomWithCount)]
     if weight_types:
         names = [t for t, _ in weight_types]
-        cum = np.cumsum([w for _, w in weight_types])
-        draws = rng.random(remaining.size)
-        idx = np.minimum(np.searchsorted(cum, draws, side="right"), len(names) - 1)
+        idx = _weighted_choice([w for _, w in weight_types], rng.random(remaining.size))
         for v, i in zip(remaining.tolist(), idx.tolist()):
             states[v] = names[i]
     elif count_types:
@@ -850,38 +786,15 @@ def initialize_population(
 
     attrs = AttributeTable()
     for key, spec in d.node_parameters.items():
-        if isinstance(spec, NumericalParam):
-            values = rng.uniform(spec.low, spec.high, n)
-            attrs.set_node_column(key, dict(enumerate(values.tolist())))
-        else:
-            options = list(spec.options)
-            if spec.weights is None:
-                idx = rng.integers(0, len(options), n)
-            else:
-                cum = np.cumsum(spec.weights)
-                idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(options) - 1)
-            attrs.set_node_column(key, {v: options[i] for v, i in enumerate(idx.tolist())})
+        attrs.set_node_column(key, dict(enumerate(_draw(spec, n, rng))))
 
     edges = list(graph.edges()) if d.edge_parameters else []
     for key, spec in d.edge_parameters.items():
         column: dict[tuple[int, int], Any] = {}
-        if isinstance(spec, NumericalParam):
-            values = rng.uniform(spec.low, spec.high, len(edges))
-            for (u, v), val in zip(edges, values.tolist()):
-                column[(u, v)] = val
-                if not graph.directed:
-                    column[(v, u)] = val
-        else:
-            options = list(spec.options)
-            if spec.weights is None:
-                idx = rng.integers(0, len(options), len(edges))
-            else:
-                cum = np.cumsum(spec.weights)
-                idx = np.minimum(np.searchsorted(cum, rng.random(len(edges)), side="right"), len(options) - 1)
-            for (u, v), i in zip(edges, idx.tolist()):
-                column[(u, v)] = options[i]
-                if not graph.directed:
-                    column[(v, u)] = options[i]
+        for (u, v), value in zip(edges, _draw(spec, len(edges), rng)):
+            column[(u, v)] = value
+            if not graph.directed:
+                column[(v, u)] = value
         attrs.set_edge_column(key, column)
 
     return states, attrs, dict(d.network_parameters)

@@ -3,7 +3,8 @@
 Each iteration runs in a fixed order:
 
 1. ``before_iteration`` hooks, in registration order.
-2. The start-of-iteration states are frozen into ``ctx.frozen_states``.
+2. When the run has agent hooks, the states as the ``before_iteration``
+   hooks left them are frozen into ``ctx.frozen_states``.
 3. ``every_iteration_agent`` hooks, for every node in a freshly shuffled
    order (returns ignored).
 4. For diffusion models, the transition rules fire synchronously: every
@@ -44,7 +45,6 @@ from . import __version__ as _version
 from .collect import (
     SeriesRecorder,
     coerce_value,
-    write_atomic,
     write_collectors,
     write_snapshot,
     write_summary,
@@ -58,7 +58,7 @@ from .config import (
     serialize_config,
 )
 from .errors import CollectError, ConfigError, HookError
-from .graph import AttributeTable, Graph
+from .graph import AttributeTable, Graph, write_atomic
 from .rules import CountdownLedger, Rule, apply_rules
 
 _MASK64 = (1 << 64) - 1
@@ -179,9 +179,10 @@ class SimContext:
     """Everything a hook can see and touch during a run.
 
     ``states`` is the live node-to-type map; ``frozen_states`` is the
-    immutable start-of-iteration copy agent hooks should read when they need
-    simultaneous-update semantics. ``scratch`` is a free dict for hook
-    caches. ``iteration`` is 0 during setup and baseline records.
+    copy taken before the agent phase, which agent hooks should read when
+    they need simultaneous-update semantics (runs without agent hooks take
+    no copy). ``scratch`` is a free dict for hook caches. ``iteration`` is 0
+    during setup and baseline records.
     """
 
     def __init__(
@@ -375,8 +376,8 @@ def simulate(
                 value = _call_hook(hook, ctx)
                 if value is not None:
                     recorders[hook.name].record(it, value)
-            ctx.frozen_states = dict(ctx.states)
             if agent_hooks:
+                ctx.frozen_states = dict(ctx.states)
                 order = shuffle_agents(ctx)
                 try:
                     for node in order:
@@ -457,9 +458,8 @@ class Project:
         directory = root_path / name
         if (directory / PROJECT_FILE).exists():
             raise ConfigError(f"project {name!r} already exists at {directory}")
-        directory.mkdir(parents=True, exist_ok=True)
         payload = {"name": name, "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat()}
-        (directory / PROJECT_FILE).write_text(yaml.safe_dump(payload, sort_keys=False), encoding="utf-8")
+        write_atomic(directory / PROJECT_FILE, yaml.safe_dump(payload, sort_keys=False))
         return cls(directory, name)
 
     @classmethod

@@ -1,4 +1,4 @@
-"""Graph storage, attribute tables, network generators, and edge-list loading.
+"""Graph storage, attribute tables, network generators, edge-list I/O and atomic file writes.
 
 Nodes are dense 0-based integer ids. Graphs are simple: no self-loops, no
 parallel edges. Undirected graphs count each edge once (listed as ``u < v``)
@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from itertools import chain
+from pathlib import Path
 from typing import Iterator, Union
 
 import numpy as np
@@ -477,8 +479,19 @@ def load_edge_list(path, directed: bool = False, return_id_map: bool = False):
     return g
 
 
+def write_atomic(path, text: str) -> None:
+    """Write via ``<name>.tmp`` (not a ``*.json``) and ``os.replace``; a failure leaves no temp."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_edge_list(graph: Graph, path) -> None:
-    """Write edges as whitespace-separated pairs, one per line, sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v in graph.edges():
-            fh.write(f"{u} {v}\n")
+    """Write edges as whitespace-separated pairs, one per line, sorted; atomically."""
+    write_atomic(path, "".join(f"{u} {v}\n" for u, v in graph.edges()))

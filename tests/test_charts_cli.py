@@ -220,6 +220,20 @@ class TestWriteChart:
         svg = out.read_text()
         assert "a" in svg and "b" in svg
 
+    def test_failed_rewrite_keeps_previous_chart_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        doc = write_doc(tmp_path / "t.json", scalar_doc("t", [1.0, 2.0]))
+        out = write_chart([doc], "line", tmp_path / "charts" / "c.svg")
+        before = out.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr("os.replace", failing_replace)
+        with pytest.raises(OSError):
+            write_chart([doc], "bar", out)
+        assert out.read_bytes() == before
+        assert [p.name for p in out.parent.iterdir()] == ["c.svg"]
+
     def test_kinds_constant_matches_cli_choices(self):
         assert set(CHART_KINDS) == {"line", "bar", "area", "scatter"}
 

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import hashlib
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdkit import (
     ConfigError,
@@ -18,12 +24,14 @@ from crowdkit import (
     initialize_population,
     load_config,
     parse_config,
+    read_snapshot,
     serialize_config,
     top_k_by_metric,
     validate,
     write_edge_list,
+    write_snapshot,
 )
-from crowdkit.config import sweep_assignments, sweep_labels
+from crowdkit.config import sweep_assignments, sweep_labels, to_mapping
 from crowdkit.rules import CountDown, NodeStochastic
 
 
@@ -583,3 +591,315 @@ class TestBuildRules:
     def test_custom_model_has_no_rules(self):
         cfg = load_config(fixture_path("infmax.yaml"))
         assert build_rules(cfg.definitions) == []
+
+
+# ---------------------------------------------------------------------------
+# Canonical form: parsing and serializing are inverse
+# ---------------------------------------------------------------------------
+
+_names = st.text(alphabet="abcxyz-_", min_size=1, max_size=5)
+_numbers = st.integers(-(10**6), 10**6) | st.floats(allow_nan=False)
+_scalars = _numbers | _names
+
+
+def _param_sections(params: dict) -> dict:
+    numerical = {k: v for k, v in params.items() if isinstance(v, list)}
+    categorical = {k: v for k, v in params.items() if isinstance(v, dict)}
+    return {"numerical": numerical, "categorical": categorical}
+
+
+_inits = st.one_of(
+    st.builds(lambda w: {"random-with-weight": {"initial-weight": w}}, _numbers),
+    st.builds(lambda c: {"random-with-count": {"count": c}}, st.integers(-5, 5000)),
+    st.builds(lambda m, c: {"choose_with_metric": {"metric": m, "count": c}}, _names, st.integers(0, 100)),
+    st.builds(lambda p: {"from-file": {"path": p}}, _names),
+)
+# Integer names are legal YAML keys; they must come back as strings.
+_params = st.dictionaries(
+    _names | st.integers(0, 99),
+    st.lists(_numbers, min_size=2, max_size=2)
+    | st.fixed_dictionaries(
+        {"options": st.lists(_names, max_size=3)}, optional={"weights": st.lists(_numbers, max_size=3)}
+    ),
+    max_size=4,
+).map(_param_sections)
+_compartments = st.one_of(
+    st.fixed_dictionaries(
+        {"type": st.just("node-stochastic"), "ratio": _numbers}, optional={"triggering_status": _names | st.none()}
+    ),
+    st.fixed_dictionaries({"type": st.just("count-down"), "name": _names, "iteration-count": st.integers(-3, 9)}),
+    st.fixed_dictionaries(
+        {"type": st.just("node-categorical"), "attribute": _names, "value": _names, "probability": _numbers}
+    ),
+)
+_structures = st.one_of(
+    st.builds(lambda c, d: {"random": {"type": "random-regular", "count": c, "degree": d}}, st.integers(0, 99), st.integers()),
+    st.builds(lambda c, m: {"random": {"type": "barabasi-albert", "count": c, "m": m}}, st.integers(0, 99), st.integers()),
+    st.builds(lambda c, p: {"random": {"type": "erdos-renyi", "count": c, "p": p}}, st.integers(0, 99), _numbers),
+    st.fixed_dictionaries(
+        {"path": _names, "format": st.sampled_from(["edge-list", "gexf"])}, optional={"directed": st.booleans()}
+    ).map(lambda f: {"file": f}),
+)
+_documents = st.fixed_dictionaries(
+    {
+        "name": _names,
+        "structure": _structures,
+        "definitions": st.fixed_dictionaries(
+            {
+                "name": st.sampled_from(["diffusion", "custom"]),
+                "nodetypes": st.dictionaries(_names, _inits, min_size=1, max_size=4),
+            },
+            optional={
+                "node-parameters": _params,
+                "edge-parameters": _params,
+                "compartments": st.dictionaries(_names, _compartments, max_size=3),
+                "rules": st.dictionaries(_names, st.lists(_names, min_size=3, max_size=3), max_size=3),
+                "network-parameters": st.dictionaries(_names, _scalars, max_size=3),
+            },
+        ).map(lambda model: {"pd-model": model}),
+    },
+    optional={"sweep": st.none() | st.dictionaries(_names, st.lists(_scalars, min_size=1, max_size=3), max_size=3)},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_documents)
+def test_parse_and_canonical_mapping_are_inverse(doc):
+    cfg = parse_config(doc)
+    assert parse_config(to_mapping(cfg)) == cfg
+    text = serialize_config(cfg)
+    assert serialize_config(parse_config(text)) == text
+
+
+def test_empty_sweep_map_means_no_sweep():
+    cfg = parse_config(MINIMAL + "sweep: {}\n")
+    assert cfg.sweep is None
+    assert cfg == parse_config(MINIMAL + "sweep: null\n")
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_integer_parameter_names_read_back_from_a_snapshot(tmp_path):
+    doc = MINIMAL + """
+    node-parameters:
+      numerical:
+        5: [0, 1]
+    edge-parameters:
+      categorical:
+        7:
+          options: [a, b]
+"""
+    cfg = parse_config(doc)
+    assert list(cfg.definitions.node_parameters) == ["5"]
+    assert list(cfg.definitions.edge_parameters) == ["7"]
+    graph = build_graph(cfg, make_rng(0))
+    states, attrs, params = initialize_population(graph, cfg, make_rng(1))
+    (path,) = write_snapshot(0, graph, states, attrs, params, tmp_path)
+    _, _, _, read_attrs, _ = read_snapshot(path)
+    assert read_attrs == attrs
+
+
+# ---------------------------------------------------------------------------
+# Mutation corpus: every single edit of a set of source documents, pinned.
+# ---------------------------------------------------------------------------
+#
+# Each source document is edited in every single way listed in
+# ``_mutations``. Each edited document goes through ``parse_config``; what
+# comes out (the error text and path, or the canonical YAML, the violations,
+# the serialized sweep variants and the sweep labels) is recorded, and the
+# sha256 of each source's record must match ``CORPUS_DIGESTS``. A change to
+# any error text, error path, canonical YAML byte or sweep expansion fails
+# here. To re-pin after an intended change, run this file as a script from
+# the repository root and paste what it prints into ``CORPUS_DIGESTS``:
+#
+#     PYTHONPATH=src python tests/test_config.py
+
+EVERY_KEY = """
+name: every-key
+structure:
+  file:
+    path: net.txt
+    format: edge-list
+    directed: true
+definitions:
+  pd-model:
+    name: diffusion
+    nodetypes:
+      S:
+        random-with-weight:
+          initial-weight: 0.5
+      I:
+        random-with-count:
+          count: 3
+      Seed:
+        choose_with_metric:
+          metric: degree
+          count: 2
+      Picked:
+        from-file:
+          path: seeds.txt
+    node-parameters:
+      numerical:
+        age: [0, 100]
+      categorical:
+        location:
+          options: [home, grid]
+          weights: [0.25, 0.75]
+        mood:
+          options: [calm, angry]
+    edge-parameters:
+      numerical:
+        strength: [0.5, 1.5]
+      categorical:
+        kind:
+          options: [kin, work]
+          weights: [0.5, 0.5]
+        tie:
+          options: [weak, strong]
+    compartments:
+      spread:
+        type: node-stochastic
+        ratio: 0.25
+        triggering_status: I
+      wander:
+        type: node-stochastic
+        ratio: 0.5
+      timer:
+        type: count-down
+        name: t
+        iteration-count: 3
+      home:
+        type: node-categorical
+        attribute: location
+        value: home
+        probability: 0.75
+    rules:
+      infect: [S, I, spread]
+      drift: [S, Seed, wander]
+      recover: [I, S, timer]
+      stay: [S, Picked, home]
+    network-parameters:
+      alpha: 1.5
+      beta: 2
+      label: hello
+sweep:
+  definitions.network-parameters.alpha: [0.5, 1.0]
+  definitions.compartments.spread.ratio: [0.1]
+  definitions.nodetypes.I.random-with-count.count: [4, 5]
+"""
+
+GENERATOR_PARAMS = {"random-regular": "degree: 2", "barabasi-albert": "m: 2", "erdos-renyi": "p: 0.5"}
+
+CORPUS_SOURCES = {
+    **{name: fixture_path(name).read_text(encoding="utf-8") for name in ["infmax.yaml", "sir.yaml", "stayhome.yaml", "trust.yaml"]},
+    **{
+        generator: MINIMAL.replace("type: random-regular", f"type: {generator}").replace("degree: 2", param)
+        for generator, param in GENERATOR_PARAMS.items()
+    },
+    "every-key": EVERY_KEY,
+}
+
+REPLACEMENTS = ("x", 7, -1, 0.5, True, None, [1], {"a": 1}, [], {})
+
+
+def _nodes(node, trail=()):
+    """Every (trail, node) of a YAML tree, root first, depth first."""
+    yield trail, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, trail + (key,))
+
+
+def _at(doc, trail):
+    for key in trail:
+        doc = doc[key]
+    return doc
+
+
+def _mutations(doc):
+    """(label, edited copy) for every single edit of ``doc``."""
+    for trail, node in _nodes(doc):
+        where = ".".join(map(str, trail))
+        if isinstance(node, dict):
+            for key in list(node):
+                edited = copy.deepcopy(doc)
+                del _at(edited, trail)[key]
+                yield f"delete {where}/{key}", edited
+                edited = copy.deepcopy(doc)
+                held = _at(edited, trail)
+                items = list(held.items())
+                held.clear()
+                held.update((f"{k}-x" if k == key else k, v) for k, v in items)
+                yield f"rename {where}/{key}", edited
+            edited = copy.deepcopy(doc)
+            _at(edited, trail)["unknown-key"] = 1
+            yield f"add key {where}", edited
+        if isinstance(node, list):
+            edited = copy.deepcopy(doc)
+            held = _at(edited, trail)
+            held.append(copy.deepcopy(held[-1]) if held else "x")
+            yield f"append {where}", edited
+            if node:
+                edited = copy.deepcopy(doc)
+                _at(edited, trail).pop()
+                yield f"pop {where}", edited
+        for value in REPLACEMENTS:
+            if not trail:
+                yield f"replace root by {value!r}", copy.deepcopy(value)
+                continue
+            edited = copy.deepcopy(doc)
+            _at(edited, trail[:-1])[trail[-1]] = copy.deepcopy(value)
+            yield f"replace {where} by {value!r}", edited
+
+
+def _attempt(step):
+    try:
+        return step()
+    except ConfigError as exc:
+        return ["ConfigError", str(exc), exc.path]
+    except Exception as exc:  # recorded, so that a change of behaviour shows
+        return [type(exc).__name__, str(exc)]
+
+
+def _outcome(doc):
+    try:
+        cfg = parse_config(doc)
+    except ConfigError as exc:
+        return ["ConfigError", str(exc), exc.path]
+    return {
+        "yaml": _attempt(lambda: serialize_config(cfg)),
+        "yaml_without_sweep": _attempt(lambda: serialize_config(cfg, include_sweep=False)),
+        "violations": _attempt(lambda: validate(cfg)),
+        "variants": _attempt(lambda: [serialize_config(v) for v in expand_sweep(cfg)]),
+        "labels": _attempt(lambda: sweep_labels(cfg)),
+    }
+
+
+def corpus_record(source: str) -> list:
+    doc = yaml.safe_load(source)
+    return [[label, _outcome(edited)] for label, edited in [("unedited", doc), *_mutations(doc)]]
+
+
+def corpus_digest(source: str) -> str:
+    text = json.dumps(corpus_record(source), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+CORPUS_DIGESTS = {
+    "barabasi-albert": "f64be2099719a8182a18715e5d54fc0767b336c5549a081c3ea47a6c97e096bf",
+    "erdos-renyi": "253725e735df9e92d7c654345faee8e1a78f2caa0a351762842617ba4a4b6dd2",
+    "every-key": "c097fccdc5ba853bb3956a21ec66affe7911cbbedb33a210650e8180f9300930",
+    "infmax.yaml": "2defb08c56216f406102ca8c43b33bad5f7d50cba2a1882604805c3dbae74186",
+    "random-regular": "c36add8833622826e474031079bbfab039f5eedb054d475b5fe1bf0229f7977b",
+    "sir.yaml": "0f2b13ac7d5247b2e3fd95badd08dce4b97c7d954f7cc29b1ef5a85f387f30ee",
+    "stayhome.yaml": "40734cd76a6b8d2d30ba2db95f6b362282cf2d51cc0834874ff2be721e3179b0",
+    "trust.yaml": "fdabffaa2ca8d524c4e63f1b16a2ad2110c5b46bfd1a7a2bdf19e18dd8ad4c45"
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_SOURCES))
+def test_mutation_corpus_matches_stored_digest(name):
+    assert corpus_digest(CORPUS_SOURCES[name]) == CORPUS_DIGESTS[name]
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: corpus_digest(CORPUS_SOURCES[name]) for name in sorted(CORPUS_SOURCES)}, indent=4))

@@ -182,6 +182,29 @@ class TestSimulate:
         )
         assert seen == expected
 
+    def test_frozen_states_hold_the_before_hook_moves(self):
+        seen: list[tuple[str, str]] = []
+
+        def flip(ctx, node):
+            ctx.set_state(0, "A")
+
+        def read(ctx, node):
+            seen.append((ctx.frozen_states[0], ctx.states[0]))
+
+        reg = HookRegistry()
+        reg.add(PHASE_BEFORE, "move", lambda ctx: ctx.set_state(0, "B"))
+        reg.add(PHASE_AGENT, "flip", flip)
+        reg.add(PHASE_AGENT, "read", read)
+        simulate(tiny_config(), epochs=2, master_seed=4, registry=reg)
+        assert seen == [("B", "A")] * 12
+
+    def test_no_frozen_copy_without_agent_hooks(self):
+        seen = []
+        reg = HookRegistry()
+        reg.add(PHASE_AFTER, "probe", lambda ctx: seen.append(dict(ctx.frozen_states)))
+        simulate(tiny_config(), epochs=2, master_seed=4, registry=reg)
+        assert seen == [{}, {}]
+
     def test_diffusion_applies_between_agent_and_after_phases(self):
         # 2-node infection with certain spread: the after hook must already
         # see the transition that the agent phase could not.

@@ -330,6 +330,20 @@ class TestEdgeListIO:
         assert g.has_edge(0, 1)
         assert g.has_edge(1, 0)
 
+    def test_failed_rewrite_keeps_previous_list_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.txt"
+        write_edge_list(generate_random_regular(10, 2, make_rng(0)), path)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr("os.replace", failing_replace)
+        with pytest.raises(OSError):
+            write_edge_list(generate_random_regular(40, 4, make_rng(1)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.txt"]
+
 
 # ---------------------------------------------------------------------------
 # Attribute storage
