@@ -57,6 +57,7 @@ from .gexf import load_gexf
 from .graph import (
     AttributeTable,
     Graph,
+    NodeStates,
     generate_barabasi_albert,
     generate_erdos_renyi,
     generate_random_regular,
@@ -94,6 +95,7 @@ __all__ = [
     "METRICS",
     "MetricError",
     "NodeCategorical",
+    "NodeStates",
     "NodeStochastic",
     "Project",
     "ProjectConfig",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os  # noqa: F401 -- kept so that ``crowdkit.collect.os.replace`` stays patchable
+from collections.abc import Mapping
 from itertools import chain
 from pathlib import Path
 from typing import Any, Union
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import CollectError, GraphError
 from .gexf import gexf_document
-from .graph import AttributeTable, Graph, write_atomic
+from .graph import AttributeTable, Graph, NodeStates, write_atomic
 
 Value = Union[int, float, dict]
 
@@ -148,11 +149,13 @@ def read_summary(run_dir) -> dict:
 def snapshot_document(
     iteration: int,
     graph: Graph,
-    states: dict[int, str],
+    states: Mapping[int, str],
     attrs: AttributeTable,
     net_params: dict[str, Any],
 ) -> dict:
     nodes = range(graph.num_nodes)
+    if not isinstance(states, NodeStates):
+        states = NodeStates.from_mapping(states, len(nodes))
     edge_attrs = {}
     for key, column in sorted(attrs.edge.items()):
         keys = np.fromiter(chain.from_iterable(column), dtype=np.int64, count=2 * len(column))
@@ -163,7 +166,7 @@ def snapshot_document(
     return {
         "iteration": iteration,
         "graph": {"directed": graph.directed, "nodes": len(nodes), "links": links},
-        "states": [states.get(v) for v in nodes],
+        "states": states.column(),
         "node_attrs": {key: [col.get(v) for v in nodes] for key, col in sorted(attrs.node.items())},
         "edge_attrs": edge_attrs,
         "net_params": dict(sorted(net_params.items())),
@@ -173,7 +176,7 @@ def snapshot_document(
 def write_snapshot(
     iteration: int,
     graph: Graph,
-    states: dict[int, str],
+    states: Mapping[int, str],
     attrs: AttributeTable,
     net_params: dict[str, Any],
     run_dir,

@@ -25,6 +25,7 @@ violations (weight sums, dangling references, bad bounds) without raising.
 from __future__ import annotations
 
 import copy
+import os
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, partial
 from pathlib import Path
@@ -38,6 +39,7 @@ from .errors import ConfigError
 from .graph import (
     AttributeTable,
     Graph,
+    NodeStates,
     generate_barabasi_albert,
     generate_erdos_renyi,
     generate_random_regular,
@@ -502,6 +504,8 @@ def validate(config: ProjectConfig, node_count_hint: int | None = None) -> list[
     n = None
     if isinstance(config.structure, RandomStructure):
         n = config.structure.count
+        if config.structure.generator == "barabasi-albert" and config.structure.m < 1:
+            v.append(f"structure.random.m: m must be >= 1, got {config.structure.m}")
     if node_count_hint is not None:
         n = node_count_hint
     if n is not None:
@@ -572,6 +576,7 @@ def validate(config: ProjectConfig, node_count_hint: int | None = None) -> list[
                 _resolve_sweep_parent(mapping, path_key)
             except ConfigError as exc:
                 v.append(str(exc))
+        v += sweep_label_violations(config)
     return v
 
 
@@ -634,6 +639,19 @@ def sweep_labels(config: ProjectConfig) -> list[str]:
     ]
 
 
+def sweep_label_violations(config: ProjectConfig) -> list[str]:
+    """A violation per sweep label that repeats an earlier one or is no plain directory name."""
+    v: list[str] = []
+    seen: set[str] = set()
+    for (path_key, _), label in zip(sweep_assignments(config), sweep_labels(config)):
+        if label in seen:
+            v.append(f"sweep.{path_key}: label {label!r} repeats; two variants would share one directory")
+        elif "/" in label or os.sep in label:  # "=" in every label rules out "." and ".."
+            v.append(f"sweep.{path_key}: label {label!r} is not a plain directory name")
+        seen.add(label)
+    return v
+
+
 def build_rules(definitions: Definitions) -> list[Rule]:
     """Resolve rule triples to executable rules, in declaration order."""
     out: list[Rule] = []
@@ -675,7 +693,7 @@ def build_graph(config: ProjectConfig, rng: np.random.Generator, base_dir=None) 
         if s.generator == "random-regular":
             return generate_random_regular(s.count, s.degree or 0, rng)
         if s.generator == "barabasi-albert":
-            return generate_barabasi_albert(s.count, s.m or 1, rng)
+            return generate_barabasi_albert(s.count, s.m, rng)
         return generate_erdos_renyi(s.count, s.p or 0.0, rng)
     path = _structure_file(s, base_dir)
     if s.format == "edge-list":
@@ -719,8 +737,8 @@ def initialize_population(
     config: ProjectConfig,
     rng: np.random.Generator,
     base_dir=None,
-) -> tuple[dict[int, str], AttributeTable, dict[str, Any]]:
-    """Assign node types and draw node/edge parameters.
+) -> tuple[NodeStates, AttributeTable, dict[str, Any]]:
+    """Assign node types (as codes in declaration order) and draw node/edge parameters.
 
     Draw order is part of the determinism contract: metric/file types first,
     then the weighted or counted remainder (one draw per node for weights, a
@@ -734,16 +752,14 @@ def initialize_population(
 
     d = config.definitions
     n = graph.num_nodes
-    states: dict[int, str] = {}
+    states = NodeStates(d.nodetypes, n)
+    codes = states.codes
 
-    metric_types = [(t, i) for t, i in d.nodetypes.items() if isinstance(i, ChooseWithMetric)]
-    for type_name, init in metric_types:
-        if init.count == 0:
-            continue
-        for v in top_k_by_metric(graph, init.metric, init.count):
-            states[v] = type_name
+    for code, init in enumerate(d.nodetypes.values()):
+        if isinstance(init, ChooseWithMetric) and init.count:
+            codes[top_k_by_metric(graph, init.metric, init.count)] = code
 
-    for type_name, init in d.nodetypes.items():
+    for code, (type_name, init) in enumerate(d.nodetypes.items()):
         if not isinstance(init, FromFile):
             continue
         where = f"definitions.pd-model.nodetypes.{type_name}"
@@ -753,18 +769,16 @@ def initialize_population(
         for node in _read_node_id_file(path):
             if not 0 <= node < n:
                 raise ConfigError(f"node id {node} out of range [0, {n})", where)
-            if node in states:
+            if codes[node] >= 0:
                 raise ConfigError(f"node {node} assigned twice during initialization", where)
-            states[node] = type_name
+            codes[node] = code
 
-    remaining = np.array([v for v in range(n) if v not in states], dtype=np.int64)
-    weight_types = [(t, i.weight) for t, i in d.nodetypes.items() if isinstance(i, RandomWithWeight)]
-    count_types = [(t, i.count) for t, i in d.nodetypes.items() if isinstance(i, RandomWithCount)]
+    remaining = np.flatnonzero(codes < 0)
+    weight_types = [(c, i.weight) for c, i in enumerate(d.nodetypes.values()) if isinstance(i, RandomWithWeight)]
+    count_types = [(c, i.count) for c, i in enumerate(d.nodetypes.values()) if isinstance(i, RandomWithCount)]
     if weight_types:
-        names = [t for t, _ in weight_types]
-        idx = _weighted_choice([w for _, w in weight_types], rng.random(remaining.size))
-        for v, i in zip(remaining.tolist(), idx.tolist()):
-            states[v] = names[i]
+        picked = _weighted_choice([w for _, w in weight_types], rng.random(remaining.size))
+        codes[remaining] = np.array([c for c, _ in weight_types], dtype=codes.dtype)[picked]
     elif count_types:
         total = sum(c for _, c in count_types)
         if total != remaining.size:
@@ -774,9 +788,8 @@ def initialize_population(
             )
         perm = rng.permutation(remaining)
         offset = 0
-        for type_name, count in count_types:
-            for v in perm[offset : offset + count].tolist():
-                states[v] = type_name
+        for code, count in count_types:
+            codes[perm[offset : offset + count]] = code
             offset += count
     elif remaining.size:
         raise ConfigError(

@@ -4,12 +4,13 @@ Each iteration runs in a fixed order:
 
 1. ``before_iteration`` hooks, in registration order.
 2. When the run has agent hooks, the states as the ``before_iteration``
-   hooks left them are frozen into ``ctx.frozen_states``.
+   hooks left them are frozen into ``ctx.frozen_states`` (a read-only copy
+   of the code array).
 3. ``every_iteration_agent`` hooks, for every node in a freshly shuffled
    order (returns ignored).
 4. For diffusion models, the transition rules fire synchronously: every
-   eligible node is evaluated against the same pre-pass state mapping and
-   all transitions apply at once.
+   eligible node is evaluated against the same pre-pass states, and the
+   movers apply at once, as one masked assignment to the code array.
 5. ``after_iteration`` hooks, in registration order. Scalar or flat-map
    returns are recorded as (iteration, value) series.
 6. At snapshot periods, the full state is written to disk as one compact JSON
@@ -20,6 +21,10 @@ summary. Hooks marked ``record_initial`` also record an iteration-0 baseline
 entry before the first iteration (after the setup callable has run). A hook
 that raises aborts the run with the hook name and iteration attached; on any
 error a persisted run still flushes its collectors and writes run-meta.json.
+
+Node state: ``ctx.states`` is a ``NodeStates`` mapping over one code array
+(see ``graph.py``). It iterates in ascending node id, and a write of an
+undeclared type or to an out-of-range node raises ``HookError`` at once.
 
 Determinism: every random draw in a run flows from one ``numpy`` PCG64
 generator seeded by ``derive_seed(master_seed, batch_index, sweep_index)``,
@@ -58,7 +63,7 @@ from .config import (
     serialize_config,
 )
 from .errors import CollectError, ConfigError, HookError
-from .graph import AttributeTable, Graph, write_atomic
+from .graph import AttributeTable, Graph, NodeStates, write_atomic
 from .rules import CountdownLedger, Rule, apply_rules
 
 _MASK64 = (1 << 64) - 1
@@ -178,51 +183,45 @@ class NodeCountView(Mapping):
 class SimContext:
     """Everything a hook can see and touch during a run.
 
-    ``states`` is the live node-to-type map; ``frozen_states`` is the
-    copy taken before the agent phase, which agent hooks should read when
-    they need simultaneous-update semantics (runs without agent hooks take
-    no copy). ``scratch`` is a free dict for hook caches. ``iteration`` is 0
-    during setup and baseline records.
+    ``states`` is the live node-to-type map, a ``NodeStates`` over one code
+    array in ``node_types`` order; a plain mapping given here is encoded into
+    one (writes of undeclared types or out-of-range nodes raise ``HookError``).
+    ``frozen_states`` is the read-only copy taken before the agent phase,
+    which agent hooks should read when they need simultaneous-update
+    semantics (runs without agent hooks take no copy). ``scratch`` is a free
+    dict for hook caches. ``iteration`` is 0 during setup and baseline
+    records.
     """
 
     def __init__(
         self,
         graph: Graph,
-        states: dict[int, str],
+        states: Mapping[int, str],
         attrs: AttributeTable,
         net_params: dict[str, Any],
         rng: np.random.Generator,
         node_types: tuple[str, ...],
     ):
         self.graph = graph
+        if not (isinstance(states, NodeStates) and states.types == tuple(node_types)):
+            states = NodeStates.from_mapping(states, graph.num_nodes, node_types)
         self.states = states
         self.attrs = attrs
         self.net_params = net_params
         self.rng = rng
         self.node_types = node_types
-        self._type_set = set(node_types)
         self.iteration = 0
-        self.frozen_states: dict[int, str] = {}
+        self.frozen_states: Mapping[int, str] = {}
         self.scratch: dict[str, Any] = {}
 
     def set_state(self, node: int, type_name: str) -> None:
-        if type_name not in self._type_set:
-            raise HookError(
-                f"unknown node type {type_name!r} (declared: {', '.join(self.node_types)})",
-                iteration=self.iteration,
-            )
-        if not 0 <= node < self.graph.num_nodes:
-            raise HookError(f"node {node} out of range", iteration=self.iteration)
         self.states[node] = type_name
 
     def count(self, type_name: str) -> int:
-        return sum(1 for s in self.states.values() if s == type_name)
+        return self.states.count(type_name)
 
     def counts(self) -> dict[str, int]:
-        out = {name: 0 for name in self.node_types}
-        for s in self.states.values():
-            out[s] += 1
-        return out
+        return self.states.counts()
 
     @property
     def node_count(self) -> NodeCountView:
@@ -377,7 +376,7 @@ def simulate(
                 if value is not None:
                     recorders[hook.name].record(it, value)
             if agent_hooks:
-                ctx.frozen_states = dict(ctx.states)
+                ctx.frozen_states = ctx.states.frozen()
                 order = shuffle_agents(ctx)
                 try:
                     for node in order:
@@ -415,7 +414,7 @@ def simulate(
     result = SimResult(
         run_seed=run_seed,
         epochs=epochs,
-        states=dict(ctx.states),
+        states=dict(ctx.states.items()),
         records={name: rec.entries for name, rec in recorders.items()},
         summary=summary,
         context=ctx,
@@ -578,10 +577,13 @@ def sweep_run(
     base_dir=None,
 ) -> list[SweepOutcome]:
     """Expand the sweep section and batch-run each variant under its label dir."""
-    from .config import expand_sweep, sweep_assignments, sweep_labels
+    from .config import expand_sweep, sweep_assignments, sweep_label_violations, sweep_labels
 
     if not config.sweep:
         raise ConfigError("config has no sweep section")
+    violations = sweep_label_violations(config)
+    if violations:
+        raise ConfigError("invalid sweep:\n  " + "\n  ".join(violations))
     variants = expand_sweep(config)
     labels = sweep_labels(config)
     assignments = sweep_assignments(config)

@@ -1,4 +1,4 @@
-"""Graph storage, attribute tables, network generators, edge-list I/O and atomic file writes.
+"""Graph storage, node states, attribute tables, network generators, edge-list I/O and atomic file writes.
 
 Nodes are dense 0-based integer ids. Graphs are simple: no self-loops, no
 parallel edges. Undirected graphs count each edge once (listed as ``u < v``)
@@ -10,6 +10,10 @@ Generators and loaders build it in bulk with ``Graph.from_edges``, and copies
 share the arrays. Per-node sets appear only on the first ``add_edge`` or
 ``remove_edge``; from then on they hold the topology, and the arrays are
 rebuilt from them once per ``version``.
+
+Node states (``NodeStates``) map node ids to type names through one signed
+code array: ``codes[v]`` is the position of v's type in the declared type
+order, and -1 means v has no state.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ from __future__ import annotations
 import logging
 import math
 import os
+from collections.abc import ItemsView, Mapping, MutableMapping, ValuesView
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import EdgeListError, GraphError
+from .errors import EdgeListError, GraphError, HookError
 
 logger = logging.getLogger(__name__)
 
@@ -242,6 +247,123 @@ class Graph:
 
         indptr, indices = self._out_csr()
         return csr_matrix((np.ones(indices.size), indices, indptr), shape=(self.num_nodes, self.num_nodes))
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._pairs()[1])
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(*self._mapping._pairs())
+
+
+class NodeStates(MutableMapping):
+    """Node id -> type name over one signed code array, iterated in ascending id.
+
+    ``codes[v]`` indexes ``types`` (-1: v has no state); it is int8, or int32
+    from 128 types on. ``keys``, ``values`` and ``items`` iterate over a copy
+    taken when iteration starts, so values may be reassigned mid-iteration.
+    A write of an undeclared type name or to a node outside
+    ``[0, len(codes))`` raises ``HookError``; ``frozen`` copies are read-only.
+    """
+
+    __slots__ = ("types", "code_of", "codes", "_view", "_names")
+
+    def __init__(self, types, size: int = 0, codes: np.ndarray | None = None):
+        self.types = tuple(types)
+        self.code_of = {name: code for code, name in enumerate(self.types)}
+        if codes is None:
+            codes = np.full(size, -1, dtype=np.int8 if len(self.types) < 128 else np.int32)
+        self.codes = codes
+        self._view = memoryview(codes)  # scalar reads and writes as fast as a dict's
+        self._names = np.array([*self.types, None], dtype=object)  # code -1 reads as None
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping, size: int, types=None) -> "NodeStates":
+        """Encode ``mapping``, validating each write; ``types`` defaults to its values in first-seen order."""
+        states = cls(dict.fromkeys(mapping.values()) if types is None else types, size)
+        states.update(mapping)
+        return states
+
+    def frozen(self) -> "NodeStates":
+        """A read-only copy."""
+        codes = self.codes.copy()
+        codes.flags.writeable = False
+        return NodeStates(self.types, codes=codes)
+
+    def __getitem__(self, node):
+        try:
+            code = self._view[node] if node >= 0 else -1
+        except (IndexError, TypeError):
+            code = -1
+        if code < 0:
+            raise KeyError(node)
+        return self.types[code]
+
+    def __setitem__(self, node, type_name: str) -> None:
+        code = self.code_of.get(type_name)
+        if code is None:
+            raise HookError(f"unknown node type {type_name!r} (declared: {', '.join(self.types)})")
+        try:
+            if node < 0:
+                raise IndexError(node)
+            self._view[node] = code
+        except (IndexError, TypeError):
+            if self._view.readonly:
+                raise TypeError("frozen node states are read-only") from None
+            raise HookError(f"node {node} out of range") from None
+
+    def __delitem__(self, node) -> None:
+        self[node]  # KeyError when absent
+        self._view[node] = -1
+
+    def __iter__(self):
+        return iter((self.codes >= 0).nonzero()[0].tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.codes >= 0))
+
+    def _pairs(self) -> tuple[list[int], list[str]]:
+        held = self.codes >= 0
+        return held.nonzero()[0].tolist(), self._names[self.codes[held]].tolist()
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def update(self, other=(), /, **kwargs) -> None:
+        """As ``dict.update``; a ``NodeStates`` over the same types applies in one masked assignment."""
+        if isinstance(other, NodeStates) and other.types == self.types and not kwargs:
+            moved = other.codes >= 0
+            self.codes[moved] = other.codes[moved]
+        else:
+            super().update(other, **kwargs)
+
+    def clear(self) -> None:
+        self.codes.fill(-1)
+
+    def column(self) -> list:
+        """Every node's type name in id order, None where a node has no state."""
+        return self._names[self.codes].tolist()
+
+    def mask(self, type_name: str) -> np.ndarray:
+        """Which nodes hold ``type_name`` (none, when it is undeclared)."""
+        return self.codes == self.code_of.get(type_name, -2)
+
+    def count(self, type_name: str) -> int:
+        return int(np.count_nonzero(self.mask(type_name)))
+
+    def counts(self) -> dict[str, int]:
+        """Node count per declared type, in declaration order."""
+        held = np.bincount(self.codes[self.codes >= 0], minlength=len(self.types))
+        return dict(zip(self.types, held.tolist()))
+
+    def __repr__(self) -> str:
+        return f"NodeStates({dict(self.items())!r})"
 
 
 class AttributeTable:

@@ -1,11 +1,12 @@
 """Diffusion rule bits and their synchronous application.
 
 A rule moves nodes from one type to another when its compartment fires.
-``apply_rules`` evaluates every node against the state mapping it is given and
-never mutates it, so all transitions within one iteration are decided from the
-same frozen view; the caller applies the returned transition map afterwards.
-Nodes are visited in ascending id order, each node's rules in declaration
-order, and the first firing rule wins.
+``apply_rules`` evaluates every node against the states it is given (read as
+their code array) and never mutates them, so all transitions within one
+iteration are decided from the same frozen view. It returns the movers as a
+``NodeStates`` that holds codes only for the nodes that move; the caller
+applies it afterwards. Nodes are visited in ascending id order, each node's
+rules in declaration order, and the first firing rule wins.
 
 Compartment kinds:
 
@@ -36,14 +37,14 @@ counter's name (a hook moved it, say).
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Union
 
 import numpy as np
 
 from .errors import ConfigError
-from .graph import AttributeTable, Graph
+from .graph import AttributeTable, Graph, NodeStates
 
 logger = logging.getLogger(__name__)
 
@@ -118,7 +119,7 @@ class CountdownLedger:
         ]
 
 
-def _drawing_rule(comp, members, codes, code_of, graph, attrs, ledger) -> tuple[np.ndarray, float]:
+def _drawing_rule(comp, members, state, graph, attrs, ledger) -> tuple[np.ndarray, float]:
     """Which ``members`` may draw for a stochastic or categorical compartment, and its probability."""
     if type(comp) is NodeStochastic:
         if comp.triggering_status is None:
@@ -126,7 +127,7 @@ def _drawing_rule(comp, members, codes, code_of, graph, attrs, ledger) -> tuple[
         indptr, indices = graph.in_csr()
         # held[i]: how many of the first i CSR entries hold the trigger.
         held = np.zeros(indices.size + 1, dtype=np.int32)
-        np.cumsum(codes[indices] == code_of[comp.triggering_status], out=held[1:])
+        np.cumsum(state.mask(comp.triggering_status)[indices], out=held[1:])
         return held[indptr[members + 1]] > held[indptr[members]], comp.ratio
     if type(comp) is NodeCategorical:
         column = attrs.node.get(comp.attribute, {})
@@ -170,29 +171,28 @@ def _walk(group, size, draws, passes, counters) -> tuple[np.ndarray, dict[int, n
 
 
 def apply_rules(
-    state: dict[int, str],
+    state: Mapping[int, str],
     graph: Graph,
     attrs: AttributeTable,
     rules: list[Rule],
     ledger: CountdownLedger,
     rng: np.random.Generator,
-) -> dict[int, str]:
-    """One synchronous rule pass. Returns the transition map without applying it.
+) -> NodeStates:
+    """One synchronous rule pass. Returns the movers without applying them.
 
-    See the module docstring for the visiting order, the random-stream
-    contract and the count-down clearing rule.
+    The result is a ``NodeStates`` over the same types that holds codes only
+    for the nodes that move: as a mapping it equals the ascending
+    ``{node: new type}`` transition dict. A plain mapping ``state`` is encoded
+    once on entry. See the module docstring for the visiting order, the
+    random-stream contract and the count-down clearing rule.
     """
     n = graph.num_nodes
     groups: dict[str, list[Rule]] = {}
     for rule in rules:
         groups.setdefault(rule.from_type, []).append(rule)
+    if not isinstance(state, NodeStates):
+        state = NodeStates.from_mapping(state, n, dict.fromkeys([*state.values(), *(r.to_type for r in rules)]))
     comps = [rule.compartment for rule in rules]
-    triggers = [c.triggering_status for c in comps if getattr(c, "triggering_status", None) is not None]
-    code_of = {name: code for code, name in enumerate(dict.fromkeys([*groups, *triggers]))}
-    codes = np.empty(n, dtype=np.int8 if len(code_of) < 128 else np.int32)
-    codes[np.fromiter(state, dtype=np.int32, count=n)] = np.fromiter(
-        map(code_of.get, state.values(), repeat(-1)), dtype=codes.dtype, count=n
-    )
     # Counters survive the pass only for nodes in a source type of their name.
     kept = {c.name: np.zeros(n, dtype=np.int32) for c in comps if type(c) is CountDown}
 
@@ -201,9 +201,9 @@ def apply_rules(
     plans = []
     slots = np.zeros(n, dtype=np.int32)
     for from_type, group in groups.items():
-        members = np.flatnonzero(codes == code_of[from_type])
+        members = np.flatnonzero(state.mask(from_type))
         draws = {
-            j: _drawing_rule(rule.compartment, members, codes, code_of, graph, attrs, ledger)
+            j: _drawing_rule(rule.compartment, members, state, graph, attrs, ledger)
             for j, rule in enumerate(group)
             if type(rule.compartment) is not CountDown
         }
@@ -240,7 +240,7 @@ def apply_rules(
         rng.random(values.size - skipped)
         start -= np.cumsum(unused, dtype=np.int32) - unused
 
-    transitions: dict[int, str] = {}
+    moves = NodeStates(state.types, n)
     for group, members, draws, counters, drawn in plans:
         at = start[members]
         passes = {}
@@ -252,7 +252,7 @@ def apply_rules(
         fired = winner >= 0
         for name, left in counters.items():
             kept[name][members] = np.where(fired, 0, left)
-        targets = [rule.to_type for rule in group]
-        transitions.update(zip(members[fired].tolist(), map(targets.__getitem__, winner[fired].tolist())))
+        targets = np.array([state.code_of[rule.to_type] for rule in group], dtype=moves.codes.dtype)
+        moves.codes[members[fired]] = targets[winner[fired]]
     ledger._counters.update(kept)
-    return dict(sorted(transitions.items()))
+    return moves

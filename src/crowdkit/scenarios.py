@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -109,7 +110,7 @@ def _ic_refresh_caches(ctx: SimContext) -> None:
 def ic_prepare(ctx: SimContext) -> None:
     """Cache the current spreader set (start-of-iteration view) for agent steps."""
     _ic_refresh_caches(ctx)
-    ctx.scratch["ic_spreaders"] = {v for v, s in ctx.states.items() if s == IC_SPREADER}
+    ctx.scratch["ic_spreaders"] = set(ctx.states.mask(IC_SPREADER).nonzero()[0].tolist())
 
 
 def ic_agent_step(ctx: SimContext, node: int) -> None:
@@ -163,8 +164,7 @@ def ic_agent_step_per_edge(ctx: SimContext, node: int) -> None:
 
 
 def ic_total_active(ctx: SimContext) -> int:
-    counts = ctx.counts()
-    return counts.get(IC_ACTIVE, 0) + counts.get(IC_SPREADER, 0)
+    return ctx.count(IC_ACTIVE) + ctx.count(IC_SPREADER)
 
 
 def ic_registry(per_edge: bool = False) -> tuple[HookRegistry, Callable]:
@@ -217,7 +217,8 @@ def compute_trust_payoffs(ctx: SimContext) -> np.ndarray:
     r_t, r_u, tv = sc["trust_params"]
     states = ctx.states
     n = ctx.graph.num_nodes
-    codes = np.fromiter((_TRUST_CODES[states[v]] for v in range(n)), dtype=np.int8, count=n)
+    # Trust codes by state code; the last entry (-1: no state) and undeclared roles read as -1.
+    codes = np.array([*map(_TRUST_CODES.get, states.types, repeat(-1)), -1], dtype=np.int8)[states.codes]
     investors = codes == 0
     trustworthy = codes == 1
     untrustworthy = codes == 2

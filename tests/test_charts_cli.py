@@ -339,6 +339,22 @@ class TestRunCommand:
         assert res.exit_code == 2
         assert "invalid config" in res.output
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("- 0.3", "- 0.1"),  # two variants labelled pressure=0.1
+            ("- 0.3", '- "b/c"'),  # a label that would nest the variant directory
+            ("type: random-regular\n    count: 6\n    degree: 2", "type: barabasi-albert\n    count: 6\n    m: 0"),
+        ],
+    )
+    def test_sweep_config_violations_exit_2_before_any_directory(self, tmp_path, project_home, edit):
+        cfg = write_tiny(tmp_path, sweep=True)
+        cfg.write_text(cfg.read_text(encoding="utf-8").replace(*edit), encoding="utf-8")
+        res = invoke("sweep", "--config", cfg)
+        assert res.exit_code == 2, res.output
+        assert "invalid config" in res.output
+        assert not list((project_home / "default").glob("tiny*"))
+
     def test_hook_failure_exits_runtime_code(self, tmp_path, project_home):
         # stay-home hooks on a config with no location attribute
         cfg = write_tiny(tmp_path)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from crowdkit import (
     ConfigError,
     Graph,
+    GraphError,
     build_graph,
     build_rules,
     expand_sweep,
@@ -320,6 +321,21 @@ sweep:
         assert len(pairs) == 11
         assert pairs[0] == ("definitions.network-parameters.r_UT", 0.0)
 
+    @staticmethod
+    def swept(values: str):
+        extra = "    network-parameters:\n      x: 0\n"
+        return parse_config(minimal_with(extra, sweep=f"sweep:\n  definitions.network-parameters.x: {values}\n"))
+
+    def test_repeated_label_is_a_violation(self):
+        assert validate(self.swept("[1, 2, 1]")) == [
+            "sweep.definitions.network-parameters.x: label 'x=1' repeats; two variants would share one directory"
+        ]
+
+    def test_label_with_a_path_separator_is_a_violation(self):
+        assert validate(self.swept('[a, "b/c"]')) == [
+            "sweep.definitions.network-parameters.x: label 'x=b/c' is not a plain directory name"
+        ]
+
 
 # ---------------------------------------------------------------------------
 # Graph construction from config
@@ -341,6 +357,16 @@ class TestBuildGraph:
         g = build_graph(parse_config(doc), make_rng(0))
         assert g.num_nodes == 20
         assert g.num_edges == 2 * 18 + 1
+
+    def test_barabasi_albert_m_below_one_is_rejected(self):
+        doc = MINIMAL.replace(
+            "type: random-regular\n    count: 10\n    degree: 2",
+            "type: barabasi-albert\n    count: 20\n    m: 0",
+        )
+        cfg = parse_config(doc)
+        assert validate(cfg) == ["structure.random.m: m must be >= 1, got 0"]
+        with pytest.raises(GraphError, match="m must be >= 1, got 0"):
+            build_graph(cfg, make_rng(0))
 
     def test_erdos_renyi(self):
         doc = MINIMAL.replace(
@@ -885,14 +911,14 @@ def corpus_digest(source: str) -> str:
 
 
 CORPUS_DIGESTS = {
-    "barabasi-albert": "f64be2099719a8182a18715e5d54fc0767b336c5549a081c3ea47a6c97e096bf",
+    "barabasi-albert": "e673c0bf86d1bdddec8bb53fb8cc15dee6beedbd98caa2d72a412efa5b831986",
     "erdos-renyi": "253725e735df9e92d7c654345faee8e1a78f2caa0a351762842617ba4a4b6dd2",
-    "every-key": "c097fccdc5ba853bb3956a21ec66affe7911cbbedb33a210650e8180f9300930",
+    "every-key": "6f245c8ffeb4a89b0a323ab43e2461c4e8e72a56c14d9b50d45e3d5c9aa30063",
     "infmax.yaml": "2defb08c56216f406102ca8c43b33bad5f7d50cba2a1882604805c3dbae74186",
     "random-regular": "c36add8833622826e474031079bbfab039f5eedb054d475b5fe1bf0229f7977b",
     "sir.yaml": "0f2b13ac7d5247b2e3fd95badd08dce4b97c7d954f7cc29b1ef5a85f387f30ee",
     "stayhome.yaml": "40734cd76a6b8d2d30ba2db95f6b362282cf2d51cc0834874ff2be721e3179b0",
-    "trust.yaml": "fdabffaa2ca8d524c4e63f1b16a2ad2110c5b46bfd1a7a2bdf19e18dd8ad4c45"
+    "trust.yaml": "0e187ff50f3ba5bc1c6a916df1447487b526816983151f1c1a306fc8ab505ef3"
 }
 
 

@@ -6,13 +6,17 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdkit import (
     CollectError,
     ConfigError,
     HookError,
     HookRegistry,
+    NodeStates,
     Project,
     batch_run,
     derive_seed,
@@ -832,6 +836,17 @@ sweep:
             sweep_run(tiny_config(), tmp_path, batches=1, epochs=1)
         assert "sweep" in str(exc.value)
 
+    @pytest.mark.parametrize("values,problem", [("[1, 1]", "repeats"), ('["b/c"]', "not a plain directory name")])
+    def test_bad_sweep_labels_rejected_before_any_directory(self, tmp_path, values, problem):
+        cfg = parse_config(TINY + f"""    network-parameters:
+      x: 0
+sweep:
+  definitions.network-parameters.x: {values}
+""")
+        with pytest.raises(ConfigError, match=problem):
+            sweep_run(cfg, tmp_path / "sim", batches=1, epochs=1)
+        assert not (tmp_path / "sim").exists()
+
     def test_eleven_value_sweep_expands_fully(self, tmp_path):
         cfg = load_config(fixture_path("trust.yaml"))
         # shrink the network so the sweep itself is the thing under test
@@ -845,6 +860,132 @@ sweep:
         assert len(outcomes) == 11
         run_dirs = list(tmp_path.glob("r_UT=*/batch-*"))
         assert len(run_dirs) == 22
+
+
+class TestStatesApi:
+    """The hook API contract of ``ctx.states``: a mutable node -> type mapping in ascending id."""
+
+    @staticmethod
+    def run_before(probe, agent=None):
+        reg = HookRegistry()
+        reg.add(PHASE_BEFORE, "probe", probe)
+        if agent is not None:
+            reg.add(PHASE_AGENT, "agent", agent)
+        return simulate(tiny_config(), epochs=1, master_seed=3, registry=reg)
+
+    def test_mapping_operations(self):
+        def probe(ctx):
+            states = ctx.states
+            before = dict(states)
+            assert list(before) == list(range(6))
+            assert states == before and before == states
+            assert states == dict(reversed(before.items()))
+            assert states != {**before, 0: "Zombie"}
+            states[0] = "B"
+            assert states[0] == "B" and states.get(0) == "B"
+            assert states.get(99) is None and states.get(-1, "x") == "x" and "a" not in states
+            states.update({1: "A", 2: "B"})
+            assert (states[1], states[2]) == ("A", "B")
+            del states[3]
+            assert 3 not in states and len(states) == 5
+            with pytest.raises(KeyError):
+                del states[3]
+            expected = {**before, 0: "B", 1: "A", 2: "B"}
+            del expected[3]
+            assert dict(states) == dict(states.items()) == expected
+            assert list(states.keys()) == sorted(expected) and list(states.values()) == list(expected.values())
+            states.clear()
+            assert len(states) == 0 and dict(states) == {}
+            states.update(before)
+            assert states == before
+
+        self.run_before(probe)
+
+    def test_values_may_be_reassigned_while_iterating(self):
+        def probe(ctx):
+            before = dict(ctx.states)
+            flip = {"A": "B", "B": "A"}
+            for node, state in ctx.states.items():
+                ctx.states[node] = flip[state]
+            for node in ctx.states.keys():
+                ctx.states[node] = flip[ctx.states[node]]
+            for node, state in zip(range(6), ctx.states.values()):
+                ctx.states[node] = flip[state]
+            assert ctx.states == {node: flip[state] for node, state in before.items()}
+
+        self.run_before(probe)
+
+    def test_frozen_states_are_read_only(self):
+        def agent(ctx, node):
+            assert ctx.frozen_states == ctx.states
+            with pytest.raises(TypeError):
+                ctx.frozen_states[node] = "A"
+
+        self.run_before(lambda ctx: None, agent)
+
+    @pytest.mark.parametrize(
+        "node,type_name,message",
+        [
+            (0, "Zombie", "unknown node type 'Zombie' (declared: A, B)"),
+            (6, "A", "node 6 out of range"),
+            (-1, "A", "node -1 out of range"),
+        ],
+    )
+    def test_bad_writes_raise_at_write_time(self, node, type_name, message):
+        def probe(ctx):
+            ctx.states[node] = type_name
+
+        with pytest.raises(HookError) as exc:
+            self.run_before(probe)
+        assert str(exc.value) == message
+
+
+_NODES = st.integers(-2, 7)
+_TYPES = st.sampled_from(["A", "B", "C", "Zombie"])
+_OPS = st.one_of(
+    st.tuples(st.just("set"), _NODES, _TYPES),
+    st.tuples(st.just("del"), _NODES),
+    st.tuples(st.just("update"), st.dictionaries(st.integers(0, 5), st.sampled_from(["A", "B", "C"]), max_size=4)),
+    st.tuples(st.just("clear")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(initial=st.dictionaries(st.integers(0, 5), st.sampled_from(["A", "B", "C"])), ops=st.lists(_OPS, max_size=12))
+def test_node_states_behave_as_a_dict(initial, ops):
+    states, reference = NodeStates.from_mapping(initial, 6, ("A", "B", "C")), dict(initial)
+    for op, *args in ops:
+        if op == "set":
+            node, type_name = args
+            if type_name == "Zombie" or not 0 <= node < 6:
+                with pytest.raises(HookError):
+                    states[node] = type_name
+            else:
+                states[node] = reference[node] = type_name
+        elif op == "del":
+            if args[0] in reference:
+                del states[args[0]], reference[args[0]]
+            else:
+                with pytest.raises(KeyError):
+                    del states[args[0]]
+        elif op == "update":
+            states.update(args[0])
+            reference.update(args[0])
+        else:
+            states.clear()
+            reference.clear()
+        assert states == reference and len(states) == len(reference)
+        assert list(states.items()) == sorted(reference.items())
+        assert [states.get(v) for v in range(-2, 8)] == [reference.get(v) for v in range(-2, 8)]
+
+
+def test_node_states_widen_past_127_types():
+    types = [f"T{i}" for i in range(200)]
+    states = NodeStates(types, 3)
+    assert states.codes.dtype == np.int32
+    states[2] = "T199"
+    assert states == {2: "T199"} and states.counts()["T199"] == 1
+    assert NodeStates(types[:127], 3).codes.dtype == np.int8
 
 
 def serialize_config_definitions(cfg) -> str:
