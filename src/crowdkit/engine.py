@@ -19,8 +19,10 @@ Each iteration runs in a fixed order:
 ``after_simulation`` hooks run once at the end; their returns become the run
 summary. Hooks marked ``record_initial`` also record an iteration-0 baseline
 entry before the first iteration (after the setup callable has run). A hook
-that raises aborts the run with the hook name and iteration attached; on any
-error a persisted run still flushes its collectors and writes run-meta.json.
+that raises aborts the run with the hook name and iteration attached (a
+``HookError`` raised inside a hook, by the hook API or the hook itself, keeps
+its identity and gets whichever of the two it lacks); on any error a
+persisted run still flushes its collectors and writes run-meta.json.
 
 Node state: ``ctx.states`` is a ``NodeStates`` mapping over one code array
 (see ``graph.py``). It iterates in ascending node id, and a write of an
@@ -273,8 +275,8 @@ class SimResult:
 def _call_hook(hook: Hook, ctx: SimContext):
     try:
         return hook.fn(ctx)
-    except HookError:
-        raise
+    except HookError as exc:
+        raise exc.locate(hook.name, ctx.iteration)
     except Exception as exc:
         raise HookError(str(exc) or repr(exc), hook=hook.name, iteration=ctx.iteration) from exc
 
@@ -382,8 +384,8 @@ def simulate(
                     for node in order:
                         for hook in agent_hooks:
                             hook.fn(ctx, node)
-                except HookError:
-                    raise
+                except HookError as exc:
+                    raise exc.locate(hook.name, it)
                 except Exception as exc:
                     raise HookError(str(exc) or repr(exc), hook=hook.name, iteration=it) from exc
             if rules:

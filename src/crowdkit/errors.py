@@ -43,14 +43,23 @@ class HookError(CrowdkitError):
     """A lifecycle hook raised or returned an uncollectible value."""
 
     def __init__(self, message: str, hook: str = "", iteration: int | None = None):
+        self.detail = message
         self.hook = hook
         self.iteration = iteration
-        where = hook
-        if iteration is not None:
-            where = f"{hook} (iteration {iteration})" if hook else f"iteration {iteration}"
-        if where:
-            message = f"hook {where}: {message}"
-        super().__init__(message)
+        super().__init__(self._text())
+
+    def locate(self, hook: str, iteration: int) -> "HookError":
+        """Fill in the hook and iteration where they are unset; the message follows. Returns self."""
+        self.hook = self.hook or hook
+        self.iteration = iteration if self.iteration is None else self.iteration
+        self.args = (self._text(),)
+        return self
+
+    def _text(self) -> str:
+        where = self.hook
+        if self.iteration is not None:
+            where = f"{self.hook} (iteration {self.iteration})" if self.hook else f"iteration {self.iteration}"
+        return f"hook {where}: {self.detail}" if where else self.detail
 
 
 class CollectError(CrowdkitError):

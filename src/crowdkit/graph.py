@@ -302,10 +302,15 @@ class NodeStates(MutableMapping):
             raise KeyError(node)
         return self.types[code]
 
-    def __setitem__(self, node, type_name: str) -> None:
+    def code(self, type_name: str) -> int:
+        """The code of a declared type name; ``HookError`` for an undeclared one."""
         code = self.code_of.get(type_name)
         if code is None:
             raise HookError(f"unknown node type {type_name!r} (declared: {', '.join(self.types)})")
+        return code
+
+    def __setitem__(self, node, type_name: str) -> None:
+        code = self.code(type_name)
         try:
             if node < 0:
                 raise IndexError(node)

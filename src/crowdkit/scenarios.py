@@ -4,6 +4,14 @@ Each scenario is a hook set plus a shipped fixture config. The factory
 functions return ``(HookRegistry, setup)`` pairs ready to pass to the engine;
 ``SCENARIOS`` maps CLI names to them.
 
+No built-in scenario registers an agent hook. Each case study's step is one
+array computation over the whole population inside its before-iteration
+hook, which draws the visit permutation ``ctx.rng.permutation(n)`` itself at
+the point where the engine's agent phase would, and then makes its per-node
+draws with one ``rng.random(k)`` (the same doubles as k scalar calls, in
+visit order). So runs consume the random stream exactly as per-node agent
+hooks would.
+
 Scenario notes:
 
 * **sir** — pure config-driven diffusion (neighbor-triggered infection and a
@@ -35,14 +43,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
-from itertools import repeat
+from itertools import filterfalse, repeat
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .engine import PHASE_AFTER, PHASE_AGENT, PHASE_BEFORE, PHASE_FINAL, HookRegistry, SimContext
+from .engine import PHASE_AFTER, PHASE_BEFORE, PHASE_FINAL, HookRegistry, SimContext
 from .errors import HookError
 
 # ---------------------------------------------------------------------------
@@ -79,88 +88,62 @@ IC_INACTIVE = "Inactive"
 INFLUENCE_PROB_KEY = "influence_prob"
 
 
+def _in_pairs(graph) -> Iterator[tuple[int, int]]:
+    """The edge pair ``(u, v)`` of every in-CSR entry, in CSR order."""
+    # Row v lists every u with an edge pair (u, v): in-neighbors, or neighbors when undirected.
+    indptr, indices = graph.in_csr()
+    ids = list(range(graph.num_nodes))  # one int object per node, shared by every key
+    return zip(map(ids.__getitem__, indices.tolist()), map(ids.__getitem__, np.repeat(ids, np.diff(indptr)).tolist()))
+
+
 def ic_initialize(ctx: SimContext) -> None:
     """Annotate every directed edge pair with influence_prob = 1/degree(target)."""
-    n = ctx.graph.num_nodes
-    # Row v lists every u with an edge pair (u, v): in-neighbors, or neighbors when undirected.
-    indptr, indices = ctx.graph.in_csr()
-    in_deg = np.diff(indptr)
-    ids = list(range(n))  # one int object per node, shared by every key
-    pairs = zip(map(ids.__getitem__, indices.tolist()), map(ids.__getitem__, np.repeat(ids, in_deg).tolist()))
+    in_deg = np.diff(ctx.graph.in_csr()[0])
     probs = np.repeat(1.0 / np.maximum(in_deg, 1), in_deg).tolist()
-    ctx.attrs.set_edge_column(INFLUENCE_PROB_KEY, dict(zip(pairs, probs)))
+    ctx.attrs.set_edge_column(INFLUENCE_PROB_KEY, dict(zip(_in_pairs(ctx.graph), probs)))
 
 
-def _ic_refresh_caches(ctx: SimContext) -> None:
-    """(Re)build per-node incoming-influence lists; keyed to graph version."""
-    sc = ctx.scratch
+def _ic_csr_probs(ctx: SimContext) -> np.ndarray:
+    """``influence_prob`` of every in-CSR entry (0 where unset), rebuilt once per graph version."""
     graph = ctx.graph
-    if sc.get("ic_graph_version") == graph.version:
-        return
-    probs = ctx.attrs.edge.get(INFLUENCE_PROB_KEY, {})
-    indptr, indices = graph.in_csr()
-    ids = list(range(graph.num_nodes))
-    flat = list(map(ids.__getitem__, indices.tolist()))
-    bounds = indptr.tolist()
-    sc["ic_in_nbrs"] = in_nbrs = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-    sc["ic_in_probs"] = [[probs.get((s, v), 0.0) for s in sources] for v, sources in enumerate(in_nbrs)]
-    sc["ic_graph_version"] = graph.version
+    version, probs = ctx.scratch.get("ic_csr_probs", (None, None))
+    if version != graph.version:
+        column = ctx.attrs.edge.get(INFLUENCE_PROB_KEY, {})
+        probs = np.fromiter(map(column.get, _in_pairs(graph), repeat(0.0)), dtype=np.float64)
+        ctx.scratch["ic_csr_probs"] = (graph.version, probs)
+    return probs
 
 
-def ic_prepare(ctx: SimContext) -> None:
-    """Cache the current spreader set (start-of-iteration view) for agent steps."""
-    _ic_refresh_caches(ctx)
-    ctx.scratch["ic_spreaders"] = set(ctx.states.mask(IC_SPREADER).nonzero()[0].tolist())
+def ic_step(ctx: SimContext, per_edge: bool = False) -> None:
+    """One cascade step for every node, against the states the iteration started with.
 
-
-def ic_agent_step(ctx: SimContext, node: int) -> None:
-    """One cascade step for one node, against the frozen iteration-start view.
-
-    A node that started the iteration as a spreader retires to Active (its
-    one spreading iteration is this frozen view). A node that started
-    inactive and has spreader neighbors draws one uniform number and
-    activates (as next iteration's spreader) iff some spreader-edge
-    influence probability is >= the draw.
+    Nodes are visited in a fresh permutation drawn first. Every spreader
+    retires to Active (its one spreading iteration is this one). Every
+    inactive node with spreader in-neighbors draws one uniform number, in
+    visit order, and activates (as next iteration's spreader) iff the largest
+    spreader-edge influence probability is >= the draw; with ``per_edge`` it
+    draws once per spreader in-edge (ascending source id) and activates iff
+    some edge's probability is >= its draw.
     """
-    status = ctx.frozen_states[node]
-    if status == IC_SPREADER:
-        ctx.states[node] = IC_ACTIVE
-        return
-    if status != IC_INACTIVE:
-        return
-    sc = ctx.scratch
-    spreaders = sc["ic_spreaders"]
-    sources = sc["ic_in_nbrs"][node]
-    probs = sc["ic_in_probs"][node]
-    best = -1.0
-    for i, s in enumerate(sources):
-        if s in spreaders:
-            p = probs[i]
-            if p > best:
-                best = p
-    if best >= 0.0 and best >= ctx.rng.random():
-        ctx.states[node] = IC_SPREADER
-
-
-def ic_agent_step_per_edge(ctx: SimContext, node: int) -> None:
-    """Classic variant: one draw per spreader edge (ascending source id)."""
-    status = ctx.frozen_states[node]
-    if status == IC_SPREADER:
-        ctx.states[node] = IC_ACTIVE
-        return
-    if status != IC_INACTIVE:
-        return
-    sc = ctx.scratch
-    spreaders = sc["ic_spreaders"]
-    sources = sc["ic_in_nbrs"][node]
-    probs = sc["ic_in_probs"][node]
-    activated = False
-    rng = ctx.rng
-    for i, s in enumerate(sources):
-        if s in spreaders and probs[i] >= rng.random():
-            activated = True
-    if activated:
-        ctx.states[node] = IC_SPREADER
+    states = ctx.states
+    order = ctx.rng.permutation(ctx.graph.num_nodes)
+    spreading = states.mask(IC_SPREADER)
+    indptr, indices = ctx.graph.in_csr()
+    hot = np.flatnonzero(spreading[indices])  # in-CSR entries whose source spreads
+    rows = np.searchsorted(indptr, hot, side="right") - 1
+    into_inactive = states.mask(IC_INACTIVE)[rows]
+    rows, probs = rows[into_inactive], _ic_csr_probs(ctx)[hot[into_inactive]]
+    if not per_edge:  # one draw per node, against its largest probability (NaN-skipping, as `>` is)
+        best = np.full(ctx.graph.num_nodes, -1.0)
+        np.fmax.at(best, rows, probs)
+        rows = np.flatnonzero(best >= 0.0)
+        probs = best[rows]
+    visit = np.argsort(order.argsort()[rows], kind="stable")
+    activated = rows[visit][probs[visit] >= ctx.rng.random(rows.size)]
+    if spreading.any():
+        states.codes[spreading] = states.code(IC_ACTIVE)
+    if activated.size:
+        states.codes[activated] = states.code(IC_SPREADER)
 
 
 def ic_total_active(ctx: SimContext) -> int:
@@ -169,8 +152,7 @@ def ic_total_active(ctx: SimContext) -> int:
 
 def ic_registry(per_edge: bool = False) -> tuple[HookRegistry, Callable]:
     registry = HookRegistry()
-    registry.add(PHASE_BEFORE, "ic_prepare", ic_prepare)
-    registry.add(PHASE_AGENT, "ic_step", ic_agent_step_per_edge if per_edge else ic_agent_step)
+    registry.add(PHASE_BEFORE, "ic_prepare", partial(ic_step, per_edge=per_edge))
     registry.add(PHASE_AFTER, "total_active", ic_total_active, record_initial=True)
     return registry, ic_initialize
 
@@ -192,7 +174,6 @@ def trust_setup(ctx: SimContext) -> None:
     n = graph.num_nodes
     sc = ctx.scratch
     sc["trust_csr"] = graph.to_sparse()
-    sc["trust_adj"] = graph.adjacency_lists()
     params = ctx.net_params
     r_ut = float(params.get("r_UT", 0.5))
     r_t = float(params.get("R_T", 6.0))
@@ -242,31 +223,32 @@ def compute_trust_payoffs(ctx: SimContext) -> np.ndarray:
 
 
 def trust_draws(ctx: SimContext) -> None:
-    """Pre-draw this iteration's neighbor picks and switch uniforms (by node id)."""
-    n = ctx.graph.num_nodes
-    ctx.scratch["trust_pick_u"] = ctx.rng.random(n).tolist()
-    ctx.scratch["trust_switch_u"] = ctx.rng.random(n).tolist()
+    """Proportional imitation for every node: copy a better-paid random neighbor's strategy.
 
-
-def trust_imitate(ctx: SimContext, node: int) -> None:
-    """Proportional imitation: copy a better-paid random neighbor's strategy.
-
-    Uses payoffs computed at the end of the previous iteration; adopts the
-    neighbor's live (possibly already-updated) strategy. Switch probability
-    is the positive payoff gap times the inverse payoff range, clamped to 1.
+    Draws each node's neighbor pick and switch uniform (by node id), then a
+    visit order. Whom a node picks and whether it switches depend only on the
+    payoffs computed at the end of the previous iteration; a switcher adopts
+    the neighbor's live (possibly already-updated) strategy, so switchers
+    apply in visit order. Switch probability is the positive payoff gap times
+    the inverse payoff range, clamped to 1.
     """
     sc = ctx.scratch
-    neighbors = sc["trust_adj"][node]
-    if not neighbors:
-        return
-    payoff = sc["trust_payoff_list"]
-    picked = neighbors[int(sc["trust_pick_u"][node] * len(neighbors))]
-    gap = payoff[picked] - payoff[node]
-    if gap <= 0.0:
-        return
-    probability = gap * sc["trust_inv_phi_range"]
-    if probability >= 1.0 or sc["trust_switch_u"][node] < probability:
-        ctx.states[node] = ctx.states[picked]
+    rng = ctx.rng
+    n = ctx.graph.num_nodes
+    pick_u, switch_u, order = rng.random(n), rng.random(n), rng.permutation(n)
+    adjacency = sc["trust_csr"]
+    degree = np.diff(adjacency.indptr)
+    nodes = np.flatnonzero(degree)  # isolated nodes never imitate
+    picked = adjacency.indices[adjacency.indptr[nodes] + (pick_u[nodes] * degree[nodes]).astype(np.int64)]
+    payoff = sc["trust_payoff_arr"]
+    # A uniform in [0, 1) is below the gap-times-range product iff the clamped probability fires;
+    # a gap <= 0 never does.
+    switch = switch_u[nodes] < (payoff[picked] - payoff[nodes]) * sc["trust_inv_phi_range"]
+    switchers, picked = nodes[switch], picked[switch]
+    visit = np.argsort(order.argsort()[switchers])
+    states = ctx.states
+    for node, source in zip(switchers[visit].tolist(), picked[visit].tolist()):
+        states[node] = states[source]
 
 
 def trust_payoffs(ctx: SimContext) -> float:
@@ -277,7 +259,6 @@ def trust_payoffs(ctx: SimContext) -> float:
     if old is None:
         old = new
     sc["trust_payoff_arr"] = new
-    sc["trust_payoff_list"] = new.tolist()
     ctx.attrs.set_node_column("previous_payoff", dict(enumerate(old.tolist())))
     ctx.attrs.set_node_column("current_payoff", dict(enumerate(new.tolist())))
     total = float(new.sum())
@@ -299,7 +280,6 @@ def trust_summary(ctx: SimContext) -> dict:
 def trust_registry() -> tuple[HookRegistry, Callable]:
     registry = HookRegistry()
     registry.add(PHASE_BEFORE, "trust_draws", trust_draws)
-    registry.add(PHASE_AGENT, "trust_imitate", trust_imitate)
     registry.add(PHASE_AFTER, "global_payoff", trust_payoffs, record_initial=True)
     registry.add(PHASE_FINAL, "trust_outcome", trust_summary)
     return registry, trust_setup
@@ -314,27 +294,24 @@ LOCATION_HOME = "home"
 LOCATION_GRID = "grid"
 
 
-def stayhome_case_stats(ctx: SimContext) -> float:
-    """New-case fraction since the previous iteration (drop in susceptibles)."""
+def stayhome_step(ctx: SimContext) -> float:
+    """New-case fraction since the previous iteration (drop in susceptibles), then everyone's location.
+
+    In a fresh visit order, each node draws home or grid from a logistic
+    response to the fraction. With zero new cases the propensity falls back
+    to the configured baseline (the logistic would otherwise leave a nonzero
+    floor).
+    """
     n = ctx.graph.num_nodes
     current = ctx.count(SIR_SUSCEPTIBLE)
     previous = ctx.scratch.get("stayhome_prev_susceptible")
     fraction = 0.0 if previous is None or n == 0 else (previous - current) / n
     ctx.scratch["stayhome_prev_susceptible"] = current
-    ctx.scratch["stayhome_case_fraction"] = fraction
-    return fraction
-
-
-def stayhome_decider(ctx: SimContext, node: int) -> None:
-    """Choose home or grid from a logistic response to the new-case fraction.
-
-    With zero new cases the propensity falls back to the configured baseline
-    (the logistic would otherwise leave a nonzero floor).
-    """
-    column = ctx.attrs.node.get(LOCATION_KEY)
-    if column is None or node not in column:
-        raise HookError(f"node {node} has no {LOCATION_KEY!r} attribute", iteration=ctx.iteration)
-    fraction = ctx.scratch.get("stayhome_case_fraction", 0.0)
+    order = ctx.rng.permutation(n).tolist()
+    column = ctx.attrs.node.get(LOCATION_KEY, {})
+    missing = next(filterfalse(column.__contains__, order), None)
+    if missing is not None:
+        raise HookError(f"node {missing} has no {LOCATION_KEY!r} attribute", iteration=ctx.iteration)
     params = ctx.net_params
     if fraction <= 0.0:
         p_home = float(params.get("stay-home-baseline", 0.0))
@@ -342,7 +319,9 @@ def stayhome_decider(ctx: SimContext, node: int) -> None:
         slope = float(params.get("stay-home-slope", 10.0))
         midpoint = float(params.get("stay-home-midpoint", 0.05))
         p_home = 1.0 / (1.0 + math.exp(-slope * (fraction - midpoint)))
-    column[node] = LOCATION_HOME if ctx.rng.random() < p_home else LOCATION_GRID
+    home = (ctx.rng.random(n) < p_home).tolist()
+    column.update(zip(order, map((LOCATION_GRID, LOCATION_HOME).__getitem__, home)))
+    return fraction
 
 
 def stayhome_home_count(ctx: SimContext) -> int:
@@ -352,8 +331,7 @@ def stayhome_home_count(ctx: SimContext) -> int:
 
 def stayhome_registry() -> tuple[HookRegistry, None]:
     registry = HookRegistry()
-    registry.add(PHASE_BEFORE, "new_case_fraction", stayhome_case_stats)
-    registry.add(PHASE_AGENT, "stayhome_decider", stayhome_decider)
+    registry.add(PHASE_BEFORE, "new_case_fraction", stayhome_step)
     registry.add(PHASE_AFTER, "home_count", stayhome_home_count)
     return registry, None
 

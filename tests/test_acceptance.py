@@ -39,15 +39,15 @@ from crowdkit import (
 )
 from crowdkit.collect import SeriesRecorder
 from crowdkit.config import sweep_labels
+from crowdkit.engine import PHASE_BEFORE
 from crowdkit.metrics import pagerank, top_k_by_metric
 from crowdkit.scenarios import (
     IC_INACTIVE,
     IC_SPREADER,
     INFLUENCE_PROB_KEY,
     SCENARIOS,
-    ic_agent_step,
     ic_initialize,
-    ic_prepare,
+    ic_registry,
     trust_registry,
 )
 
@@ -203,7 +203,8 @@ def test_criterion_03_cascade_matches_exhaustive_oracle():
     graph = _c3_graph()
     oracle = _exhaustive_expected_spread(graph)
 
-    # Monte Carlo through the real hook implementation.
+    # Monte Carlo through the registered cascade step.
+    (step,) = (hook.fn for hook in ic_registry()[0].hooks(PHASE_BEFORE))
     ctx = SimContext(graph, {}, AttributeTable(), {}, np.random.default_rng(2024),
                      (IC_SPREADER, "Active", IC_INACTIVE))
     ctx.states.update({v: IC_INACTIVE for v in range(8)})
@@ -214,20 +215,15 @@ def test_criterion_03_cascade_matches_exhaustive_oracle():
     )
     runs = 100_000
     spreads = np.empty(runs)
+    start_states = {v: IC_SPREADER if v in C3_SEEDS else IC_INACTIVE for v in range(8)}
     for run in range(runs):
-        ctx.states.clear()
-        ctx.states.update({v: IC_INACTIVE for v in range(8)})
-        for s in C3_SEEDS:
-            ctx.states[s] = IC_SPREADER
+        ctx.states.update(start_states)
         it = 0
-        while any(s == IC_SPREADER for s in ctx.states.values()):
+        while ctx.count(IC_SPREADER):
             it += 1
             ctx.iteration = it
-            ic_prepare(ctx)
-            ctx.frozen_states = dict(ctx.states)
-            for v in range(8):
-                ic_agent_step(ctx, v)
-        spreads[run] = sum(1 for s in ctx.states.values() if s != IC_INACTIVE)
+            step(ctx)
+        spreads[run] = 8 - ctx.count(IC_INACTIVE)
 
     mc_mean = float(spreads.mean())
     stderr = float(spreads.std(ddof=1)) / math.sqrt(runs)

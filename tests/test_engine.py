@@ -600,8 +600,9 @@ definitions:
     def test_bad_endpoint_raises_hook_error(self):
         reg = HookRegistry()
         reg.add(PHASE_BEFORE, "bad", lambda ctx: ctx.mutate_edges(add=[(0, 99)]))
-        with pytest.raises(HookError):
+        with pytest.raises(HookError) as exc:
             simulate(tiny_config(), epochs=1, registry=reg)
+        assert str(exc.value) == "hook bad (iteration 1): cannot add edge (0, 99): endpoint out of range"
 
     def test_self_loop_raises_hook_error(self):
         reg = HookRegistry()
@@ -666,7 +667,9 @@ class TestHookFailure:
         with pytest.raises(HookError) as exc:
             simulate(tiny_config(), epochs=2, registry=reg)
         assert exc.value is raised[0]
-        assert exc.value.hook == ""
+        assert exc.value.hook == "zombify"
+        assert exc.value.iteration == 1
+        assert str(exc.value) == "hook zombify (iteration 1): unknown node type 'Zombie' (declared: A, B)"
         assert exc.value.__cause__ is None
 
     def test_partial_output_persisted_on_failure(self, tmp_path):
@@ -937,7 +940,7 @@ class TestStatesApi:
 
         with pytest.raises(HookError) as exc:
             self.run_before(probe)
-        assert str(exc.value) == message
+        assert str(exc.value) == f"hook probe (iteration 1): {message}"
 
 
 _NODES = st.integers(-2, 7)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdkit import (
     AttributeTable,
@@ -19,25 +21,28 @@ from crowdkit import (
     parse_config,
     simulate,
 )
+from crowdkit.engine import PHASE_AGENT, PHASE_BEFORE, shuffle_agents
 from crowdkit.scenarios import (
     IC_ACTIVE,
     IC_INACTIVE,
     IC_SPREADER,
     INFLUENCE_PROB_KEY,
+    LOCATION_GRID,
+    LOCATION_HOME,
+    LOCATION_KEY,
+    SIR_SUSCEPTIBLE,
     TRUST_INVESTOR,
     TRUST_TRUSTWORTHY,
     TRUST_UNTRUSTWORTHY,
     compute_trust_payoffs,
-    ic_agent_step,
-    ic_agent_step_per_edge,
     ic_initialize,
-    ic_prepare,
     ic_registry,
     sir_percentage_infected,
     sir_registry,
-    stayhome_decider,
     stayhome_registry,
-    trust_imitate,
+    stayhome_step,
+    trust_draws,
+    trust_payoffs,
     trust_registry,
     trust_setup,
 )
@@ -52,6 +57,150 @@ def make_ctx(graph, states, node_types, net_params=None, seed=0, attrs=None):
         np.random.default_rng(seed),
         tuple(node_types),
     )
+
+
+# ---------------------------------------------------------------------------
+# Scalar references: the per-node agent hooks that the scenarios' array steps
+# replace. ``drive`` runs hooks in the engine's phase order, so a reference
+# pair (before hook + agent hook) and an array step must leave the same
+# states, attributes and random stream.
+# ---------------------------------------------------------------------------
+
+
+def drive(ctx, iterations, before, agent=None, after=(), between=None):
+    """Iterations 1..``iterations`` in engine order; returns each iteration's hook returns."""
+    returns = []
+    for it in range(1, iterations + 1):
+        ctx.iteration = it
+        if between is not None:
+            between(ctx, it)
+        values = [hook(ctx) for hook in before]
+        if agent is not None:
+            ctx.frozen_states = ctx.states.frozen()
+            for node in shuffle_agents(ctx):
+                agent(ctx, node)
+        returns.append(values + [hook(ctx) for hook in after])
+    return returns
+
+
+def before_hooks(registry):
+    assert not registry.hooks(PHASE_AGENT)
+    return [hook.fn for hook in registry.hooks(PHASE_BEFORE)]
+
+
+def ref_ic_prepare(ctx):
+    """Per-node incoming-influence lists (rebuilt per graph version) and the spreader set."""
+    sc = ctx.scratch
+    graph = ctx.graph
+    if sc.get("ic_graph_version") != graph.version:
+        probs = ctx.attrs.edge.get(INFLUENCE_PROB_KEY, {})
+        sc["ic_in_nbrs"] = in_nbrs = [sorted(graph.in_neighbors(v)) for v in graph.nodes()]
+        sc["ic_in_probs"] = [[probs.get((s, v), 0.0) for s in sources] for v, sources in enumerate(in_nbrs)]
+        sc["ic_graph_version"] = graph.version
+    sc["ic_spreaders"] = {v for v, state in ctx.states.items() if state == IC_SPREADER}
+
+
+def ref_ic_agent_step(ctx, node):
+    """One draw per inactive node with spreader in-neighbors, against the largest probability."""
+    status = ctx.frozen_states[node]
+    if status == IC_SPREADER:
+        ctx.states[node] = IC_ACTIVE
+        return
+    if status != IC_INACTIVE:
+        return
+    sc = ctx.scratch
+    spreaders = sc["ic_spreaders"]
+    sources = sc["ic_in_nbrs"][node]
+    probs = sc["ic_in_probs"][node]
+    best = -1.0
+    for i, s in enumerate(sources):
+        if s in spreaders:
+            p = probs[i]
+            if p > best:
+                best = p
+    if best >= 0.0 and best >= ctx.rng.random():
+        ctx.states[node] = IC_SPREADER
+
+
+def ref_ic_agent_step_per_edge(ctx, node):
+    """Classic variant: one draw per spreader edge (ascending source id)."""
+    status = ctx.frozen_states[node]
+    if status == IC_SPREADER:
+        ctx.states[node] = IC_ACTIVE
+        return
+    if status != IC_INACTIVE:
+        return
+    sc = ctx.scratch
+    spreaders = sc["ic_spreaders"]
+    sources = sc["ic_in_nbrs"][node]
+    probs = sc["ic_in_probs"][node]
+    activated = False
+    rng = ctx.rng
+    for i, s in enumerate(sources):
+        if s in spreaders and probs[i] >= rng.random():
+            activated = True
+    if activated:
+        ctx.states[node] = IC_SPREADER
+
+
+def ref_trust_draws(ctx):
+    """Pre-draw this iteration's neighbor picks and switch uniforms (by node id)."""
+    sc = ctx.scratch
+    n = ctx.graph.num_nodes
+    if "trust_adj" not in sc:
+        sc["trust_adj"] = ctx.graph.adjacency_lists()
+    sc["trust_payoff_list"] = sc["trust_payoff_arr"].tolist()
+    sc["trust_pick_u"] = ctx.rng.random(n).tolist()
+    sc["trust_switch_u"] = ctx.rng.random(n).tolist()
+
+
+def ref_trust_imitate(ctx, node):
+    """Copy a better-paid random neighbor's live strategy with the clamped gap-over-range probability."""
+    sc = ctx.scratch
+    neighbors = sc["trust_adj"][node]
+    if not neighbors:
+        return
+    payoff = sc["trust_payoff_list"]
+    picked = neighbors[int(sc["trust_pick_u"][node] * len(neighbors))]
+    gap = payoff[picked] - payoff[node]
+    if gap <= 0.0:
+        return
+    probability = gap * sc["trust_inv_phi_range"]
+    if probability >= 1.0 or sc["trust_switch_u"][node] < probability:
+        ctx.states[node] = ctx.states[picked]
+
+
+def ref_stayhome_case_stats(ctx):
+    """New-case fraction since the previous iteration (drop in susceptibles)."""
+    n = ctx.graph.num_nodes
+    current = ctx.count(SIR_SUSCEPTIBLE)
+    previous = ctx.scratch.get("stayhome_prev_susceptible")
+    fraction = 0.0 if previous is None or n == 0 else (previous - current) / n
+    ctx.scratch["stayhome_prev_susceptible"] = current
+    ctx.scratch["stayhome_case_fraction"] = fraction
+    return fraction
+
+
+def ref_stayhome_decider(ctx, node):
+    """Home or grid from a logistic response to the new-case fraction (baseline at zero cases)."""
+    column = ctx.attrs.node.get(LOCATION_KEY)
+    if column is None or node not in column:
+        raise HookError(f"node {node} has no {LOCATION_KEY!r} attribute", iteration=ctx.iteration)
+    fraction = ctx.scratch.get("stayhome_case_fraction", 0.0)
+    params = ctx.net_params
+    if fraction <= 0.0:
+        p_home = float(params.get("stay-home-baseline", 0.0))
+    else:
+        slope = float(params.get("stay-home-slope", 10.0))
+        midpoint = float(params.get("stay-home-midpoint", 0.05))
+        p_home = 1.0 / (1.0 + math.exp(-slope * (fraction - midpoint)))
+    column[node] = LOCATION_HOME if ctx.rng.random() < p_home else LOCATION_GRID
+
+
+def assert_same_run(array_ctx, ref_ctx):
+    assert dict(array_ctx.states) == dict(ref_ctx.states)
+    assert array_ctx.attrs == ref_ctx.attrs
+    assert array_ctx.rng.bit_generator.state == ref_ctx.rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +235,8 @@ class TestSir:
 # ---------------------------------------------------------------------------
 
 
-def run_cascade(graph, seeds, iterations, per_edge=False, force_prob=None, seed=0,
-                order=None):
-    """Drive the cascade hooks with engine-equivalent phase order."""
+def run_cascade(graph, seeds, iterations, per_edge=False, force_prob=None, seed=0):
+    """Drive the registered cascade step in the engine's phase order."""
     states = {v: IC_INACTIVE for v in range(graph.num_nodes)}
     for s in seeds:
         states[s] = IC_SPREADER
@@ -99,16 +247,8 @@ def run_cascade(graph, seeds, iterations, per_edge=False, force_prob=None, seed=
         ctx.attrs.set_edge_column(
             INFLUENCE_PROB_KEY, {pair: force_prob for pair in column}
         )
-    step = ic_agent_step_per_edge if per_edge else ic_agent_step
     history = [dict(ctx.states)]
-    for it in range(1, iterations + 1):
-        ctx.iteration = it
-        ic_prepare(ctx)
-        ctx.frozen_states = dict(ctx.states)
-        visit = order if order is not None else ctx.rng.permutation(graph.num_nodes).tolist()
-        for node in visit:
-            step(ctx, node)
-        history.append(dict(ctx.states))
+    drive(ctx, iterations, before_hooks(ic_registry(per_edge)[0]), after=[lambda c: history.append(dict(c.states))])
     return ctx, history
 
 
@@ -191,10 +331,10 @@ class TestCascadeDynamics:
         ctx = make_ctx(g, states, (IC_SPREADER, IC_ACTIVE, IC_INACTIVE), seed=123)
         ic_initialize(ctx)
         ctx.iteration = 1
-        ic_prepare(ctx)
+        ref_ic_prepare(ctx)
         ctx.frozen_states = dict(ctx.states)
         for node in [0, 1, 2, 3]:
-            ic_agent_step(ctx, node)
+            ref_ic_agent_step(ctx, node)
         twin = np.random.default_rng(123)
         twin.random()  # the center's single draw
         assert ctx.rng.random() == twin.random()
@@ -206,10 +346,10 @@ class TestCascadeDynamics:
             ctx = make_ctx(g, states, (IC_SPREADER, IC_ACTIVE, IC_INACTIVE), seed=seed)
             ic_initialize(ctx)
             ctx.iteration = 1
-            ic_prepare(ctx)
+            ref_ic_prepare(ctx)
             ctx.frozen_states = dict(ctx.states)
             for node in [0, 1, 2, 3]:
-                ic_agent_step_per_edge(ctx, node)
+                ref_ic_agent_step_per_edge(ctx, node)
             twin = np.random.default_rng(seed)
             draws = twin.random(2)  # one per spreader edge, ascending source
             assert ctx.rng.random() == twin.random()
@@ -337,6 +477,7 @@ class TestTrustImitation:
         g.add_edge(0, 1)
         ctx = trust_ctx(g, {0: TRUST_INVESTOR, 1: TRUST_TRUSTWORTHY},
                         {"R_T": 6.0, "r_UT": 0.5, "tv": 1.0})
+        ctx.scratch["trust_adj"] = g.adjacency_lists()
         ctx.scratch["trust_payoff_list"] = payoffs
         ctx.scratch["trust_pick_u"] = pick_u
         ctx.scratch["trust_switch_u"] = switch_u
@@ -348,23 +489,23 @@ class TestTrustImitation:
         just_below = 1.0 / 13.0 - 1e-9
         just_above = 1.0 / 13.0 + 1e-9
         ctx = self.two_node_ctx([0.0, 1.0], [0.0, 0.0], [just_below, 1.0])
-        trust_imitate(ctx, 0)
+        ref_trust_imitate(ctx, 0)
         assert ctx.states[0] == TRUST_TRUSTWORTHY
         ctx2 = self.two_node_ctx([0.0, 1.0], [0.0, 0.0], [just_above, 1.0])
-        trust_imitate(ctx2, 0)
+        ref_trust_imitate(ctx2, 0)
         assert ctx2.states[0] == TRUST_INVESTOR
 
     def test_no_switch_on_nonpositive_gap(self):
         ctx = self.two_node_ctx([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
-        trust_imitate(ctx, 0)
+        ref_trust_imitate(ctx, 0)
         assert ctx.states[0] == TRUST_INVESTOR
         ctx2 = self.two_node_ctx([2.0, 1.0], [0.0, 0.0], [0.0, 0.0])
-        trust_imitate(ctx2, 0)
+        ref_trust_imitate(ctx2, 0)
         assert ctx2.states[0] == TRUST_INVESTOR
 
     def test_huge_gap_clamps_to_certainty(self):
         ctx = self.two_node_ctx([0.0, 1000.0], [0.0, 0.0], [0.999999, 1.0])
-        trust_imitate(ctx, 0)
+        ref_trust_imitate(ctx, 0)
         assert ctx.states[0] == TRUST_TRUSTWORTHY
 
     def test_isolated_node_never_imitates(self):
@@ -376,7 +517,7 @@ class TestTrustImitation:
         ctx.scratch["trust_pick_u"] = [0.0, 0.0]
         ctx.scratch["trust_switch_u"] = [0.0, 0.0]
         ctx.scratch["trust_inv_phi_range"] = 1.0 / 13.0
-        trust_imitate(ctx, 0)
+        ref_trust_imitate(ctx, 0)
         assert ctx.states[0] == TRUST_INVESTOR
 
 
@@ -464,13 +605,12 @@ class TestStayHome:
         g = Graph(n)
         attrs = AttributeTable()
         attrs.set_node_column("location", {v: "grid" for v in range(n)})
-        ctx = make_ctx(g, {v: "Susceptible" for v in range(n)},
+        ctx = make_ctx(g, {v: "Infected" for v in range(n)},
                        ("Susceptible", "Infected", "Recovered"),
                        net_params={"stay-home-slope": 10.0, "stay-home-midpoint": 0.05},
                        attrs=attrs, seed=5)
-        ctx.scratch["stayhome_case_fraction"] = 1.0
-        for v in range(n):
-            stayhome_decider(ctx, v)
+        ctx.scratch["stayhome_prev_susceptible"] = n  # every node fell ill: new-case fraction 1
+        assert stayhome_step(ctx) == 1.0
         home = sum(1 for v in range(n) if ctx.attrs.get_node(v, "location") == "home")
         # logistic(10 * 0.95) is about 0.99993
         assert home >= 0.99 * n
@@ -530,6 +670,180 @@ definitions:
 
 
 # ---------------------------------------------------------------------------
+# Array steps against the scalar references
+# ---------------------------------------------------------------------------
+
+IC_TYPES = (IC_SPREADER, IC_ACTIVE, IC_INACTIVE, "Bystander")
+SIR_TYPES = ("Susceptible", "Infected", "Recovered")
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def graphs(draw, max_nodes=10):
+    """A random simple graph, directed or not; sparse edge lists leave nodes isolated."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    pairs = [(u, v) for u, v in pairs if u != v]
+    graph, _ = Graph.from_edges(n, [u for u, _ in pairs], [v for _, v in pairs], directed=draw(st.booleans()))
+    return graph
+
+
+def twin_runs(make, iterations, array_hooks, ref_hooks, between=None):
+    """Run the array step and its reference on twin contexts; returns both contexts and returns."""
+    array_ctx, ref_ctx = make(), make()
+    array_returns = drive(array_ctx, iterations, between=between, **array_hooks)
+    ref_returns = drive(ref_ctx, iterations, between=between, **ref_hooks)
+    return array_ctx, ref_ctx, array_returns, ref_returns
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=graphs(), per_edge=st.booleans(), seed=SEEDS, data=st.data())
+def test_ic_step_matches_scalar_reference(graph, per_edge, seed, data):
+    n = graph.num_nodes
+    states = data.draw(st.lists(st.sampled_from(IC_TYPES), min_size=n, max_size=n))
+    # One optional edit per edge pair; NaN and negative values pin down which edges count.
+    pairs = (1 if graph.directed else 2) * graph.num_edges
+    edit = st.none() | st.floats(-0.5, 1.0) | st.just(float("nan"))
+    edited = data.draw(st.lists(edit, min_size=pairs, max_size=pairs))
+    endpoints = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    added = data.draw(st.lists(endpoints, max_size=3))
+    removed = data.draw(st.lists(st.sampled_from(list(graph.edges())), max_size=3)) if graph.num_edges else []
+
+    def make():
+        ctx = make_ctx(graph.copy(), enumerate(states), IC_TYPES, seed=seed)
+        ic_initialize(ctx)
+        column = ctx.attrs.edge[INFLUENCE_PROB_KEY]
+        edits = {pair: p for pair, p in zip(sorted(column), edited) if p is not None}
+        ctx.attrs.set_edge_column(INFLUENCE_PROB_KEY, {**column, **edits})
+        return ctx
+
+    def rewire(ctx, it):  # a new graph version mid-run: the step's probability cache must follow
+        if it == 2:
+            ctx.mutate_edges(add=added, remove=removed)
+
+    ref_step = ref_ic_agent_step_per_edge if per_edge else ref_ic_agent_step
+    array_ctx, ref_ctx, array_returns, ref_returns = twin_runs(
+        make, 5, {"before": before_hooks(ic_registry(per_edge)[0])},
+        {"before": [ref_ic_prepare], "agent": ref_step}, between=rewire,
+    )
+    assert array_returns == ref_returns
+    assert_same_run(array_ctx, ref_ctx)
+
+
+@pytest.mark.parametrize("per_edge", [False, True])
+def test_ic_step_follows_an_edge_mutation(per_edge):
+    # 0 activates 1 at iteration 1; then an edge 1-2 with probability 1 appears, so 2 must
+    # activate at iteration 2 through the new in-CSR entry, not a stale cached one.
+    def make():
+        graph = Graph(3)
+        graph.add_edge(0, 1)
+        ctx = make_ctx(graph, {0: IC_SPREADER, 1: IC_INACTIVE, 2: IC_INACTIVE}, IC_TYPES)
+        ic_initialize(ctx)
+        return ctx
+
+    def rewire(ctx, it):
+        if it == 2:
+            ctx.mutate_edges(add=[(1, 2)])
+            ctx.attrs.set_edge(1, 2, INFLUENCE_PROB_KEY, 1.0)
+
+    ref_step = ref_ic_agent_step_per_edge if per_edge else ref_ic_agent_step
+    array_ctx, ref_ctx, _, _ = twin_runs(
+        make, 3, {"before": before_hooks(ic_registry(per_edge)[0])},
+        {"before": [ref_ic_prepare], "agent": ref_step}, between=rewire,
+    )
+    assert_same_run(array_ctx, ref_ctx)
+    assert dict(array_ctx.states) == {0: IC_ACTIVE, 1: IC_ACTIVE, 2: IC_ACTIVE}
+
+
+TRUST_PARAMS = st.fixed_dictionaries(
+    {"R_T": st.floats(0.5, 10.0), "r_UT": st.floats(0.0, 1.0), "tv": st.floats(0.1, 2.0)}
+)
+
+
+def trust_twin_runs(graph, states, params, seed, iterations, payoffs=None, inv_range=None):
+    def make():
+        ctx = trust_ctx(graph.copy(), enumerate(states), params, seed=seed)
+        trust_payoffs(ctx)  # the iteration-0 baseline
+        if payoffs is not None:
+            ctx.scratch["trust_payoff_arr"] = np.array(payoffs, dtype=np.float64)
+        if inv_range is not None:
+            ctx.scratch["trust_inv_phi_range"] = inv_range
+        return ctx
+
+    return twin_runs(
+        make, iterations, {"before": [trust_draws], "after": [trust_payoffs]},
+        {"before": [ref_trust_draws], "agent": ref_trust_imitate, "after": [trust_payoffs]},
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=graphs(), params=TRUST_PARAMS, seed=SEEDS, data=st.data())
+def test_trust_step_matches_scalar_reference(graph, params, seed, data):
+    n = graph.num_nodes
+    states = data.draw(st.lists(st.sampled_from(TRUST_TYPES), min_size=n, max_size=n))
+    # Optional first-iteration payoffs and a huge inverse range: most positive gaps switch, so
+    # switchers copy switchers and the visit order decides what they copy.
+    payoffs = data.draw(st.none() | st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    inv_range = data.draw(st.none() | st.just(1e6))
+    array_ctx, ref_ctx, array_returns, ref_returns = trust_twin_runs(
+        graph, states, params, seed, 4, payoffs, inv_range
+    )
+    assert array_returns == ref_returns
+    assert_same_run(array_ctx, ref_ctx)
+
+
+def test_trust_switch_chains_follow_visit_order():
+    # Path 0-1-2 with payoffs 0 < 1 < 2 and any positive gap switching: node 0 always copies
+    # node 1, and node 1 copies node 2 when it picks it. Node 0 then ends Untrustworthy iff
+    # node 1 was visited first, so both outcomes show over the seeds.
+    seen = set()
+    for seed in range(40):
+        array_ctx, ref_ctx, _, _ = trust_twin_runs(
+            path_graph(3), TRUST_TYPES, {"R_T": 6.0, "r_UT": 0.5, "tv": 1.0}, seed, 1,
+            payoffs=[0.0, 1.0, 2.0], inv_range=1e6,
+        )
+        assert_same_run(array_ctx, ref_ctx)
+        if array_ctx.states[1] == TRUST_UNTRUSTWORTHY:
+            seen.add(array_ctx.states[0])
+    assert seen == {TRUST_TRUSTWORTHY, TRUST_UNTRUSTWORTHY}
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 12), seed=SEEDS, data=st.data())
+def test_stayhome_step_matches_scalar_reference(n, seed, data):
+    states = data.draw(st.lists(st.sampled_from(SIR_TYPES), min_size=n, max_size=n))
+    locations = data.draw(st.lists(st.sampled_from([LOCATION_HOME, LOCATION_GRID]), min_size=n, max_size=n))
+    unplaced = data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=3)) if n else set()
+    falls_ill = data.draw(st.lists(st.lists(st.integers(0, max(n - 1, 0)), max_size=n), min_size=3, max_size=3))
+    params = data.draw(st.fixed_dictionaries({
+        "stay-home-slope": st.floats(0.0, 50.0),
+        "stay-home-midpoint": st.floats(0.0, 1.0),
+        "stay-home-baseline": st.floats(0.0, 1.0),
+    }))
+
+    def make():
+        attrs = AttributeTable()
+        attrs.set_node_column(LOCATION_KEY, {v: loc for v, loc in enumerate(locations) if v not in unplaced})
+        return make_ctx(Graph(n), enumerate(states), SIR_TYPES, net_params=params, seed=seed, attrs=attrs)
+
+    def infect(ctx, it):
+        ctx.states.update(dict.fromkeys(falls_ill[it - 1], "Infected") if n else {})
+
+    array_hooks = {"before": [stayhome_step]}
+    ref_hooks = {"before": [ref_stayhome_case_stats], "agent": ref_stayhome_decider}
+    if unplaced:  # both name the first unplaced node in visit order
+        with pytest.raises(HookError) as array_error:
+            drive(make(), 3, between=infect, **array_hooks)
+        with pytest.raises(HookError) as ref_error:
+            drive(make(), 3, between=infect, **ref_hooks)
+        assert str(array_error.value) == str(ref_error.value)
+        return
+    array_ctx, ref_ctx, array_returns, ref_returns = twin_runs(make, 3, array_hooks, ref_hooks, between=infect)
+    assert array_returns == ref_returns
+    assert_same_run(array_ctx, ref_ctx)
+
+
+# ---------------------------------------------------------------------------
 # Scenario registry
 # ---------------------------------------------------------------------------
 
@@ -545,3 +859,8 @@ class TestScenarioRegistry:
             reg1, _ = scenario.make_hooks()
             reg2, _ = scenario.make_hooks()
             assert reg1 is not reg2
+
+    def test_no_scenario_registers_an_agent_hook(self):
+        for scenario in SCENARIOS.values():
+            assert not scenario.make_hooks()[0].hooks(PHASE_AGENT)
+        assert not ic_registry(per_edge=True)[0].hooks(PHASE_AGENT)
