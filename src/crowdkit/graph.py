@@ -62,6 +62,14 @@ def _row(csr: tuple[np.ndarray, np.ndarray], v: int) -> np.ndarray:
     return csr[1][csr[0][v] : csr[0][v + 1]]
 
 
+def csr_matvec(csr: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for the matrix of ones at a CSR ``(indptr, indices)``'s entries, summing each row in CSR
+    order from 0.0 as scipy does: over ``out_csr()``, bit-identical to the product with ``to_sparse``."""
+    indptr, indices = csr
+    n = indptr.size - 1
+    return np.bincount(np.repeat(np.arange(n), np.diff(indptr)), weights=x[indices], minlength=n)
+
+
 def _node_ids(values) -> np.ndarray:
     ids = np.asarray(values)
     if ids.size and ids.dtype.kind not in "iu":
@@ -122,8 +130,8 @@ class Graph:
         if not 0 <= v < self.num_nodes:
             raise GraphError(f"node id {v} out of range [0, {self.num_nodes})")
 
-    def _out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The out-CSR, rebuilt from the sets once per version after a mutation."""
+    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Out-neighbor rows (neighbors when undirected), ascending, as read-only CSR; rebuilt once per ``version``."""
         if self._csr_version != self.version:
             rows = np.repeat(np.arange(self.num_nodes), [len(s) for s in self._adj])
             cols = np.fromiter(chain.from_iterable(map(sorted, self._adj)), dtype=np.int64, count=rows.size)
@@ -134,7 +142,7 @@ class Graph:
     def _sets(self) -> list[set[int]]:
         """The per-node sets, created from the arrays on the first mutation."""
         if self._adj is None:
-            self._adj = list(map(set, _row_lists(self._out_csr())))
+            self._adj = list(map(set, _row_lists(self.out_csr())))
             self._pred = list(map(set, _row_lists(self.in_csr()))) if self.directed else None
         return self._adj
 
@@ -201,21 +209,21 @@ class Graph:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(src, dst)`` arrays of the edges, in ``edges()`` order."""
-        indptr, indices = self._out_csr()
+        indptr, indices = self.out_csr()
         src = np.repeat(np.arange(self.num_nodes), np.diff(indptr))
         keep = self.directed | (src < indices)
         return src[keep], indices[keep]
 
     def adjacency_lists(self) -> list[list[int]]:
         """Sorted neighbor lists (out-neighbors when directed). Deterministic order."""
-        return _row_lists(self._out_csr())
+        return _row_lists(self.out_csr())
 
     def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """In-neighbor rows (neighbors when undirected), ascending, as read-only CSR ``(indptr, indices)``.
 
         A directed graph derives them from its out-neighbor rows once per ``version``.
         """
-        out = self._out_csr()
+        out = self.out_csr()
         if not self.directed:
             return out
         if self._in is None:
@@ -227,14 +235,14 @@ class Graph:
     def copy(self) -> "Graph":
         """An independent graph that shares this graph's read-only arrays."""
         g = Graph(self.num_nodes, self.directed)
-        g._out, g._in, g._num_edges = self._out_csr(), self._in, self._num_edges
+        g._out, g._in, g._num_edges = self.out_csr(), self._in, self._num_edges
         return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.directed, self.num_nodes) == (other.directed, other.num_nodes) and all(
-            map(np.array_equal, self._out_csr(), other._out_csr())
+            map(np.array_equal, self.out_csr(), other.out_csr())
         )
 
     def __repr__(self) -> str:
@@ -245,7 +253,7 @@ class Graph:
         """Adjacency as a scipy CSR matrix (row u -> out-neighbors)."""
         from scipy.sparse import csr_matrix
 
-        indptr, indices = self._out_csr()
+        indptr, indices = self.out_csr()
         return csr_matrix((np.ones(indices.size), indices, indptr), shape=(self.num_nodes, self.num_nodes))
 
 

@@ -31,9 +31,10 @@ Scenario notes:
   its multiplier on received shares (``(R_T/2) * shares``); an untrustworthy
   one keeps ``R_U * shares`` with ``R_U = 2 * r_UT * R_T``. Strategy switch
   probability is the payoff gap normalized by the payoff range
-  ``phi_max - phi_min`` (``phi_max = 2 * R_T * k_avg`` from the realized
-  graph, ``phi_min = -tv``), clamped to 1 for hub payoffs that exceed the
-  average-degree bound.
+  ``phi_max - phi_min`` (``phi_max = 2 * R_T * k_avg`` from the graph at
+  setup, ``phi_min = -tv``), clamped to 1 for hub payoffs that exceed the
+  average-degree bound. Payoffs and neighbor picks read the live out-CSR,
+  so ``ctx.mutate_edges`` takes effect from the next payoff or imitation.
 * **stayhome** — a location-decision demo: each agent chooses home or grid
   through a logistic response to yesterday's new-case fraction, and an
   ambient infection rule only reaches agents on the grid.
@@ -53,6 +54,7 @@ import numpy as np
 
 from .engine import PHASE_AFTER, PHASE_BEFORE, PHASE_FINAL, HookRegistry, SimContext
 from .errors import HookError
+from .graph import csr_matvec
 
 # ---------------------------------------------------------------------------
 # SIR.
@@ -169,11 +171,10 @@ _TRUST_CODES = {TRUST_INVESTOR: 0, TRUST_TRUSTWORTHY: 1, TRUST_UNTRUSTWORTHY: 2}
 
 
 def trust_setup(ctx: SimContext) -> None:
-    """Cache topology, read parameters, and fix the payoff normalization range."""
+    """Read parameters and fix the payoff normalization range."""
     graph = ctx.graph
     n = graph.num_nodes
     sc = ctx.scratch
-    sc["trust_csr"] = graph.to_sparse()
     params = ctx.net_params
     r_ut = float(params.get("r_UT", 0.5))
     r_t = float(params.get("R_T", 6.0))
@@ -192,9 +193,9 @@ def trust_setup(ctx: SimContext) -> None:
 
 
 def compute_trust_payoffs(ctx: SimContext) -> np.ndarray:
-    """Everyone's payoff from the current strategies (vectorized over CSR)."""
+    """Everyone's payoff from the current strategies, summed over the graph's live out-CSR."""
     sc = ctx.scratch
-    adjacency = sc["trust_csr"]
+    adjacency = ctx.graph.out_csr()
     r_t, r_u, tv = sc["trust_params"]
     states = ctx.states
     n = ctx.graph.num_nodes
@@ -203,9 +204,8 @@ def compute_trust_payoffs(ctx: SimContext) -> np.ndarray:
     investors = codes == 0
     trustworthy = codes == 1
     untrustworthy = codes == 2
-    k_t = adjacency @ trustworthy.astype(np.float64)
-    k_u = adjacency @ untrustworthy.astype(np.float64)
-    k_trustees = k_t + k_u
+    k_t = csr_matvec(adjacency, trustworthy.astype(np.float64))
+    k_trustees = csr_matvec(adjacency, (trustworthy | untrustworthy).astype(np.float64))  # exact counts
     has_trustees = k_trustees > 0.0
     payoff = np.zeros(n, dtype=np.float64)
 
@@ -216,7 +216,7 @@ def compute_trust_payoffs(ctx: SimContext) -> np.ndarray:
 
     shares_out = np.zeros(n, dtype=np.float64)
     shares_out[inv_active] = tv / k_trustees[inv_active]
-    shares_in = adjacency @ shares_out
+    shares_in = csr_matvec(adjacency, shares_out)
     payoff[trustworthy] = (r_t / 2.0) * shares_in[trustworthy]
     payoff[untrustworthy] = r_u * shares_in[untrustworthy]
     return payoff
@@ -236,10 +236,10 @@ def trust_draws(ctx: SimContext) -> None:
     rng = ctx.rng
     n = ctx.graph.num_nodes
     pick_u, switch_u, order = rng.random(n), rng.random(n), rng.permutation(n)
-    adjacency = sc["trust_csr"]
-    degree = np.diff(adjacency.indptr)
+    indptr, indices = ctx.graph.out_csr()
+    degree = np.diff(indptr)
     nodes = np.flatnonzero(degree)  # isolated nodes never imitate
-    picked = adjacency.indices[adjacency.indptr[nodes] + (pick_u[nodes] * degree[nodes]).astype(np.int64)]
+    picked = indices[indptr[nodes] + (pick_u[nodes] * degree[nodes]).astype(np.int64)]
     payoff = sc["trust_payoff_arr"]
     # A uniform in [0, 1) is below the gap-times-range product iff the clamped probability fires;
     # a gap <= 0 never does.

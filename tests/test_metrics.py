@@ -7,6 +7,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdkit import (
     METRICS,
@@ -16,6 +18,17 @@ from crowdkit import (
     generate_barabasi_albert,
     generate_erdos_renyi,
     top_k_by_metric,
+)
+from crowdkit.graph import csr_matvec
+from crowdkit.metrics import (
+    EIGEN_MAX_ITER,
+    EIGEN_TOL,
+    KATZ_ALPHA,
+    KATZ_BETA,
+    PAGERANK_DAMPING,
+    PAGERANK_MAX_ITER,
+    PAGERANK_TOL,
+    _DIVERGENCE_LIMIT,
 )
 
 
@@ -351,3 +364,130 @@ class TestTopK:
         deg_g = sorted(g.degree(v) for v in top_g)
         deg_h = sorted(h.degree(v) for v in top_h)
         assert deg_g == deg_h
+
+
+# ---------------------------------------------------------------------------
+# Scipy references: the matrix code the power iterations, degree centrality
+# and ranking used before they read the graph's own CSR. The metrics must
+# match them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def ref_in_operator(g: Graph):
+    a = g.to_sparse()
+    return a.T.tocsr() if g.directed else a
+
+
+def ref_pagerank(g: Graph) -> dict[int, float]:
+    n = g.num_nodes
+    a = g.to_sparse()
+    out_deg = np.asarray(a.sum(axis=1)).ravel()
+    dangling = out_deg == 0.0
+    inv_out = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, out_deg))
+    at = a.T.tocsr()
+    x = np.full(n, 1.0 / n)
+    base = (1.0 - PAGERANK_DAMPING) / n
+    for _ in range(PAGERANK_MAX_ITER):
+        nxt = base + PAGERANK_DAMPING * (at @ (x * inv_out))
+        nxt += PAGERANK_DAMPING * x[dangling].sum() / n
+        if np.abs(nxt - x).sum() < PAGERANK_TOL:
+            return {v: float(nxt[v]) for v in range(n)}
+        x = nxt
+    raise MetricError(f"pagerank did not converge within {PAGERANK_MAX_ITER} iterations")
+
+
+def ref_eigenvector(g: Graph) -> dict[int, float]:
+    n = g.num_nodes
+    at = ref_in_operator(g)
+    x = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(EIGEN_MAX_ITER):
+        nxt = at @ x + x
+        norm = np.linalg.norm(nxt)
+        if norm == 0.0:
+            return dict.fromkeys(range(n), 0.0)
+        nxt /= norm
+        if np.linalg.norm(nxt - x) < EIGEN_TOL:
+            return {v: float(nxt[v]) for v in range(n)}
+        x = nxt
+    raise MetricError(f"eigenvector centrality did not converge within {EIGEN_MAX_ITER} iterations")
+
+
+def ref_katz(g: Graph) -> dict[int, float]:
+    at = ref_in_operator(g)
+    x = np.full(g.num_nodes, KATZ_BETA)
+    for _ in range(EIGEN_MAX_ITER):
+        nxt = KATZ_ALPHA * (at @ x) + KATZ_BETA
+        if not np.all(np.isfinite(nxt)) or np.abs(nxt).max() > _DIVERGENCE_LIMIT:
+            raise MetricError("katz centrality diverges: alpha >= 1 / spectral radius")
+        if np.abs(nxt - x).max() < EIGEN_TOL:
+            return {v: float(nxt[v]) for v in range(g.num_nodes)}
+        x = nxt
+    raise MetricError(f"katz centrality did not converge within {EIGEN_MAX_ITER} iterations")
+
+
+def ref_degree(g: Graph) -> dict[int, float]:
+    n = g.num_nodes
+    if n == 1:
+        return {0: 0.0}
+    scale = 1.0 / (n - 1)
+    return {v: g.degree(v) * scale for v in range(n)}
+
+
+REFERENCES = {"pagerank": ref_pagerank, "eigenvector": ref_eigenvector, "katz": ref_katz, "degree": ref_degree}
+
+
+def ref_top_k(scores: dict[int, float], k: int) -> list[int]:
+    return sorted(range(len(scores)), key=lambda v: (-scores[v], v))[:k]
+
+
+def outcome(fn, *args):
+    """A call's result, or its MetricError text."""
+    try:
+        return fn(*args)
+    except MetricError as exc:
+        return f"MetricError: {exc}"
+
+
+def bits(result):
+    """Node ids and the exact bytes of the scores (an error text as is)."""
+    if isinstance(result, str):
+        return result
+    return list(result), np.array(list(result.values()), dtype=np.float64).tobytes()
+
+
+@st.composite
+def graphs(draw, max_nodes=12):
+    """Random simple graphs, directed or not, with isolated and dangling nodes.
+
+    Some are then edited with ``add_edge`` and ``remove_edge``, which moves them onto the set-backed
+    topology that ``out_csr`` rebuilds once per version.
+    """
+    n = draw(st.integers(1, max_nodes))
+    node = st.integers(0, n - 1)
+    pairs = [(u, v) for u, v in draw(st.lists(st.tuples(node, node), max_size=3 * n)) if u != v]
+    g, _ = Graph.from_edges(n, [u for u, _ in pairs], [v for _, v in pairs], directed=draw(st.booleans()))
+    for add, u, v in draw(st.lists(st.tuples(st.booleans(), node, node), max_size=4)):
+        if u != v:
+            (g.add_edge if add else g.remove_edge)(u, v)
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_csr_matvec_matches_scipy_product(g, data):
+    n = g.num_nodes
+    x = np.array(data.draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)), dtype=np.float64)
+    assert csr_matvec(g.out_csr(), x).tobytes() == (g.to_sparse() @ x).tobytes()
+    assert csr_matvec(g.in_csr(), x).tobytes() == (ref_in_operator(g) @ x).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_metrics_and_ranking_match_scipy_references(g, data):
+    k = data.draw(st.integers(1, g.num_nodes))
+    for metric in METRICS:
+        reference = REFERENCES.get(metric, lambda graph: centrality(graph, metric))
+        want = outcome(reference, g)
+        assert bits(outcome(centrality, g, metric)) == bits(want)
+        if not isinstance(want, str):
+            assert top_k_by_metric(g, metric, k) == ref_top_k(want, k)

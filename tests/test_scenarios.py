@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crowdkit
 from crowdkit import (
     AttributeTable,
     Graph,
@@ -20,6 +25,7 @@ from crowdkit import (
     load_config,
     parse_config,
     simulate,
+    write_edge_list,
 )
 from crowdkit.engine import PHASE_AGENT, PHASE_BEFORE, shuffle_agents
 from crowdkit.scenarios import (
@@ -806,6 +812,71 @@ def test_trust_switch_chains_follow_visit_order():
         if array_ctx.states[1] == TRUST_UNTRUSTWORTHY:
             seen.add(array_ctx.states[0])
     assert seen == {TRUST_TRUSTWORTHY, TRUST_UNTRUSTWORTHY}
+
+
+TRUST_DEFAULTS = {"R_T": 6.0, "r_UT": 0.5, "tv": 1.0}
+
+
+def test_trust_payoffs_follow_edge_mutations():
+    g = generate_barabasi_albert(30, 2, np.random.default_rng(3))
+    states = [TRUST_TYPES[v % 3] for v in range(30)]
+    ctx = trust_ctx(g, enumerate(states), TRUST_DEFAULTS)
+    before = compute_trust_payoffs(ctx)
+    added = [(0, v) for v in (5, 7, 11, 13, 17) if not g.has_edge(0, v)]
+    ctx.mutate_edges(add=added, remove=list(g.edges())[:6])
+    fresh = trust_ctx(ctx.graph.copy(), enumerate(states), TRUST_DEFAULTS)
+    after = compute_trust_payoffs(ctx)
+    assert after.tobytes() == compute_trust_payoffs(fresh).tobytes()
+    assert after.tobytes() != before.tobytes()
+
+
+def test_trust_draws_never_pick_a_removed_neighbor():
+    # Edges 0-1 and 0-2, then 0-1 is removed and 0-3 added. Node 0 would switch to node 1's
+    # Untrustworthy on picking it, and switches to node 3's Trustworthy on picking that.
+    g = Graph(4)
+    g.add_edge(0, 1)
+    g.add_edge(0, 2)
+    seen = set()
+    for seed in range(40):
+        states = [TRUST_INVESTOR, TRUST_UNTRUSTWORTHY, TRUST_INVESTOR, TRUST_TRUSTWORTHY]
+        ctx = trust_ctx(g.copy(), enumerate(states), TRUST_DEFAULTS, seed=seed)
+        ctx.mutate_edges(add=[(0, 3)], remove=[(0, 1)])
+        ctx.scratch["trust_payoff_arr"] = np.array([0.0, 100.0, 0.0, 50.0])
+        ctx.scratch["trust_inv_phi_range"] = 1e6
+        trust_draws(ctx)
+        assert [ctx.states[v] for v in (1, 2, 3)] == states[1:]
+        seen.add(ctx.states[0])
+    assert seen == {TRUST_INVESTOR, TRUST_TRUSTWORTHY}
+
+
+SCIPY_FREE_RUN = """
+import sys
+from pathlib import Path
+
+import crowdkit
+from crowdkit import SCENARIOS, load_config, parse_config, simulate
+
+base = Path(sys.argv[1])
+for scenario, config in (("infmax", parse_config((base / "infmax.yaml").read_text())),
+                         ("trust", load_config(crowdkit.fixture_path("trust.yaml")))):
+    registry, setup = SCENARIOS[scenario].make_hooks()
+    simulate(config, epochs=3, registry=registry, setup=setup, base_dir=base)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_infmax_seeding_and_trust_run_without_scipy(tmp_path):
+    write_edge_list(generate_barabasi_albert(60, 2, np.random.default_rng(4)), tmp_path / "net.txt")
+    (tmp_path / "infmax.yaml").write_text(
+        fixture_path("infmax.yaml").read_text()
+        .replace("facebook_combined.txt", "net.txt").replace("count: 100", "count: 5")
+        .replace("count: 3939", "count: 55")
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(crowdkit.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path)], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 @settings(max_examples=100, deadline=None)
