@@ -181,8 +181,13 @@ def write_snapshot(
     net_params: dict[str, Any],
     run_dir,
 ) -> list[Path]:
-    """Write <run_dir>/snapshots/iter_<i>.json; returns the files written."""
+    """Write <run_dir>/snapshots/iter_<i>.json (columns kind-checked as ``read_snapshot`` does); returns the files written."""
     path = Path(run_dir) / SNAPSHOT_DIR / f"iter_{iteration}.json"
+    for key, values in chain(attrs.node.items(), attrs.edge.items()):
+        try:
+            attrs._check_column({}, key, values)
+        except GraphError as exc:
+            raise CollectError(f"cannot write {path.name}: attribute {key!r}: {exc}") from exc
     document = snapshot_document(iteration, graph, states, attrs, net_params)
     write_atomic(path, json.dumps(document, separators=(",", ":")) + "\n")
     return [path]

@@ -21,8 +21,9 @@ summary. Hooks marked ``record_initial`` also record an iteration-0 baseline
 entry before the first iteration (after the setup callable has run). A hook
 that raises aborts the run with the hook name and iteration attached (a
 ``HookError`` raised inside a hook, by the hook API or the hook itself, keeps
-its identity and gets whichever of the two it lacks); on any error a
-persisted run still flushes its collectors and writes run-meta.json.
+its identity and gets whichever of the two it lacks). A persisted run
+flushes its collectors and writes run-meta.json on success and on any error,
+including one in the final snapshot or summary write.
 
 Node state: ``ctx.states`` is a ``NodeStates`` mapping over one code array
 (see ``graph.py``). It iterates in ascending node id, and a write of an
@@ -260,7 +261,7 @@ def shuffle_agents(ctx: SimContext) -> list[int]:
 class SimResult:
     run_seed: int
     epochs: int
-    states: dict[int, str]
+    states: NodeStates  # read-only
     records: dict[str, list[dict]]
     summary: dict[str, Any]
     context: SimContext
@@ -279,6 +280,14 @@ def _call_hook(hook: Hook, ctx: SimContext):
         raise exc.locate(hook.name, ctx.iteration)
     except Exception as exc:
         raise HookError(str(exc) or repr(exc), hook=hook.name, iteration=ctx.iteration) from exc
+
+
+def _record(hooks: list[Hook], ctx: SimContext, recorders: dict[str, SeriesRecorder]) -> None:
+    """Call each hook and record what it returns at the current iteration."""
+    for hook in hooks:
+        value = _call_hook(hook, ctx)
+        if value is not None:
+            recorders[hook.name].record(ctx.iteration, value)
 
 
 def _node_counts_hook(ctx: SimContext) -> dict[str, int]:
@@ -343,7 +352,8 @@ def simulate(
     if persist:
         write_atomic(run_path / RUN_CONFIG_FILE, serialize_config(config, include_sweep=False))
 
-    def _write_meta(error: str | None = None) -> None:
+    def _flush(error: str | None) -> None:
+        write_collectors(recorders.values(), run_path)
         meta = {
             "master_seed": master_seed,
             "run_seed": run_seed,
@@ -363,20 +373,13 @@ def simulate(
         if setup is not None:
             _call_hook(Hook(name="setup", phase=PHASE_BEFORE, fn=setup), ctx)
 
-        for hook in after_hooks:
-            if hook.record_initial:
-                value = _call_hook(hook, ctx)
-                if value is not None:
-                    recorders[hook.name].record(0, value)
+        _record([hook for hook in after_hooks if hook.record_initial], ctx, recorders)
         if persist:
             write_snapshot(0, g, ctx.states, attrs, ctx.net_params, run_path)
 
         for it in range(1, epochs + 1):
             ctx.iteration = it
-            for hook in before_hooks:
-                value = _call_hook(hook, ctx)
-                if value is not None:
-                    recorders[hook.name].record(it, value)
+            _record(before_hooks, ctx, recorders)
             if agent_hooks:
                 ctx.frozen_states = ctx.states.frozen()
                 order = shuffle_agents(ctx)
@@ -392,10 +395,7 @@ def simulate(
                 transitions = apply_rules(ctx.states, g, attrs, rules, ledger, rng)
                 if transitions:
                     ctx.states.update(transitions)
-            for hook in after_hooks:
-                value = _call_hook(hook, ctx)
-                if value is not None:
-                    recorders[hook.name].record(it, value)
+            _record(after_hooks, ctx, recorders)
             if persist and snapshot_period is not None and it % snapshot_period == 0:
                 write_snapshot(it, g, ctx.states, attrs, ctx.net_params, run_path)
                 write_collectors(recorders.values(), run_path)
@@ -407,28 +407,26 @@ def simulate(
                 if hook.name in summary:
                     raise CollectError(f"summary key {hook.name!r} written twice")
                 summary[hook.name] = coerce_value(value, f"summary[{hook.name!r}]")
+        if persist:
+            if snapshot_period is None or epochs % snapshot_period != 0:
+                write_snapshot(epochs, g, ctx.states, attrs, ctx.net_params, run_path)
+            write_summary(summary, run_path)
     except Exception as exc:
         if persist:
-            write_collectors(recorders.values(), run_path)
-            _write_meta(error=str(exc))
+            _flush(str(exc))
         raise
+    if persist:
+        _flush(None)
 
-    result = SimResult(
+    return SimResult(
         run_seed=run_seed,
         epochs=epochs,
-        states=dict(ctx.states.items()),
+        states=ctx.states.frozen(),
         records={name: rec.entries for name, rec in recorders.items()},
         summary=summary,
         context=ctx,
+        run_dir=run_path,
     )
-    if persist:
-        if snapshot_period is None or epochs % snapshot_period != 0:
-            write_snapshot(epochs, g, ctx.states, attrs, ctx.net_params, run_path)
-        write_collectors(recorders.values(), run_path)
-        write_summary(summary, run_path)
-        _write_meta()
-        result.run_dir = run_path
-    return result
 
 
 # ---------------------------------------------------------------------------

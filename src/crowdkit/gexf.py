@@ -14,7 +14,6 @@ kinds map to GEXF types integer -> long, number -> double, category -> string.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import GexfError
 from .graph import AttributeTable, AttributeValue, Graph
@@ -43,6 +42,7 @@ def gexf_document(
     states: dict[int, str] | None = None,
     attrs: AttributeTable | None = None,
 ) -> str:
+    from xml.sax.saxutils import quoteattr  # imported here: it loads urllib.request and http.client
     node_columns: list[tuple[str, type, dict[int, AttributeValue]]] = []
     if states is not None:
         node_columns.append((NODE_TYPE_KEY, str, states))

@@ -22,7 +22,8 @@ Scenario notes:
   uniform draw per eligible inactive node per iteration, compared against
   the largest spreader-edge probability (``per_edge=True`` switches to the
   classic one-draw-per-spreader-edge variant). A node spreads for exactly
-  one iteration, then retires to plain Active.
+  one iteration, then retires to plain Active. Each step reads
+  ``influence_prob`` afresh, so a hook's edit takes effect on the next step.
 * **trust** — an investor/trustee game with proportional imitation. Payoffs
   are recomputed after the imitation phase each iteration, so imitation at
   iteration t compares payoffs from t-1. Payoff model: an investor splits a
@@ -48,7 +49,7 @@ from functools import partial
 from importlib import resources
 from itertools import filterfalse, repeat
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -90,30 +91,15 @@ IC_INACTIVE = "Inactive"
 INFLUENCE_PROB_KEY = "influence_prob"
 
 
-def _in_pairs(graph) -> Iterator[tuple[int, int]]:
-    """The edge pair ``(u, v)`` of every in-CSR entry, in CSR order."""
-    # Row v lists every u with an edge pair (u, v): in-neighbors, or neighbors when undirected.
-    indptr, indices = graph.in_csr()
-    ids = list(range(graph.num_nodes))  # one int object per node, shared by every key
-    return zip(map(ids.__getitem__, indices.tolist()), map(ids.__getitem__, np.repeat(ids, np.diff(indptr)).tolist()))
-
-
 def ic_initialize(ctx: SimContext) -> None:
     """Annotate every directed edge pair with influence_prob = 1/degree(target)."""
-    in_deg = np.diff(ctx.graph.in_csr()[0])
+    # Row v of the in-CSR lists every u with an edge pair (u, v): in-neighbors, or neighbors when undirected.
+    indptr, indices = ctx.graph.in_csr()
+    in_deg = np.diff(indptr)
+    ids = list(range(ctx.graph.num_nodes))  # one int object per node, shared by every key
+    pairs = zip(map(ids.__getitem__, indices.tolist()), map(ids.__getitem__, np.repeat(ids, in_deg).tolist()))
     probs = np.repeat(1.0 / np.maximum(in_deg, 1), in_deg).tolist()
-    ctx.attrs.set_edge_column(INFLUENCE_PROB_KEY, dict(zip(_in_pairs(ctx.graph), probs)))
-
-
-def _ic_csr_probs(ctx: SimContext) -> np.ndarray:
-    """``influence_prob`` of every in-CSR entry (0 where unset), rebuilt once per graph version."""
-    graph = ctx.graph
-    version, probs = ctx.scratch.get("ic_csr_probs", (None, None))
-    if version != graph.version:
-        column = ctx.attrs.edge.get(INFLUENCE_PROB_KEY, {})
-        probs = np.fromiter(map(column.get, _in_pairs(graph), repeat(0.0)), dtype=np.float64)
-        ctx.scratch["ic_csr_probs"] = (graph.version, probs)
-    return probs
+    ctx.attrs.set_edge_column(INFLUENCE_PROB_KEY, dict(zip(pairs, probs)))
 
 
 def ic_step(ctx: SimContext, per_edge: bool = False) -> None:
@@ -134,7 +120,9 @@ def ic_step(ctx: SimContext, per_edge: bool = False) -> None:
     hot = np.flatnonzero(spreading[indices])  # in-CSR entries whose source spreads
     rows = np.searchsorted(indptr, hot, side="right") - 1
     into_inactive = states.mask(IC_INACTIVE)[rows]
-    rows, probs = rows[into_inactive], _ic_csr_probs(ctx)[hot[into_inactive]]
+    rows, sources = rows[into_inactive], indices[hot[into_inactive]]
+    column = ctx.attrs.edge.get(INFLUENCE_PROB_KEY, {})  # read live: an edit counts from the next step
+    probs = np.fromiter(map(column.get, zip(sources.tolist(), rows.tolist()), repeat(0.0)), np.float64, rows.size)
     if not per_edge:  # one draw per node, against its largest probability (NaN-skipping, as `>` is)
         best = np.full(ctx.graph.num_nodes, -1.0)
         np.fmax.at(best, rows, probs)

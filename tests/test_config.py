@@ -30,6 +30,7 @@ from crowdkit import (
     top_k_by_metric,
     validate,
     write_edge_list,
+    write_gexf,
     write_snapshot,
 )
 from crowdkit.config import sweep_assignments, sweep_labels, to_mapping
@@ -399,6 +400,27 @@ definitions:
         assert g.num_nodes == 4
         assert g.num_edges == 2
 
+    def test_from_gexf_file(self, tmp_path):
+        g0 = Graph(5, directed=True)
+        for u, v in ((0, 1), (1, 2), (3, 1), (1, 0)):
+            g0.add_edge(u, v)
+        write_gexf(g0, tmp_path / "net.gexf")
+        doc = """
+name: filecfg
+structure:
+  file:
+    path: net.gexf
+    format: gexf
+definitions:
+  pd-model:
+    name: custom
+    nodetypes:
+      A:
+        random-with-weight:
+          initial-weight: 1.0
+"""
+        assert build_graph(parse_config(doc), make_rng(0), base_dir=tmp_path) == g0
+
     def test_missing_structure_file(self, tmp_path):
         doc = """
 name: filecfg
@@ -495,7 +517,7 @@ definitions:
 
     def test_from_file_ids(self, tmp_path):
         ids_file = tmp_path / "seeds.txt"
-        ids_file.write_text("0\n3\n")
+        ids_file.write_text("# seeds\n\n0\n  \n3\n")  # comment and blank lines are skipped
         doc = """
 name: fromfile
 structure:
@@ -543,6 +565,41 @@ definitions:
         cfg = parse_config(doc)
         g = build_graph(cfg, make_rng(6))
         with pytest.raises(ConfigError):
+            initialize_population(g, cfg, make_rng(7), base_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "ids, rest, message",
+        [
+            (None, "count: 4", "node id file not found"),
+            ("0\n3\n0\n", "count: 4", "node 0 assigned twice"),
+            ("0\nthree\n", "count: 4", "line 2: expected a node id, got 'three'"),
+            ("0\n3\n", "count: 3", "type counts sum to 3, but 4 nodes remain unassigned"),
+            ("0\n3\n", None, "4 nodes left unassigned"),
+        ],
+    )
+    def test_from_file_errors(self, tmp_path, ids, rest, message):
+        if ids is not None:
+            (tmp_path / "seeds.txt").write_text(ids)
+        doc = """
+name: fromfile
+structure:
+  random:
+    type: random-regular
+    count: 6
+    degree: 2
+definitions:
+  pd-model:
+    name: custom
+    nodetypes:
+      Chosen:
+        from-file:
+          path: seeds.txt
+"""
+        if rest is not None:
+            doc += f"      Rest:\n        random-with-count:\n          {rest}\n"
+        cfg = parse_config(doc)
+        g = build_graph(cfg, make_rng(6))
+        with pytest.raises(ConfigError, match=message):
             initialize_population(g, cfg, make_rng(7), base_dir=tmp_path)
 
     def test_numerical_params_within_range(self):

@@ -22,6 +22,7 @@ from crowdkit import (
     derive_seed,
     fixture_path,
     load_config,
+    merge_parent_directory,
     parse_config,
     read_collector,
     read_summary,
@@ -133,6 +134,9 @@ class TestSimulate:
         result = simulate(tiny_config(), epochs=10, master_seed=1)
         baseline = simulate(tiny_config(), epochs=0, master_seed=1)
         assert result.states == baseline.states
+        assert isinstance(result.states, NodeStates)
+        with pytest.raises(TypeError, match="read-only"):
+            result.states[0] = "A"
 
     def test_epochs_zero_allowed(self):
         result = simulate(tiny_config(), epochs=0, master_seed=0)
@@ -703,6 +707,37 @@ class TestHookFailure:
         assert [e["iteration"] for e in doc["entries"]] == [1, 2]
         meta = json.loads((run_dir / RUN_META_FILE).read_text())
         assert "value shape changed at iteration 3" in meta["error"]
+
+    def test_final_snapshot_failure_still_flushes_collectors_and_meta(self, tmp_path):
+        # A set in the network parameters breaks only the final snapshot's JSON encoding.
+        def poison(ctx):
+            if ctx.iteration == 3:
+                ctx.net_params["bad"] = {1}
+            return float(ctx.iteration)
+
+        reg = HookRegistry()
+        reg.add(PHASE_AFTER, "poison", poison)
+        run_dir = tmp_path / "p" / "batch-0"
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            simulate(tiny_config(), epochs=3, registry=reg, run_dir=run_dir)
+        assert [e["iteration"] for e in read_collector(run_dir / "collectors" / "poison.json")["entries"]] == [1, 2, 3]
+        meta = json.loads((run_dir / RUN_META_FILE).read_text())
+        assert "set is not JSON serializable" in meta["error"]
+        merged = merge_parent_directory(tmp_path / "p")
+        assert sorted(path.name for path in merged) == ["node_counts.json", "poison.json"]
+
+    def test_unchecked_column_write_fails_the_snapshot_with_the_column_named(self, tmp_path):
+        def flag(ctx):
+            ctx.attrs.node.setdefault("flag", {})[0] = True  # a bool, past set_node's kind check
+
+        reg = HookRegistry()
+        reg.add(PHASE_AFTER, "flag", flag)
+        run_dir = tmp_path / "r"
+        message = "cannot write iter_1.json: attribute 'flag': unsupported attribute value True"
+        with pytest.raises(CollectError, match=message):
+            simulate(tiny_config(), epochs=1, registry=reg, run_dir=run_dir)
+        assert not (run_dir / "snapshots" / "iter_1.json").exists()
+        assert message in json.loads((run_dir / RUN_META_FILE).read_text())["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -761,6 +761,24 @@ def test_ic_step_follows_an_edge_mutation(per_edge):
     assert dict(array_ctx.states) == {0: IC_ACTIVE, 1: IC_ACTIVE, 2: IC_ACTIVE}
 
 
+@pytest.mark.parametrize("per_edge", [False, True])
+def test_ic_step_reads_a_probability_edit_on_the_next_step(per_edge):
+    # 2 activates 0 at iteration 1; setting influence_prob of (0, 1) to 0 before iteration 2
+    # must keep 1 inactive when 0 spreads.
+    graph = Graph(3, directed=True)
+    graph.add_edge(2, 0)
+    graph.add_edge(0, 1)
+    ctx = make_ctx(graph, {0: IC_INACTIVE, 1: IC_INACTIVE, 2: IC_SPREADER}, IC_TYPES)
+    ic_initialize(ctx)
+
+    def edit(ctx, it):
+        if it == 2:
+            ctx.attrs.set_edge(0, 1, INFLUENCE_PROB_KEY, 0.0)
+
+    drive(ctx, 2, before_hooks(ic_registry(per_edge)[0]), between=edit)
+    assert dict(ctx.states) == {0: IC_ACTIVE, 1: IC_INACTIVE, 2: IC_ACTIVE}
+
+
 TRUST_PARAMS = st.fixed_dictionaries(
     {"R_T": st.floats(0.5, 10.0), "r_UT": st.floats(0.0, 1.0), "tv": st.floats(0.1, 2.0)}
 )
@@ -861,7 +879,9 @@ for scenario, config in (("infmax", parse_config((base / "infmax.yaml").read_tex
                          ("trust", load_config(crowdkit.fixture_path("trust.yaml")))):
     registry, setup = SCENARIOS[scenario].make_hooks()
     simulate(config, epochs=3, registry=registry, setup=setup, base_dir=base)
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+# scipy, and what xml.sax.saxutils would pull in, load only on the paths that need them.
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] == "scipy" or name in ("xml.sax.saxutils", "urllib.request", "http.client")))
 """
 
 
