@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CollectError, GraphError
 from .gexf import gexf_document
-from .graph import AttributeTable, Graph, NodeStates, write_atomic
+from .graph import AttributeTable, Graph, NodeStates, column_kind, write_atomic
 
 Value = Union[int, float, dict]
 
@@ -185,7 +185,7 @@ def write_snapshot(
     path = Path(run_dir) / SNAPSHOT_DIR / f"iter_{iteration}.json"
     for key, values in chain(attrs.node.items(), attrs.edge.items()):
         try:
-            attrs._check_column({}, key, values)
+            column_kind(key, values)
         except GraphError as exc:
             raise CollectError(f"cannot write {path.name}: attribute {key!r}: {exc}") from exc
     document = snapshot_document(iteration, graph, states, attrs, net_params)

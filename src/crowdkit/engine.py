@@ -161,28 +161,6 @@ class HookRegistry:
 # ---------------------------------------------------------------------------
 
 
-class NodeCountView(Mapping):
-    """Type histogram addressable by type name or by declaration position."""
-
-    def __init__(self, counts: dict[str, int], order: tuple[str, ...]):
-        self._counts = counts
-        self._order = order
-
-    def __getitem__(self, key):
-        if isinstance(key, int):
-            return self._counts[self._order[key]]
-        return self._counts[key]
-
-    def __iter__(self):
-        return iter(self._counts)
-
-    def __len__(self):
-        return len(self._counts)
-
-    def __repr__(self):
-        return f"NodeCountView({self._counts!r})"
-
-
 class SimContext:
     """Everything a hook can see and touch during a run.
 
@@ -217,19 +195,11 @@ class SimContext:
         self.frozen_states: Mapping[int, str] = {}
         self.scratch: dict[str, Any] = {}
 
-    def set_state(self, node: int, type_name: str) -> None:
-        self.states[node] = type_name
-
     def count(self, type_name: str) -> int:
         return self.states.count(type_name)
 
     def counts(self) -> dict[str, int]:
         return self.states.counts()
-
-    @property
-    def node_count(self) -> NodeCountView:
-        """Live type histogram, addressable by name or declaration index."""
-        return NodeCountView(self.counts(), self.node_types)
 
     def mutate_edges(self, add=(), remove=()) -> None:
         """Add/remove edges mid-run. Duplicate adds and absent removes are no-ops."""
@@ -337,12 +307,12 @@ def simulate(
     ledger = CountdownLedger()
 
     registry = registry or HookRegistry()
-    if record_node_counts and NODE_COUNTS_HOOK not in registry:
-        registry.add(PHASE_AFTER, NODE_COUNTS_HOOK, _node_counts_hook, record_initial=True)
     before_hooks = registry.hooks(PHASE_BEFORE)
     agent_hooks = registry.hooks(PHASE_AGENT)
     after_hooks = registry.hooks(PHASE_AFTER)
     final_hooks = registry.hooks(PHASE_FINAL)
+    if record_node_counts and NODE_COUNTS_HOOK not in registry:  # this run's list, not the caller's registry
+        after_hooks.append(Hook(NODE_COUNTS_HOOK, PHASE_AFTER, _node_counts_hook, record_initial=True))
     recorders: dict[str, SeriesRecorder] = {
         hook.name: SeriesRecorder(hook.name) for hook in before_hooks + after_hooks
     }

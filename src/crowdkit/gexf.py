@@ -8,18 +8,22 @@ the attribute's own id and the value for (target, source), when that pair is
 not itself a written edge (the reverse of an undirected edge, or of a directed
 edge with no reverse edge), under ``<id>__reverse``. A value on a pair with no
 edge in either direction cannot be written and raises ``GexfError``. Attribute
-kinds map to GEXF types integer -> long, number -> double, category -> string.
+kinds, read from each column's values, map to GEXF types integer -> long,
+number -> double, category -> string (also for an empty column); a mixed
+column, or a string XML 1.0 cannot carry, raises ``GexfError`` naming it.
 """
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 
-from .errors import GexfError
-from .graph import AttributeTable, AttributeValue, Graph
+from .errors import GexfError, GraphError
+from .graph import AttributeTable, AttributeValue, Graph, column_kind
 
 NODE_TYPE_KEY = "node_type"
 _REVERSE_SUFFIX = "__reverse"
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 _GEXF_TYPE_BY_KIND = {int: "long", float: "double", str: "string"}
 _PARSERS_BY_GEXF_TYPE = {
@@ -33,8 +37,19 @@ _PARSERS_BY_GEXF_TYPE = {
 
 def _format_value(value: AttributeValue) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's own repr names its type
     return str(value)
+
+
+def _column(key: str, column: dict) -> tuple[str, type, dict]:
+    """``(key, kind, column)``, string kind when empty; ``GexfError`` naming a column XML cannot carry."""
+    try:
+        kind = column_kind(key, column) or str
+    except GraphError as exc:
+        raise GexfError(f"cannot write attribute {key!r}: {exc}") from exc
+    if kind is str and any(map(_NOT_XML.search, column.values())):
+        raise GexfError(f"cannot write attribute {key!r}: a value holds a character XML 1.0 does not allow")
+    return key, kind, column
 
 
 def gexf_document(
@@ -50,14 +65,13 @@ def gexf_document(
         for key in attrs.node:
             if key == NODE_TYPE_KEY:
                 raise GexfError(f"node attribute key {NODE_TYPE_KEY!r} is reserved")
-            kind = attrs.node_kind(key) or str
-            node_columns.append((key, kind, attrs.node[key]))
+            node_columns.append(_column(key, attrs.node[key]))
     edge_columns: list[tuple[str, type, dict[tuple[int, int], AttributeValue]]] = []
     if attrs is not None:
         for key in attrs.edge:
             if key.endswith(_REVERSE_SUFFIX):
                 raise GexfError(f"edge attribute key {key!r} collides with the reverse marker")
-            edge_columns.append((key, attrs.edge_kind(key) or str, attrs.edge[key]))
+            edge_columns.append(_column(key, attrs.edge[key]))
 
     out: list[str] = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',

@@ -44,6 +44,16 @@ def _value_kind(value: AttributeValue) -> type:
     return float if isinstance(value, float) else (int if isinstance(value, int) else str)
 
 
+def column_kind(key: str, values: Mapping) -> type | None:
+    """The kind its values share (None when empty); ``GraphError`` on a bad value or a mixed column."""
+    kinds = set(map(type, values.values()))
+    if not kinds <= _KIND_NAMES.keys():  # bool, numpy scalars, subclasses: check each value
+        kinds = set(map(_value_kind, values.values()))
+    if len(kinds) > 1:
+        raise GraphError(f"attribute {key!r}: mixed value kinds in column")
+    return kinds.pop() if kinds else None
+
+
 def _sorted_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only CSR ``(indptr, indices)`` of pairs already sorted by (row, col)."""
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -274,7 +284,8 @@ class NodeStates(MutableMapping):
     from 128 types on. ``keys``, ``values`` and ``items`` iterate over a copy
     taken when iteration starts, so values may be reassigned mid-iteration.
     A write of an undeclared type name or to a node outside
-    ``[0, len(codes))`` raises ``HookError``; ``frozen`` copies are read-only.
+    ``[0, len(codes))`` raises ``HookError``; every write to a ``frozen`` copy
+    raises ``TypeError``.
     """
 
     __slots__ = ("types", "code_of", "codes", "_view", "_names")
@@ -324,13 +335,17 @@ class NodeStates(MutableMapping):
                 raise IndexError(node)
             self._view[node] = code
         except (IndexError, TypeError):
-            if self._view.readonly:
-                raise TypeError("frozen node states are read-only") from None
+            self._writable_codes()  # a frozen copy raises its own error
             raise HookError(f"node {node} out of range") from None
+
+    def _writable_codes(self) -> np.ndarray:
+        if self._view.readonly:
+            raise TypeError("frozen node states are read-only") from None
+        return self.codes
 
     def __delitem__(self, node) -> None:
         self[node]  # KeyError when absent
-        self._view[node] = -1
+        self._writable_codes()[node] = -1
 
     def __iter__(self):
         return iter((self.codes >= 0).nonzero()[0].tolist())
@@ -352,12 +367,12 @@ class NodeStates(MutableMapping):
         """As ``dict.update``; a ``NodeStates`` over the same types applies in one masked assignment."""
         if isinstance(other, NodeStates) and other.types == self.types and not kwargs:
             moved = other.codes >= 0
-            self.codes[moved] = other.codes[moved]
+            self._writable_codes()[moved] = other.codes[moved]
         else:
             super().update(other, **kwargs)
 
     def clear(self) -> None:
-        self.codes.fill(-1)
+        self._writable_codes().fill(-1)
 
     def column(self) -> list:
         """Every node's type name in id order, None where a node has no state."""
@@ -380,33 +395,37 @@ class NodeStates(MutableMapping):
 
 
 class AttributeTable:
-    """Columnar node/edge attribute store.
+    """Columnar node/edge attribute store: ``node`` and ``edge`` map each key to its column dict.
 
-    Each key holds values of a single kind (integer, number, or category).
-    Edge attributes are keyed by the ordered pair (u, v); undirected graphs may
+    A column's kind (integer, number, or category) is read from its values by
+    ``column_kind``, which every file writer applies to every column; an
+    emptied column has none. ``set_*_column`` keeps the dict it is given. Edge
+    attributes are keyed by the ordered pair (u, v); undirected graphs may
     hold distinct values for (u, v) and (v, u).
     """
 
-    __slots__ = ("node", "edge", "_node_kinds", "_edge_kinds")
+    __slots__ = ("node", "edge")
 
     def __init__(self):
         self.node: dict[str, dict[int, AttributeValue]] = {}
         self.edge: dict[str, dict[tuple[int, int], AttributeValue]] = {}
-        self._node_kinds: dict[str, type] = {}
-        self._edge_kinds: dict[str, type] = {}
 
-    def _check_kind(self, kinds: dict[str, type], key: str, value: AttributeValue) -> None:
+    @staticmethod
+    def _check_kind(column: dict | None, key: str, value: AttributeValue) -> None:
         kind = _value_kind(value)
-        seen = kinds.get(key)
-        if seen is None:
-            kinds[key] = kind
-        elif seen is not kind:
+        seen = _value_kind(next(iter(column.values()))) if column else kind
+        if seen is not kind:
             raise GraphError(
                 f"attribute {key!r} holds {_KIND_NAMES[seen]} values, got {_KIND_NAMES[kind]} {value!r}"
             )
 
+    def _set_column(self, columns: dict, key: str, values: dict) -> None:
+        if column_kind(key, values):
+            self._check_kind(columns.get(key), key, next(iter(values.values())))
+        columns[key] = values
+
     def set_node(self, node: int, key: str, value: AttributeValue) -> None:
-        self._check_kind(self._node_kinds, key, value)
+        self._check_kind(self.node.get(key), key, value)
         self.node.setdefault(key, {})[node] = value
 
     def get_node(self, node: int, key: str, default: AttributeValue | None = None):
@@ -415,22 +434,12 @@ class AttributeTable:
             return default
         return col.get(node, default)
 
-    def _check_column(self, kinds: dict[str, type], key: str, values: dict) -> None:
-        column_kinds = set(map(type, values.values()))
-        if not column_kinds <= _KIND_NAMES.keys():  # bool, numpy scalars, subclasses: check each value
-            column_kinds = set(map(_value_kind, values.values()))
-        if len(column_kinds) > 1:
-            raise GraphError(f"attribute {key!r}: mixed value kinds in column")
-        if column_kinds:
-            self._check_kind(kinds, key, next(iter(values.values())))
-
     def set_node_column(self, key: str, values: dict[int, AttributeValue]) -> None:
-        """Replace a whole node column. Values must share one kind."""
-        self._check_column(self._node_kinds, key, values)
-        self.node[key] = dict(values)
+        """Replace a whole node column with ``values`` itself. Values must share the column's kind."""
+        self._set_column(self.node, key, values)
 
     def set_edge(self, u: int, v: int, key: str, value: AttributeValue) -> None:
-        self._check_kind(self._edge_kinds, key, value)
+        self._check_kind(self.edge.get(key), key, value)
         self.edge.setdefault(key, {})[(u, v)] = value
 
     def get_edge(self, u: int, v: int, key: str, default: AttributeValue | None = None):
@@ -440,8 +449,8 @@ class AttributeTable:
         return col.get((u, v), default)
 
     def set_edge_column(self, key: str, values: dict[tuple[int, int], AttributeValue]) -> None:
-        self._check_column(self._edge_kinds, key, values)
-        self.edge[key] = dict(values)
+        """Replace a whole edge column with ``values`` itself. Values must share the column's kind."""
+        self._set_column(self.edge, key, values)
 
     def drop_edge(self, u: int, v: int) -> None:
         """Remove all attribute entries for (u, v) and (v, u)."""
@@ -450,17 +459,15 @@ class AttributeTable:
             col.pop((v, u), None)
 
     def node_kind(self, key: str) -> type | None:
-        return self._node_kinds.get(key)
+        return column_kind(key, self.node.get(key, {}))
 
     def edge_kind(self, key: str) -> type | None:
-        return self._edge_kinds.get(key)
+        return column_kind(key, self.edge.get(key, {}))
 
     def copy(self) -> "AttributeTable":
         t = AttributeTable()
         t.node = {k: dict(c) for k, c in self.node.items()}
         t.edge = {k: dict(c) for k, c in self.edge.items()}
-        t._node_kinds = dict(self._node_kinds)
-        t._edge_kinds = dict(self._edge_kinds)
         return t
 
     def __eq__(self, other: object) -> bool:

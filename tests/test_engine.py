@@ -155,6 +155,15 @@ class TestSimulate:
         for e in entries:
             assert sum(e["value"].values()) == 6
 
+    def test_node_counts_hook_stays_out_of_the_callers_registry(self):
+        reg = HookRegistry()
+        reg.add(PHASE_AFTER, "first", lambda ctx: 1.0)
+        result = simulate(tiny_config(), epochs=2, master_seed=2, registry=reg)
+        assert list(result.records) == ["first", "node_counts"]  # user hooks first
+        assert "node_counts" not in reg
+        result = simulate(tiny_config(), epochs=2, master_seed=2, registry=reg, record_node_counts=False)
+        assert list(result.records) == ["first"]
+
     def test_custom_hook_file_named_after_hook(self, tmp_path):
         reg = HookRegistry()
         reg.add(PHASE_AFTER, "temperature", lambda ctx: float(ctx.iteration) * 2.0)
@@ -194,13 +203,13 @@ class TestSimulate:
         seen: list[tuple[str, str]] = []
 
         def flip(ctx, node):
-            ctx.set_state(0, "A")
+            ctx.states[0] = "A"
 
         def read(ctx, node):
             seen.append((ctx.frozen_states[0], ctx.states[0]))
 
         reg = HookRegistry()
-        reg.add(PHASE_BEFORE, "move", lambda ctx: ctx.set_state(0, "B"))
+        reg.add(PHASE_BEFORE, "move", lambda ctx: ctx.states.__setitem__(0, "B"))
         reg.add(PHASE_AGENT, "flip", flip)
         reg.add(PHASE_AGENT, "read", read)
         simulate(tiny_config(), epochs=2, master_seed=4, registry=reg)
@@ -304,7 +313,7 @@ definitions:
 
     def test_set_state_validates_type(self):
         reg = HookRegistry()
-        reg.add(PHASE_AGENT, "bad", lambda ctx, node: ctx.set_state(node, "Zombie"))
+        reg.add(PHASE_AGENT, "bad", lambda ctx, node: ctx.states.__setitem__(node, "Zombie"))
         with pytest.raises(HookError):
             simulate(tiny_config(), epochs=1, registry=reg)
 
@@ -321,21 +330,6 @@ definitions:
         reg.add(PHASE_FINAL, "epochs", lambda ctx: 1.0)
         with pytest.raises(CollectError):
             simulate(tiny_config(), epochs=1, registry=reg)
-
-    def test_node_count_view_by_name_and_index(self):
-        seen = {}
-
-        def peek(ctx):
-            view = ctx.node_count
-            seen["by_name"] = view["A"]
-            seen["by_index"] = view[0]
-            seen["len"] = len(view)
-
-        reg = HookRegistry()
-        reg.add(PHASE_FINAL, "peek", peek)
-        simulate(tiny_config(), epochs=1, master_seed=8, registry=reg)
-        assert seen["by_name"] == seen["by_index"]
-        assert seen["len"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +655,7 @@ class TestHookFailure:
 
         def zombify(ctx, node):
             try:
-                ctx.set_state(node, "Zombie")
+                ctx.states[node] = "Zombie"
             except HookError as err:
                 raised.append(err)
                 raise
@@ -960,6 +954,25 @@ class TestStatesApi:
                 ctx.frozen_states[node] = "A"
 
         self.run_before(lambda ctx: None, agent)
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda s: s.__setitem__(0, "A"),
+            lambda s: s.__delitem__(0),
+            lambda s: s.clear(),
+            lambda s: s.update({0: "A"}),
+            lambda s: s.update(NodeStates.from_mapping({0: "A"}, 3, ("A", "B"))),
+            lambda s: s.pop(0),
+            lambda s: s.setdefault(2, "A"),
+        ],
+        ids=["setitem", "del", "clear", "update-dict", "update-states", "pop", "setdefault"],
+    )
+    def test_every_write_to_a_frozen_copy_raises_one_error(self, write):
+        frozen = NodeStates.from_mapping({0: "B", 1: "A"}, 3, ("A", "B")).frozen()
+        with pytest.raises(TypeError, match="^frozen node states are read-only$"):
+            write(frozen)
+        assert frozen == {0: "B", 1: "A"}
 
     @pytest.mark.parametrize(
         "node,type_name,message",

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdkit import (
     AttributeTable,
+    CollectError,
     GexfError,
     Graph,
+    GraphError,
     generate_random_regular,
     load_gexf,
+    read_snapshot,
     write_gexf,
+    write_snapshot,
 )
 
 
@@ -245,3 +254,169 @@ class TestValidation:
             write_gexf(generate_random_regular(10, 2, np.random.default_rng(0)), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["x.gexf"]
+
+
+# ---------------------------------------------------------------------------
+# Column kinds come from the values, so direct column writes export as they read
+# ---------------------------------------------------------------------------
+
+
+class TestDirectColumnWrites:
+    def test_assigned_integer_column_keeps_its_kind(self, tmp_path):
+        attrs = AttributeTable()
+        attrs.node["k"] = {0: 5}
+        write_gexf(triangle(), tmp_path / "x.gexf", None, attrs)
+        _, _, attrs2 = load_gexf(tmp_path / "x.gexf")
+        assert attrs2.node == {"k": {0: 5}} and attrs2.node_kind("k") is int
+
+    def test_column_replaced_with_another_kind_reads_back(self, tmp_path):
+        attrs = AttributeTable()
+        attrs.set_node_column("k", {0: 1.5})
+        attrs.node["k"] = {0: "x"}
+        write_gexf(triangle(), tmp_path / "x.gexf", None, attrs)
+        _, _, attrs2 = load_gexf(tmp_path / "x.gexf")
+        assert attrs2.node == {"k": {0: "x"}} and attrs2.node_kind("k") is str
+
+    def test_mixed_column_refused_before_any_file(self, tmp_path):
+        attrs = AttributeTable()
+        attrs.node["k"] = {0: "x", 1: 2}
+        with pytest.raises(GexfError, match="attribute 'k'.*mixed value kinds"):
+            write_gexf(triangle(), tmp_path / "x.gexf", None, attrs)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_set_column_keeps_the_dict_it_is_given(self):
+        attrs = AttributeTable()
+        column, edges = {0: 1.5}, {(0, 1): 2}
+        attrs.set_node_column("k", column)
+        attrs.set_edge_column("w", edges)
+        assert attrs.node["k"] is column and attrs.edge["w"] is edges
+
+    def test_an_emptied_column_forgets_its_kind(self):
+        attrs = AttributeTable()
+        attrs.set_node(0, "k", 1.5)
+        with pytest.raises(GraphError, match="holds number values, got category 'x'"):
+            attrs.set_node(1, "k", "x")
+        del attrs.node["k"][0]
+        assert attrs.node_kind("k") is None
+        attrs.set_node(1, "k", "x")
+        assert attrs.node_kind("k") is str
+
+
+def reference_kind(column: dict):
+    """The kind every value of a column shares, None when empty, "bad" for a bad value or mixed kinds."""
+    kinds = set()
+    for value in column.values():
+        if type(value) is bool or not isinstance(value, (int, float, str)):
+            return "bad"
+        kinds.add(float if isinstance(value, float) else int if isinstance(value, int) else str)
+    return "bad" if len(kinds) > 1 else next(iter(kinds), None)
+
+
+def not_xml_char(ch: str) -> bool:
+    code = ord(ch)
+    return (code < 0x20 and ch not in "\t\n\r") or 0xD800 <= code <= 0xDFFF or code in (0xFFFE, 0xFFFF)
+
+
+ATTR_KEYS = ["a", "b"]
+VALUE_KINDS = {
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False),
+    "str": st.text(max_size=3),
+    "bool": st.booleans(),
+    "np.int64": st.integers(-1000, 1000).map(np.int64),
+    "np.float64": st.floats(allow_nan=False).map(np.float64),
+}
+any_value = st.one_of(*VALUE_KINDS.values())
+
+
+def column_values(data):
+    """Values of one kind, or of any kinds at all."""
+    return data.draw(st.sampled_from([*VALUE_KINDS.values(), any_value]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_property_every_writer_checks_every_column(data):
+    n = data.draw(st.integers(2, 5))
+    graph = Graph(n, directed=data.draw(st.booleans()))
+    for u, v in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
+        if u != v:
+            graph.add_edge(u, v)
+    node = st.integers(0, n - 1)
+    edges = list(graph.edges())
+    pair = st.sampled_from(edges + [(v, u) for u, v in edges]) if edges else None
+    key = st.sampled_from(ATTR_KEYS)
+    attrs = AttributeTable()
+    for _ in range(data.draw(st.integers(0, 12))):
+        op = data.draw(st.sampled_from(["set", "set_column", "assign", "del_column", "del_value", "drop_edge", "copy"]))
+        side = "edge" if pair is not None and data.draw(st.booleans()) else "node"
+        where = pair if side == "edge" else node
+        columns = getattr(attrs, side)
+        before = attrs.copy()
+        try:
+            if op == "set":
+                ids = data.draw(where)
+                ids = ids if side == "edge" else (ids,)
+                getattr(attrs, f"set_{side}")(*ids, data.draw(key), data.draw(any_value))
+            elif op in ("set_column", "assign"):
+                column = data.draw(st.dictionaries(where, column_values(data), max_size=4))
+                if op == "assign":
+                    columns[data.draw(key)] = column
+                else:
+                    getattr(attrs, f"set_{side}_column")(data.draw(key), column)
+            elif op == "del_column" and columns:
+                del columns[data.draw(st.sampled_from(sorted(columns)))]
+            elif op == "del_value" and any(columns.values()):
+                column = columns[data.draw(st.sampled_from(sorted(k for k, c in columns.items() if c)))]
+                del column[data.draw(st.sampled_from(sorted(column)))]
+            elif op == "drop_edge" and pair is not None:
+                attrs.drop_edge(*data.draw(pair))
+            elif op == "copy":
+                attrs = attrs.copy()
+        except GraphError:
+            assert attrs == before  # a refused write changes nothing
+    bad = {key for columns in (attrs.node, attrs.edge) for key, c in columns.items() if reference_kind(c) == "bad"}
+    # XML 1.0 carries no surrogate, U+FFFE, U+FFFF or control character other than tab, newline and return
+    not_xml = {
+        key
+        for columns in (attrs.node, attrs.edge)
+        for key, c in columns.items()
+        if reference_kind(c) is str and any(not_xml_char(ch) for value in c.values() for ch in value)
+    }
+
+    def check(write, read, error, bad):
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                path = write(Path(tmp))
+            except error as exc:
+                assert bad and any(f"attribute {key!r}" in str(exc) for key in bad)
+                assert not list(Path(tmp).rglob("*.*"))
+                return None
+            assert not bad
+            return read(path)
+
+    def write_json(tmp):
+        [path] = write_snapshot(0, graph, {}, attrs, {}, tmp)
+        return path
+
+    def write_xml(tmp):
+        write_gexf(graph, tmp / "x.gexf", None, attrs)
+        return tmp / "x.gexf"
+
+    read_back = []
+    snapshot = check(write_json, read_snapshot, CollectError, bad)
+    if snapshot is not None:
+        back = snapshot[3]
+        assert (back.node, back.edge) == (attrs.node, attrs.edge)
+        read_back.append(back)
+    exported = check(write_xml, load_gexf, GexfError, bad | not_xml)
+    if exported is not None:
+        back = exported[2]
+        # an empty column writes no value, so it does not come back
+        assert back.node == {key: c for key, c in attrs.node.items() if c}
+        assert back.edge == {key: c for key, c in attrs.edge.items() if c}
+        read_back.append(back)
+    for back in read_back:
+        for key in ATTR_KEYS:
+            assert back.node_kind(key) is attrs.node_kind(key) is reference_kind(attrs.node.get(key, {}))
+            assert back.edge_kind(key) is attrs.edge_kind(key) is reference_kind(attrs.edge.get(key, {}))

@@ -595,14 +595,22 @@ class IntSubclass(int):
     pass
 
 
+KIND_NAMES = {int: "integer", float: "number", str: "category"}
+
+
 def reference_set_node_column(table: AttributeTable, key: str, values: dict) -> None:
-    """The per-value kind check ``set_node_column`` had before its one-pass check."""
+    """The per-value kind check ``set_node_column`` had before its one-pass check.
+
+    Every value has a kind, they all share it, and it is the kind of the column they replace.
+    """
     kinds = {_value_kind(v) for v in values.values()}
     if len(kinds) > 1:
         raise GraphError(f"attribute {key!r}: mixed value kinds in column")
-    if kinds:
-        table._check_kind(table._node_kinds, key, next(iter(values.values())))
-    table.node[key] = dict(values)
+    seen = table.node_kind(key)
+    if kinds and seen not in (None, *kinds):
+        first = next(iter(values.values()))
+        raise GraphError(f"attribute {key!r} holds {KIND_NAMES[seen]} values, got {KIND_NAMES[kinds.pop()]} {first!r}")
+    table.node[key] = values
 
 
 column_values = st.one_of(
