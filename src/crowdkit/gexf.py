@@ -10,7 +10,8 @@ edge with no reverse edge), under ``<id>__reverse``. A value on a pair with no
 edge in either direction cannot be written and raises ``GexfError``. Attribute
 kinds, read from each column's values, map to GEXF types integer -> long,
 number -> double, category -> string (also for an empty column); a mixed
-column, or a string XML 1.0 cannot carry, raises ``GexfError`` naming it.
+column, a string XML 1.0 cannot carry, or a node column keyed on an id outside
+``[0, num_nodes)``, raises ``GexfError`` naming it.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ def _format_value(value: AttributeValue) -> str:
     return str(value)
 
 
-def _column(key: str, column: dict) -> tuple[str, type, dict]:
-    """``(key, kind, column)``, string kind when empty; ``GexfError`` naming a column XML cannot carry."""
+def _column(key: str, column: dict, num_nodes: int | None = None) -> tuple[str, type, dict]:
+    """``(key, kind, column)``, string kind when empty; ``GexfError`` naming a column XML cannot carry
+    or, given ``num_nodes``, one keyed on a node id outside the graph."""
     try:
-        kind = column_kind(key, column) or str
+        kind = column_kind(key, column, num_nodes) or str
     except GraphError as exc:
         raise GexfError(f"cannot write attribute {key!r}: {exc}") from exc
     if kind is str and any(map(_NOT_XML.search, column.values())):
@@ -65,7 +67,7 @@ def gexf_document(
         for key in attrs.node:
             if key == NODE_TYPE_KEY:
                 raise GexfError(f"node attribute key {NODE_TYPE_KEY!r} is reserved")
-            node_columns.append(_column(key, attrs.node[key]))
+            node_columns.append(_column(key, attrs.node[key], graph.num_nodes))
     edge_columns: list[tuple[str, type, dict[tuple[int, int], AttributeValue]]] = []
     if attrs is not None:
         for key in attrs.edge:

@@ -18,10 +18,13 @@ order, and -1 means v has no state.
 
 from __future__ import annotations
 
+import io
 import logging
 import math
 import os
+import warnings
 from collections.abc import ItemsView, Mapping, MutableMapping, ValuesView
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, Union
@@ -44,8 +47,12 @@ def _value_kind(value: AttributeValue) -> type:
     return float if isinstance(value, float) else (int if isinstance(value, int) else str)
 
 
-def column_kind(key: str, values: Mapping) -> type | None:
-    """The kind its values share (None when empty); ``GraphError`` on a bad value or a mixed column."""
+def column_kind(key: str, values: Mapping, num_nodes: int | None = None) -> type | None:
+    """The kind its values share (None when empty); ``GraphError`` on a bad value or a mixed column, and,
+    given ``num_nodes``, on the first node id outside ``[0, num_nodes)``."""
+    for v in values if num_nodes is not None else ():
+        if not (isinstance(v, (int, np.integer)) and 0 <= v < num_nodes):
+            raise GraphError(f"node id {v!r} outside [0, {num_nodes})")
     kinds = set(map(type, values.values()))
     if not kinds <= _KIND_NAMES.keys():  # bool, numpy scalars, subclasses: check each value
         kinds = set(map(_value_kind, values.values()))
@@ -54,13 +61,21 @@ def column_kind(key: str, values: Mapping) -> type | None:
     return kinds.pop() if kinds else None
 
 
-def _sorted_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _CSR(tuple):
+    """Read-only CSR ``(indptr, indices)``; ``rows``, the row id of each entry, is built on first use."""
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self[0].size - 1), np.diff(self[0]))
+
+
+def _sorted_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> _CSR:
     """Read-only CSR ``(indptr, indices)`` of pairs already sorted by (row, col)."""
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     indices = cols.astype(np.int32)
     indptr.flags.writeable = indices.flags.writeable = False
-    return indptr, indices
+    return _CSR((indptr, indices))
 
 
 def _row_lists(csr: tuple[np.ndarray, np.ndarray]) -> list[list[int]]:
@@ -72,12 +87,10 @@ def _row(csr: tuple[np.ndarray, np.ndarray], v: int) -> np.ndarray:
     return csr[1][csr[0][v] : csr[0][v + 1]]
 
 
-def csr_matvec(csr: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """``A @ x`` for the matrix of ones at a CSR ``(indptr, indices)``'s entries, summing each row in CSR
-    order from 0.0 as scipy does: over ``out_csr()``, bit-identical to the product with ``to_sparse``."""
-    indptr, indices = csr
-    n = indptr.size - 1
-    return np.bincount(np.repeat(np.arange(n), np.diff(indptr)), weights=x[indices], minlength=n)
+def csr_matvec(csr: _CSR, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for the matrix of ones at the entries of a graph's CSR, summing each row in CSR order
+    from 0.0 as scipy does: over ``out_csr()``, bit-identical to the product with ``to_sparse``."""
+    return np.bincount(csr.rows, weights=x[csr[1]], minlength=csr[0].size - 1)
 
 
 def _node_ids(values) -> np.ndarray:
@@ -219,10 +232,9 @@ class Graph:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(src, dst)`` arrays of the edges, in ``edges()`` order."""
-        indptr, indices = self.out_csr()
-        src = np.repeat(np.arange(self.num_nodes), np.diff(indptr))
-        keep = self.directed | (src < indices)
-        return src[keep], indices[keep]
+        out = self.out_csr()
+        keep = self.directed | (out.rows < out[1])
+        return out.rows[keep], out[1][keep]
 
     def adjacency_lists(self) -> list[list[int]]:
         """Sorted neighbor lists (out-neighbors when directed). Deterministic order."""
@@ -429,10 +441,7 @@ class AttributeTable:
         self.node.setdefault(key, {})[node] = value
 
     def get_node(self, node: int, key: str, default: AttributeValue | None = None):
-        col = self.node.get(key)
-        if col is None:
-            return default
-        return col.get(node, default)
+        return self.node.get(key, {}).get(node, default)
 
     def set_node_column(self, key: str, values: dict[int, AttributeValue]) -> None:
         """Replace a whole node column with ``values`` itself. Values must share the column's kind."""
@@ -443,10 +452,7 @@ class AttributeTable:
         self.edge.setdefault(key, {})[(u, v)] = value
 
     def get_edge(self, u: int, v: int, key: str, default: AttributeValue | None = None):
-        col = self.edge.get(key)
-        if col is None:
-            return default
-        return col.get((u, v), default)
+        return self.edge.get(key, {}).get((u, v), default)
 
     def set_edge_column(self, key: str, values: dict[tuple[int, int], AttributeValue]) -> None:
         """Replace a whole edge column with ``values`` itself. Values must share the column's kind."""
@@ -585,34 +591,51 @@ def generate_erdos_renyi(num_nodes: int, p: float, rng: np.random.Generator) -> 
 # ---------------------------------------------------------------------------
 
 
+def _scalar_edges(text: str) -> tuple[list[int], list[int], dict[int, int]]:
+    id_map: dict[int, int] = {}
+    src, dst = [], []
+    for line_no, raw in enumerate(io.StringIO(text), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListError(f"expected 2 fields, got {len(parts)}: {line!r}", line=line_no)
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListError(f"non-integer node id in {line!r}", line=line_no) from None
+        if a == b:
+            raise EdgeListError(f"self-loop on node {a}", line=line_no)
+        src.append(id_map.setdefault(a, len(id_map)))  # new ids in first-seen order
+        dst.append(id_map.setdefault(b, len(id_map)))
+    return src, dst, id_map
+
+
 def load_edge_list(path, directed: bool = False, return_id_map: bool = False):
     """Load a whitespace-separated integer-pair edge list.
 
-    Lines starting with ``#`` and blank lines are skipped. Node ids are
-    remapped to dense 0-based ids preserving first-seen order; duplicate edges
-    collapse (count logged).
+    Lines starting with ``#`` and blank lines are skipped; a ``#`` anywhere else is an error. Node ids
+    are remapped to dense 0-based ids preserving first-seen order; duplicate edges collapse (count
+    logged). The lines are parsed at once; a text that parse might read otherwise is read line by line.
     """
-    id_map: dict[int, int] = {}
-    src, dst = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise EdgeListError(f"expected 2 fields, got {len(parts)}: {line!r}", line=line_no)
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListError(f"non-integer node id in {line!r}", line=line_no) from None
-            if a == b:
-                raise EdgeListError(f"self-loop on node {a}", line=line_no)
-            for orig in (a, b):
-                if orig not in id_map:
-                    id_map[orig] = len(id_map)
-            src.append(id_map[a])
-            dst.append(id_map[b])
+        text = fh.read()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a file with no data
+            pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2)
+        if pairs.shape[1] != 2 or (pairs[:, 0] == pairs[:, 1]).any() or "#" in text and any(
+            not line.lstrip().startswith("#") for line in text.split("\n") if "#" in line  # loadtxt drops "1 2 # x"
+        ):
+            raise ValueError("a line that is not two distinct ids")
+    except (ValueError, Warning):  # _scalar_edges names the line of any error
+        src, dst, id_map = _scalar_edges(text)
+    else:
+        ids, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # ids in first-seen order
+        src, dst = np.argsort(order)[inverse].reshape(-1, 2).T
+        id_map = dict(zip(ids[order].tolist(), range(order.size)))
     g, duplicates = Graph.from_edges(len(id_map), src, dst, directed)
     if duplicates:
         logger.info("edge list %s: collapsed %d duplicate edges", path, duplicates)

@@ -94,11 +94,10 @@ INFLUENCE_PROB_KEY = "influence_prob"
 def ic_initialize(ctx: SimContext) -> None:
     """Annotate every directed edge pair with influence_prob = 1/degree(target)."""
     # Row v of the in-CSR lists every u with an edge pair (u, v): in-neighbors, or neighbors when undirected.
-    indptr, indices = ctx.graph.in_csr()
-    in_deg = np.diff(indptr)
+    csr = ctx.graph.in_csr()
     ids = list(range(ctx.graph.num_nodes))  # one int object per node, shared by every key
-    pairs = zip(map(ids.__getitem__, indices.tolist()), map(ids.__getitem__, np.repeat(ids, in_deg).tolist()))
-    probs = np.repeat(1.0 / np.maximum(in_deg, 1), in_deg).tolist()
+    pairs = zip(map(ids.__getitem__, csr[1].tolist()), map(ids.__getitem__, csr.rows.tolist()))
+    probs = (1.0 / np.maximum(np.diff(csr[0]), 1))[csr.rows].tolist()
     ctx.attrs.set_edge_column(INFLUENCE_PROB_KEY, dict(zip(pairs, probs)))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from crowdkit.collect import (
     write_collectors,
     write_summary,
 )
+from crowdkit.graph import NodeStates
 
 
 def series_doc(name: str, values: list) -> dict:
@@ -276,6 +278,15 @@ class TestSnapshots:
         assert sorted(p.name for p in path.parent.iterdir()) == ["iter_0.json"]
         assert list((tmp_path / COLLECTOR_DIR).iterdir()) == []
 
+    def test_node_ids_outside_the_graph_refused_before_any_file(self, tmp_path):
+        g = Graph(2)
+        g.add_edge(0, 1)
+        attrs = AttributeTable()
+        attrs.node["k"] = {0: 1.5, 7: 2.5, -1: 3.5}
+        with pytest.raises(CollectError, match=r"iter_0\.json: attribute 'k': node id 7 outside \[0, 2\)"):
+            write_snapshot(0, g, {}, attrs, {}, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 VALUES_BY_KIND = {
     "int": st.integers(),
@@ -336,6 +347,91 @@ def test_property_snapshot_round_trip_and_stable_bytes(inputs):
         # writing the read-back copy, whose dict orders differ, gives the same bytes
         [again] = write_snapshot(it2, g2, states2, attrs2, params2, Path(tmp) / "b")
         assert again.read_bytes() == first
+
+
+def reference_snapshot_document(iteration, graph, states, attrs, net_params) -> dict:
+    """The snapshot as one document; ``write_snapshot`` writes its ``json.dumps(..., separators=(",", ":"))``."""
+    nodes = range(graph.num_nodes)
+    if not isinstance(states, NodeStates):
+        states = NodeStates.from_mapping(states, len(nodes))
+    edge_attrs = {}
+    for key, column in sorted(attrs.edge.items()):
+        keys = np.fromiter(chain.from_iterable(column), dtype=np.int64, count=2 * len(column))
+        order = np.lexsort((keys[1::2], keys[0::2]))
+        values = np.array(list(column.values()), dtype=object)[order].tolist()
+        edge_attrs[key] = {"pairs": keys.reshape(-1, 2)[order].ravel().tolist(), "values": values}
+    links = np.stack(graph.edge_arrays(), axis=1).tolist()
+    return {
+        "iteration": iteration,
+        "graph": {"directed": graph.directed, "nodes": len(nodes), "links": links},
+        "states": states.column(),
+        "node_attrs": {key: [col.get(v) for v in nodes] for key, col in sorted(attrs.node.items())},
+        "edge_attrs": edge_attrs,
+        "net_params": dict(sorted(net_params.items())),
+    }
+
+
+# NaN, infinities, both zeros, subnormals, ints past 2**53 and past int64, non-ASCII text
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1.5e-310, 0.1, 1e300]
+WIDE_VALUES = {
+    "float": st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)),
+    "int": st.one_of(st.integers(), st.integers(2**53 - 2, 2**53 + 2), st.integers(2**63 - 1, 2**64)),
+    "str": st.text(max_size=4),
+}
+
+
+def column_values(draw, kind: str, size: int) -> list:
+    """``size`` values of one kind: all drawn freely, or from a pool of at most three (few distinct)."""
+    values = WIDE_VALUES[kind]
+    if draw(st.booleans()):
+        values = st.sampled_from(draw(st.lists(values, min_size=1, max_size=3)))
+    return draw(st.lists(values, min_size=size, max_size=size))
+
+
+@st.composite
+def wide_snapshot_inputs(draw):
+    n = draw(st.integers(0, 40))
+    node = st.integers(0, max(n - 1, 0))
+    directed = draw(st.booleans())
+    pairs = [(u, v) for u, v in draw(st.lists(st.tuples(node, node), max_size=60)) if u != v] if n else []
+    graph = Graph.from_edges(n, [u for u, _ in pairs], [v for _, v in pairs], directed)[0]
+    if pairs and draw(st.booleans()):  # a mutated graph rebuilds its arrays from neighbour sets
+        graph.remove_edge(*pairs[0])
+    attrs = AttributeTable()
+    for key in draw(st.lists(st.sampled_from(["age", "loc", "\u00e9t\u00e9"]), unique=True)) if n else []:
+        kind = draw(st.sampled_from(sorted(WIDE_VALUES)))
+        ids = draw(st.permutations(range(n))) if draw(st.booleans()) else draw(st.lists(node, unique=True))
+        attrs.node[key] = dict(zip(ids, column_values(draw, kind, len(ids))))  # every node, or some
+    for key in draw(st.lists(st.sampled_from(["influence_prob", "kind", "w"]), unique=True)):
+        kind = draw(st.sampled_from(sorted(WIDE_VALUES)))
+        # edges, their reverses, non-edges and pairs outside [0, n)
+        keys = list(dict.fromkeys(graph.edges() if draw(st.booleans()) else ()))
+        keys += draw(st.lists(st.tuples(st.integers(-2, n + 2), st.integers(-2, n + 2)), max_size=40))
+        keys = list(dict.fromkeys(draw(st.permutations(keys))))
+        attrs.edge[key] = dict(zip(keys, column_values(draw, kind, len(keys))))
+    states = draw(st.dictionaries(node, st.sampled_from(["S", "I", "R\u00e9"]))) if n else {}
+    params = draw(st.dictionaries(st.text(max_size=3), st.one_of(*WIDE_VALUES.values()), max_size=3))
+    return draw(st.integers(0, 10**6)), graph, states, attrs, params
+
+
+def test_few_distinct_floats_keep_both_zeros_and_every_special_value(tmp_path):
+    g = Graph.from_edges(40, range(39), range(1, 40))[0]
+    attrs = AttributeTable()
+    attrs.node["z"] = {v: (0.0, -0.0, math.nan)[v % 3] for v in range(40)}
+    attrs.edge["w"] = {pair: (math.inf, -math.inf, 5e-324)[pair[0] % 3] for pair in g.edges()}
+    [path] = write_snapshot(0, g, {}, attrs, {}, tmp_path)
+    expected = json.dumps(reference_snapshot_document(0, g, {}, attrs, {}), separators=(",", ":")) + "\n"
+    assert path.read_text(encoding="utf-8") == expected
+    assert '"z":[0.0,-0.0,NaN,0.0,' in expected and '"values":[Infinity,-Infinity,5e-324,' in expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_snapshot_inputs())
+def test_property_snapshot_text_is_the_compact_dump_of_the_reference_document(inputs):
+    expected = json.dumps(reference_snapshot_document(*inputs), separators=(",", ":")) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        [path] = write_snapshot(*inputs, tmp)
+        assert path.read_text(encoding="utf-8") == expected
 
 
 # ---------------------------------------------------------------------------

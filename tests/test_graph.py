@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import logging
 import math
 import statistics
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crowdkit.graph as graph_mod
 from crowdkit import (
     AttributeTable,
     EdgeListError,
@@ -343,6 +350,98 @@ class TestEdgeListIO:
             write_edge_list(generate_random_regular(40, 4, make_rng(1)), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["net.txt"]
+
+    def test_inline_comment_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "inline.txt"
+        path.write_text("# header\n0 1 # note\n")
+        with pytest.raises(EdgeListError, match="line 2.*expected 2 fields, got 4"):
+            load_edge_list(path)
+
+    def test_bulk_parse_reads_comments_crlf_tabs_and_signs(self, tmp_path):
+        path = tmp_path / "bulk.txt"
+        path.write_bytes(b"# header\r\n 100\t7 \r\n\r\n  # between\n+7 -42\n7 100\n")
+        with mock.patch.object(graph_mod, "_scalar_edges", side_effect=AssertionError("scalar parser used")):
+            with captured_log() as messages:
+                g, id_map = load_edge_list(path, return_id_map=True)
+        assert id_map == {100: 0, 7: 1, -42: 2}
+        assert sorted(g.edges()) == [(0, 1), (1, 2)]
+        assert messages == [f"edge list {path}: collapsed 1 duplicate edges"]
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "\n \t\n"])
+    def test_file_without_edges_loads_empty_and_warns_nothing(self, tmp_path, text):
+        path = tmp_path / "none.txt"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            g, id_map = load_edge_list(path, return_id_map=True)
+        assert (g.num_nodes, id_map, seen) == (0, {}, [])
+
+
+@contextlib.contextmanager
+def captured_log():
+    """The messages ``crowdkit.graph`` logs at INFO and above inside the block."""
+    messages: list[str] = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger, level = graph_mod.logger, graph_mod.logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+# small ids (repeats, reversals, self-loops), signs and zeros; then tokens int() and numpy may read differently
+ID_TOKEN = st.one_of(st.integers(-2, 9).map(str), st.sampled_from(["+4", "-0", "007"]))
+ODD_TOKEN = st.sampled_from(["1_000", "9223372036854775808", "x", "1.0", "\u0663", "#", "2#"])
+EDGE_SEPARATOR = st.sampled_from([" ", "\t", "  ", " \t ", "\xa0", "\x0b", "\x0c", "\x1c"])
+EDGE_PADDING = st.sampled_from(["", "", " ", "\t", "\xa0", "\x0c"])
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Edge lists, half of them with well-formed pairs only; the rest may hold any line the parsers refuse."""
+    odd = draw(st.booleans())
+    token = st.one_of(ID_TOKEN, ODD_TOKEN) if odd else ID_TOKEN
+    kinds = ["pair", "pair", "pair", "comment", "blank"] + (["fields", "inline"] if odd else [])
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        line = ""
+        if kind in ("pair", "fields", "inline"):
+            tokens = draw(st.lists(token, min_size=1, max_size=3) if kind == "fields" else st.tuples(token, token))
+            line = "".join(draw(EDGE_SEPARATOR) + token for token in tokens)[1:]
+            line += draw(EDGE_SEPARATOR) + "# note" if kind == "inline" else ""
+        elif kind == "comment":
+            line = draw(st.sampled_from(["#", "# note", "#0 1"]))
+        lines.append(draw(EDGE_PADDING) + line + draw(EDGE_PADDING) + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    return "".join(lines) + draw(st.sampled_from(["", "0 1"]))
+
+
+def load_outcome(path, directed: bool):
+    """``(graph, id map, log messages)`` of ``load_edge_list``, or its ``EdgeListError`` text; no warning."""
+    with warnings.catch_warnings(record=True) as seen, captured_log() as messages:
+        warnings.simplefilter("always")
+        try:
+            g, id_map = load_edge_list(path, directed=directed, return_id_map=True)
+            outcome = (g, id_map, messages)
+        except EdgeListError as exc:
+            outcome = str(exc)
+    assert seen == []
+    return outcome
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=edge_list_texts(), directed=st.booleans())
+def test_property_bulk_edge_list_parse_matches_the_line_parser(text, directed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.txt"
+        path.write_bytes(text.encode("utf-8"))
+        bulk = load_outcome(path, directed)
+        with mock.patch("numpy.loadtxt", side_effect=ValueError("read line by line")):
+            assert load_outcome(path, directed) == bulk
 
 
 # ---------------------------------------------------------------------------
