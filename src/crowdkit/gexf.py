@@ -10,8 +10,7 @@ edge with no reverse edge), under ``<id>__reverse``. A value on a pair with no
 edge in either direction cannot be written and raises ``GexfError``. Attribute
 kinds, read from each column's values, map to GEXF types integer -> long,
 number -> double, category -> string (also for an empty column); a mixed
-column, a string XML 1.0 cannot carry, or a node column keyed on an id outside
-``[0, num_nodes)``, raises ``GexfError`` naming it.
+column, a string XML 1.0 cannot carry or a node id outside the graph raises ``GexfError`` naming it.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ def _format_value(value: AttributeValue) -> str:
 
 
 def _column(key: str, column: dict, num_nodes: int | None = None) -> tuple[str, type, dict]:
-    """``(key, kind, column)``, string kind when empty; ``GexfError`` naming a column XML cannot carry
-    or, given ``num_nodes``, one keyed on a node id outside the graph."""
+    """``(key, kind, column)``, string kind when empty; ``GexfError`` naming a column XML (or the graph) cannot carry."""
     try:
         kind = column_kind(key, column, num_nodes) or str
     except GraphError as exc:

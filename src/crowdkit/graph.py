@@ -18,7 +18,6 @@ order, and -1 means v has no state.
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 import os
@@ -49,10 +48,10 @@ def _value_kind(value: AttributeValue) -> type:
 
 def column_kind(key: str, values: Mapping, num_nodes: int | None = None) -> type | None:
     """The kind its values share (None when empty); ``GraphError`` on a bad value or a mixed column, and,
-    given ``num_nodes``, on the first node id outside ``[0, num_nodes)``."""
+    given ``num_nodes``, on the first key that is not an integer node id in ``[0, num_nodes)``."""
     for v in values if num_nodes is not None else ():
         if not (isinstance(v, (int, np.integer)) and 0 <= v < num_nodes):
-            raise GraphError(f"node id {v!r} outside [0, {num_nodes})")
+            raise GraphError(f"{v!r} is not an integer node id in [0, {num_nodes})")
     kinds = set(map(type, values.values()))
     if not kinds <= _KIND_NAMES.keys():  # bool, numpy scalars, subclasses: check each value
         kinds = set(map(_value_kind, values.values()))
@@ -62,11 +61,13 @@ def column_kind(key: str, values: Mapping, num_nodes: int | None = None) -> type
 
 
 class _CSR(tuple):
-    """Read-only CSR ``(indptr, indices)``; ``rows``, the row id of each entry, is built on first use."""
+    """Read-only CSR ``(indptr, indices)``; ``rows``, the read-only row id of each entry, is built on first use."""
 
     @cached_property
     def rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self[0].size - 1), np.diff(self[0]))
+        rows = np.repeat(np.arange(self[0].size - 1), np.diff(self[0]))
+        rows.flags.writeable = False
+        return rows
 
 
 def _sorted_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> _CSR:
@@ -153,7 +154,7 @@ class Graph:
         if not 0 <= v < self.num_nodes:
             raise GraphError(f"node id {v} out of range [0, {self.num_nodes})")
 
-    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
+    def out_csr(self) -> _CSR:
         """Out-neighbor rows (neighbors when undirected), ascending, as read-only CSR; rebuilt once per ``version``."""
         if self._csr_version != self.version:
             rows = np.repeat(np.arange(self.num_nodes), [len(s) for s in self._adj])
@@ -240,7 +241,7 @@ class Graph:
         """Sorted neighbor lists (out-neighbors when directed). Deterministic order."""
         return _row_lists(self.out_csr())
 
-    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+    def in_csr(self) -> _CSR:
         """In-neighbor rows (neighbors when undirected), ascending, as read-only CSR ``(indptr, indices)``.
 
         A directed graph derives them from its out-neighbor rows once per ``version``.
@@ -441,7 +442,10 @@ class AttributeTable:
         self.node.setdefault(key, {})[node] = value
 
     def get_node(self, node: int, key: str, default: AttributeValue | None = None):
-        return self.node.get(key, {}).get(node, default)
+        col = self.node.get(key)
+        if col is None:
+            return default
+        return col.get(node, default)
 
     def set_node_column(self, key: str, values: dict[int, AttributeValue]) -> None:
         """Replace a whole node column with ``values`` itself. Values must share the column's kind."""
@@ -452,7 +456,10 @@ class AttributeTable:
         self.edge.setdefault(key, {})[(u, v)] = value
 
     def get_edge(self, u: int, v: int, key: str, default: AttributeValue | None = None):
-        return self.edge.get(key, {}).get((u, v), default)
+        col = self.edge.get(key)
+        if col is None:
+            return default
+        return col.get((u, v), default)
 
     def set_edge_column(self, key: str, values: dict[tuple[int, int], AttributeValue]) -> None:
         """Replace a whole edge column with ``values`` itself. Values must share the column's kind."""
@@ -594,7 +601,7 @@ def generate_erdos_renyi(num_nodes: int, p: float, rng: np.random.Generator) -> 
 def _scalar_edges(text: str) -> tuple[list[int], list[int], dict[int, int]]:
     id_map: dict[int, int] = {}
     src, dst = [], []
-    for line_no, raw in enumerate(io.StringIO(text), 1):
+    for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -615,21 +622,19 @@ def _scalar_edges(text: str) -> tuple[list[int], list[int], dict[int, int]]:
 def load_edge_list(path, directed: bool = False, return_id_map: bool = False):
     """Load a whitespace-separated integer-pair edge list.
 
-    Lines starting with ``#`` and blank lines are skipped; a ``#`` anywhere else is an error. Node ids
-    are remapped to dense 0-based ids preserving first-seen order; duplicate edges collapse (count
-    logged). The lines are parsed at once; a text that parse might read otherwise is read line by line.
+    Lines starting with ``#`` and blank lines are skipped; a ``#`` anywhere else is an error. Node ids are
+    remapped to dense 0-based ids in first-seen order; duplicate edges collapse (count logged).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy warns on a file with no data
-            pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2)
+            pairs = np.loadtxt(text.split("\n"), dtype=np.int64, ndmin=2)  # all lines at once
         if pairs.shape[1] != 2 or (pairs[:, 0] == pairs[:, 1]).any() or "#" in text and any(
-            not line.lstrip().startswith("#") for line in text.split("\n") if "#" in line  # loadtxt drops "1 2 # x"
-        ):
+            line.lstrip().find("#") > 0 for line in text.split("\n")):  # loadtxt drops "1 2 # x"
             raise ValueError("a line that is not two distinct ids")
-    except (ValueError, Warning):  # _scalar_edges names the line of any error
+    except (ValueError, Warning):  # line by line, naming the line of any error
         src, dst, id_map = _scalar_edges(text)
     else:
         ids, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)

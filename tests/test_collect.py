@@ -278,12 +278,13 @@ class TestSnapshots:
         assert sorted(p.name for p in path.parent.iterdir()) == ["iter_0.json"]
         assert list((tmp_path / COLLECTOR_DIR).iterdir()) == []
 
-    def test_node_ids_outside_the_graph_refused_before_any_file(self, tmp_path):
+    @pytest.mark.parametrize(("column", "bad"), [({0: 1.5, 7: 2.5, -1: 3.5}, "7"), ({0: 1.5, 1.0: 2.5}, "1.0")])
+    def test_node_ids_outside_the_graph_refused_before_any_file(self, tmp_path, column, bad):
         g = Graph(2)
         g.add_edge(0, 1)
         attrs = AttributeTable()
-        attrs.node["k"] = {0: 1.5, 7: 2.5, -1: 3.5}
-        with pytest.raises(CollectError, match=r"iter_0\.json: attribute 'k': node id 7 outside \[0, 2\)"):
+        attrs.node["k"] = column
+        with pytest.raises(CollectError, match=rf"iter_0\.json: attribute 'k': {bad} is not an integer node id in \[0, 2\)"):
             write_snapshot(0, g, {}, attrs, {}, tmp_path)
         assert list(tmp_path.iterdir()) == []
 

@@ -287,7 +287,7 @@ class TestDirectColumnWrites:
     def test_node_ids_outside_the_graph_refused_before_any_file(self, tmp_path):
         attrs = AttributeTable()
         attrs.node["k"] = {0: 1.5, 7: 2.5, -1: 3.5}
-        with pytest.raises(GexfError, match=r"attribute 'k': node id 7 outside \[0, 3\)"):
+        with pytest.raises(GexfError, match=r"attribute 'k': 7 is not an integer node id in \[0, 3\)"):
             write_gexf(triangle(), tmp_path / "x.gexf", None, attrs)
         assert list(tmp_path.iterdir()) == []
 

@@ -664,7 +664,7 @@ def test_from_edges_rejects_non_integer_ids():
 def test_copy_shares_read_only_arrays_and_is_independent(directed):
     g, _ = Graph.from_edges(4, [0, 1, 2], [1, 2, 3], directed)
     h = g.copy()
-    for arr in (*g.in_csr(), *h.in_csr()):
+    for arr in (*g.in_csr(), *h.in_csr(), g.in_csr().rows, h.out_csr().rows):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1
