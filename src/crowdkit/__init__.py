@@ -55,6 +55,7 @@ from .errors import (
 )
 from .gexf import load_gexf
 from .graph import (
+    AttributeColumn,
     AttributeTable,
     Graph,
     NodeStates,
@@ -78,6 +79,7 @@ from .scenarios import SCENARIOS, Scenario, fixture_path
 
 __all__ = [
     "__version__",
+    "AttributeColumn",
     "AttributeTable",
     "CollectError",
     "Compartment",

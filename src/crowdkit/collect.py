@@ -22,7 +22,6 @@ import json
 import math
 import os  # noqa: F401 -- kept so that ``crowdkit.collect.os.replace`` stays patchable
 from collections.abc import Mapping
-from itertools import chain
 from pathlib import Path
 from typing import Any, Union
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import CollectError, GraphError
 from .gexf import gexf_document
-from .graph import AttributeTable, Graph, NodeStates, column_kind, write_atomic
+from .graph import AttributeTable, Graph, NodeStates, write_atomic
 
 Value = Union[int, float, dict]
 
@@ -170,30 +169,29 @@ def write_snapshot(
     net_params: dict[str, Any],
     run_dir,
 ) -> list[Path]:
-    """Write <run_dir>/snapshots/iter_<i>.json (columns checked as ``read_snapshot`` reads them, node ids in range)."""
+    """Write <run_dir>/snapshots/iter_<i>.json (node-attribute keys checked to be node ids in range)."""
     path = Path(run_dir) / SNAPSHOT_DIR / f"iter_{iteration}.json"
-    n, kinds, node_attrs, edge_attrs = graph.num_nodes, {}, [], []
-    for side, columns in (("node", attrs.node), ("edge", attrs.edge)):
-        for key, column in columns.items():
-            try:
-                kinds[side, key] = column_kind(key, column, n if side == "node" else None)
-            except GraphError as exc:
-                raise CollectError(f"cannot write {path.name}: attribute {key!r}: {exc}") from exc
+    n, node_attrs, edge_attrs = graph.num_nodes, [], []
+    for key, column in attrs.node.items():
+        try:
+            column.check_nodes(n)
+        except GraphError as exc:
+            raise CollectError(f"cannot write {path.name}: attribute {key!r}: {exc}") from exc
     states = states if isinstance(states, NodeStates) else NodeStates.from_mapping(states, n)
     ids = np.array(_dumps(list(range(n)))[1:-1].split(","), dtype=object)  # ids[v] is the text of v
     src, dst = graph.edge_arrays()
     for key in sorted(attrs.node):
-        values = list(map(attrs.node[key].get, range(n)))  # None where a node has no value
-        text = _floats_json(np.array(values)) if kinds["node", key] is float and None not in values else _dumps(values)
+        nodes, values = attrs.node[key].arrays()
+        if nodes.size == n and values.dtype == float:
+            text = _floats_json(values)
+        else:
+            full = np.full(n, None, dtype=object)  # None where a node has no value
+            full[nodes] = values
+            text = _dumps(full.tolist())
         node_attrs.append(_dumps({key: 0})[1:-2] + text)  # the key as json.dumps writes it
     for key in sorted(attrs.edge):
-        column = attrs.edge[key]
-        keys = np.fromiter(chain.from_iterable(column), dtype=np.int64, count=2 * len(column))
-        u, v = keys[0::2], keys[1::2]
-        in_range = not keys.size or (keys.min() >= 0 and keys.max() < n)
-        order = np.argsort(u * n + v) if in_range else np.lexsort((v, u))  # (u, v) order; argsort is 3x faster
-        pairs = np.take(keys.reshape(-1, 2), order, axis=0).ravel()
-        values = np.array(list(column.values()), dtype=float if kinds["edge", key] is float else object)[order]
+        pairs, values = attrs.edge[key].ids().ravel(), attrs.edge[key].arrays()[1]  # in (u, v) order
+        in_range = not pairs.size or (pairs.min() >= 0 and pairs.max() < n)
         values = _floats_json(values) if values.dtype == float else _dumps(values.tolist())
         pairs_text = "[" + ",".join(ids[pairs].tolist()) + "]" if in_range else _dumps(pairs.tolist())
         edge_attrs.append(_dumps({key: 0})[1:-2] + '{"pairs":' + pairs_text + ',"values":' + values + "}")
@@ -216,10 +214,13 @@ def read_snapshot(path) -> tuple[int, Graph, dict[int, str], AttributeTable, dic
         states = {i: s for i, s in enumerate(doc["states"]) if s is not None}
         attrs = AttributeTable()
         for key, values in doc["node_attrs"].items():
-            attrs.set_node_column(key, {i: v for i, v in enumerate(values) if v is not None})
+            held = [i for i, value in enumerate(values) if value is not None]
+            attrs.set_node_column(key, [values[i] for i in held], held)
         for key, column in doc["edge_attrs"].items():
-            pairs = zip(column["pairs"][0::2], column["pairs"][1::2], strict=True)
-            attrs.set_edge_column(key, dict(zip(pairs, column["values"], strict=True)))
+            pairs, values = column["pairs"], column["values"]
+            if len(pairs) != 2 * len(values):
+                raise ValueError(f"edge attribute {key!r}: {len(pairs)} pair ids for {len(values)} values")
+            attrs.set_edge_column(key, values, (pairs[0::2], pairs[1::2]))
         return doc["iteration"], graph, states, attrs, dict(doc["net_params"])
     except (KeyError, ValueError, TypeError, GraphError) as exc:
         raise CollectError(f"malformed snapshot {path}: {exc}") from exc

@@ -799,15 +799,13 @@ def initialize_population(
 
     attrs = AttributeTable()
     for key, spec in d.node_parameters.items():
-        attrs.set_node_column(key, dict(enumerate(_draw(spec, n, rng))))
+        attrs.set_node_column(key, _draw(spec, n, rng))
 
-    edges = list(graph.edges()) if d.edge_parameters else []
     for key, spec in d.edge_parameters.items():
-        column: dict[tuple[int, int], Any] = {}
-        for (u, v), value in zip(edges, _draw(spec, len(edges), rng)):
-            column[(u, v)] = value
-            if not graph.directed:
-                column[(v, u)] = value
-        attrs.set_edge_column(key, column)
+        src, dst = graph.edge_arrays()
+        values = _draw(spec, src.size, rng)
+        if not graph.directed:  # an undirected edge's value holds on both of its pairs
+            src, dst, values = np.concatenate((src, dst)), np.concatenate((dst, src)), values + values
+        attrs.set_edge_column(key, values, (src, dst))
 
     return states, attrs, dict(d.network_parameters)

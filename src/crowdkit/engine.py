@@ -217,9 +217,7 @@ class SimContext:
                 )
             removed = self.graph.remove_edge(u, v)
             if removed:
-                self.attrs.drop_edge(u, v)
-                if not self.graph.directed:
-                    self.attrs.drop_edge(v, u)
+                self.attrs.drop_edge(u, v)  # both orientations
 
 
 def shuffle_agents(ctx: SimContext) -> list[int]:

@@ -8,9 +8,9 @@ the attribute's own id and the value for (target, source), when that pair is
 not itself a written edge (the reverse of an undirected edge, or of a directed
 edge with no reverse edge), under ``<id>__reverse``. A value on a pair with no
 edge in either direction cannot be written and raises ``GexfError``. Attribute
-kinds, read from each column's values, map to GEXF types integer -> long,
-number -> double, category -> string (also for an empty column); a mixed
-column, a string XML 1.0 cannot carry or a node id outside the graph raises ``GexfError`` naming it.
+kinds map to GEXF types integer -> long, number -> double, category -> string
+(also for an empty column); a string XML 1.0 cannot carry or a node id outside
+the graph raises ``GexfError`` naming the column.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import re
 import xml.etree.ElementTree as ET
 
 from .errors import GexfError, GraphError
-from .graph import AttributeTable, AttributeValue, Graph, column_kind
+from .graph import AttributeColumn, AttributeTable, AttributeValue, Graph
 
 NODE_TYPE_KEY = "node_type"
 _REVERSE_SUFFIX = "__reverse"
@@ -41,15 +41,17 @@ def _format_value(value: AttributeValue) -> str:
     return str(value)
 
 
-def _column(key: str, column: dict, num_nodes: int | None = None) -> tuple[str, type, dict]:
-    """``(key, kind, column)``, string kind when empty; ``GexfError`` naming a column XML (or the graph) cannot carry."""
+def _column(key: str, column: AttributeColumn, num_nodes: int | None = None) -> tuple[str, type, dict]:
+    """``(key, kind, values as a dict)``, string kind when empty; ``GexfError`` naming a column the file cannot hold."""
     try:
-        kind = column_kind(key, column, num_nodes) or str
+        if num_nodes is not None:
+            column.check_nodes(num_nodes)
     except GraphError as exc:
         raise GexfError(f"cannot write attribute {key!r}: {exc}") from exc
-    if kind is str and any(map(_NOT_XML.search, column.values())):
+    values = dict(column.items())
+    if (column.kind or str) is str and any(map(_NOT_XML.search, values.values())):
         raise GexfError(f"cannot write attribute {key!r}: a value holds a character XML 1.0 does not allow")
-    return key, kind, column
+    return key, column.kind or str, values
 
 
 def gexf_document(
@@ -216,14 +218,14 @@ def load_gexf(path) -> tuple[Graph, dict[int, str], AttributeTable]:
             for key, value in _iter_attvalues(node, node_attr_parsers, path):
                 node_values.append((dense, key, value))
 
-    graph = Graph(len(id_map), directed=directed)
     states: dict[int, str] = {}
-    attrs = AttributeTable()
+    node_columns: dict[str, dict] = {}
+    edge_columns: dict[str, dict] = {}
     for dense, key, value in node_values:
         if key == NODE_TYPE_KEY:
             states[dense] = str(value)
         else:
-            attrs.set_node(dense, key, value)
+            node_columns.setdefault(key, {})[dense] = value
 
     src, dst = [], []
     for edge in edges_el if edges_el is not None else ():
@@ -241,10 +243,13 @@ def load_gexf(path) -> tuple[Graph, dict[int, str], AttributeTable]:
         dst.append(v)
         for key, value in _iter_attvalues(edge, edge_attr_parsers, path):
             if key.endswith(_REVERSE_SUFFIX):
-                attrs.set_edge(v, u, key[: -len(_REVERSE_SUFFIX)], value)
+                edge_columns.setdefault(key[: -len(_REVERSE_SUFFIX)], {})[(v, u)] = value
             else:
-                attrs.set_edge(u, v, key, value)
+                edge_columns.setdefault(key, {})[(u, v)] = value
     graph, _ = Graph.from_edges(len(id_map), src, dst, directed)
+    attrs = AttributeTable()
+    attrs.node.update(node_columns)  # each column built at once from its values
+    attrs.edge.update(edge_columns)
     return graph, states, attrs
 
 

@@ -13,7 +13,9 @@ rebuilt from them once per ``version``.
 
 Node states (``NodeStates``) map node ids to type names through one signed
 code array: ``codes[v]`` is the position of v's type in the declared type
-order, and -1 means v has no state.
+order, and -1 means v has no state. An attribute column (``AttributeColumn``)
+is one sorted int64 key array and one aligned values array, in the manner of
+the Apache Arrow columnar format.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import os
 import warnings
 from collections.abc import ItemsView, Mapping, MutableMapping, ValuesView
+from contextlib import suppress
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -46,18 +49,32 @@ def _value_kind(value: AttributeValue) -> type:
     return float if isinstance(value, float) else (int if isinstance(value, int) else str)
 
 
-def column_kind(key: str, values: Mapping, num_nodes: int | None = None) -> type | None:
-    """The kind its values share (None when empty); ``GraphError`` on a bad value or a mixed column, and,
-    given ``num_nodes``, on the first key that is not an integer node id in ``[0, num_nodes)``."""
-    for v in values if num_nodes is not None else ():
-        if not (isinstance(v, (int, np.integer)) and 0 <= v < num_nodes):
-            raise GraphError(f"{v!r} is not an integer node id in [0, {num_nodes})")
-    kinds = set(map(type, values.values()))
+def _kind_error(key: str, seen: type, kind: type, value) -> GraphError:
+    return GraphError(f"attribute {key!r} holds {_KIND_NAMES[seen]} values, got {_KIND_NAMES[kind]} {value!r}")
+
+
+def _typed(key: str, values) -> tuple[np.ndarray, type | None]:
+    """``values`` as one float64, int64 or object (str, ints past int64) array and their kind, None when
+    empty. A numeric array's dtype settles the kind; anything else is checked value by value."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf" and values.dtype != np.uint64:
+        kind = float if values.dtype.kind == "f" else int
+        return values.astype(np.float64 if kind is float else np.int64), kind if values.size else None
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    kinds = set(map(type, values))
     if not kinds <= _KIND_NAMES.keys():  # bool, numpy scalars, subclasses: check each value
-        kinds = set(map(_value_kind, values.values()))
+        kinds = set(map(_value_kind, values))
     if len(kinds) > 1:
         raise GraphError(f"attribute {key!r}: mixed value kinds in column")
-    return kinds.pop() if kinds else None
+    kind = kinds.pop() if kinds else None
+    try:
+        return np.array(values, dtype={float: np.float64, int: np.int64}.get(kind, object)), kind
+    except OverflowError:  # ints past int64
+        return np.array(values, dtype=object), kind
+
+
+def _pair_codes(src, dst) -> np.ndarray:
+    """``src * 2**32 + dst`` as int64: for ids in ``(-2**31, 2**31)``, ordered as the ``(src, dst)`` tuples are."""
+    return np.left_shift(src, 32, dtype=np.int64) + dst
 
 
 class _CSR(tuple):
@@ -407,63 +424,228 @@ class NodeStates(MutableMapping):
         return f"NodeStates({dict(self.items())!r})"
 
 
-class AttributeTable:
-    """Columnar node/edge attribute store: ``node`` and ``edge`` map each key to its column dict.
+_GONE = object()  # a pending delete
+_NODE_BOUNDS, _PAIR_BOUNDS = (-(2**63) - 1, 2**63), (-(2**31), 2**31)  # ids lie strictly between
 
-    A column's kind (integer, number, or category) is read from its values by
-    ``column_kind``, which every file writer applies to every column; an
-    emptied column has none. ``set_*_column`` keeps the dict it is given. Edge
-    attributes are keyed by the ordered pair (u, v); undirected graphs may
+
+class AttributeColumn(MutableMapping):
+    """One attribute column as sorted int64 key codes and one aligned values array, used as a dict.
+
+    Keys are node ids, or for an edge column ``(u, v)`` pairs of ids in ``(-2**31, 2**31)``, coded so that
+    code order is tuple order; iteration follows it. Values are float64, int64 or object (str, ints past
+    int64) and read back as Python int, float or str. A key that is no node id (no pair), a value that is
+    no int, float or str, or one of another kind than the column holds raises ``GraphError`` at the write;
+    an emptied column forgets its kind. Single writes and deletes wait in a dict merged on the next bulk
+    read. ``==`` is a dict's, except that NaN equals NaN.
+    """
+
+    __slots__ = ("name", "edge", "kind", "_keys", "_values", "_pending")
+
+    def __init__(self, name: str, values=(), keys=None, edge: bool = False):
+        """``values``: a mapping, or values at ``keys``: node ids (default 0, 1, ...) or ``(src, dst)`` id sequences."""
+        self.name, self.edge, self._pending = name, edge, {}
+        if isinstance(values, Mapping):
+            keys, values = list(values), list(values.values())
+        elif edge and keys is not None:
+            keys = np.column_stack(keys) if len(keys[0]) else ()
+        values, self.kind = _typed(name, values)
+        self._set(self._codes(np.arange(values.size) if keys is None else keys), values)
+
+    def _set(self, codes: np.ndarray, values: np.ndarray) -> None:
+        if codes.size != values.size:
+            raise GraphError(f"attribute {self.name!r}: {codes.size} keys for {values.size} values")
+        if np.any(codes[1:] <= codes[:-1]):  # sort; a repeated key keeps its last value
+            order = np.argsort(codes, kind="stable")
+            codes, values = codes[order], values[order]
+            last = np.append(codes[1:] != codes[:-1], True)
+            codes, values = codes[last], values[last]
+        self._keys, self._values, self.kind = codes, values, self.kind if codes.size else None
+
+    def _code(self, key) -> int:
+        ids, (low, high) = (key, _PAIR_BOUNDS) if self.edge else ((key,), _NODE_BOUNDS)
+        try:
+            if len(ids) == 1 + self.edge and all(isinstance(i, (int, np.integer)) and low < i < high for i in ids):
+                return int(ids[0]) * 2**32 + int(ids[1]) if self.edge else int(key)
+        except TypeError:
+            pass
+        what = "a pair of integer node ids in (-2**31, 2**31)" if self.edge else "an integer node id"
+        raise GraphError(f"attribute {self.name!r}: {key!r} is not {what}")
+
+    def _codes(self, keys) -> np.ndarray:
+        """The codes of node ids (``(m, 2)`` pairs); on any bad key, ``_code`` names the first."""
+        low, high = _PAIR_BOUNDS if self.edge else _NODE_BOUNDS
+        with suppress(ValueError):  # pairs of uneven length
+            ids = np.asarray(keys)
+            shaped = ids.dtype.kind in "iub" and ids.shape[1:] == (2,) * self.edge
+            if not ids.size or shaped and low < ids.min() and ids.max() < high:
+                ids = ids.astype(np.int64).reshape(-1, 1 + self.edge)
+                return _pair_codes(ids[:, 0], ids[:, 1]) if self.edge else ids[:, 0]
+        return np.array(list(map(self._code, keys)), dtype=np.int64)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted key codes and their values, pending writes merged; read them, do not write them."""
+        if self._pending:  # the pending values go last, so they win over the values they replace
+            pending, self._pending = self._pending, {}
+            live = {code: value for code, value in pending.items() if value is not _GONE}
+            keep = ~np.isin(self._keys, np.fromiter(pending.keys() - live.keys(), np.int64))
+            new = _typed(self.name, live.values())[0]
+            values = [part for part in (self._values[keep], new) if part.size] or [new]
+            codes = np.concatenate((self._keys[keep], np.fromiter(live, np.int64, len(live))))
+            self._set(codes, np.concatenate(values))
+        return self._keys, self._values
+
+    def ids(self) -> np.ndarray:
+        """The keys in key order: node ids, or an edge column's ``(m, 2)`` pairs."""
+        codes = self.arrays()[0]
+        if not self.edge:
+            return codes
+        src = (codes + 2**31) >> 32
+        return np.stack((src, codes - (src << 32)), axis=1)
+
+    def take(self, keys, default) -> np.ndarray:
+        """The values at ``keys`` (node ids, or ``(src, dst)`` arrays of ids in range), ``default`` where absent."""
+        codes, values = self.arrays()
+        want = _pair_codes(*keys) if self.edge else np.asarray(keys)
+        if not codes.size:
+            return np.full(want.shape, default)
+        at = codes.searchsorted(want)
+        return np.where(codes.take(at, mode="clip") == want, values.take(at, mode="clip"), default)
+
+    def check_nodes(self, num_nodes: int) -> None:
+        """``GraphError`` naming the largest key that is no node id in ``[0, num_nodes)``."""
+        codes = self.arrays()[0]
+        bad = codes[(codes < 0) | (codes >= num_nodes)]
+        if bad.size:
+            raise GraphError(f"{bad[-1]} is not an integer node id in [0, {num_nodes})")
+
+    def __getitem__(self, key):
+        try:
+            code = self._code(key)
+        except GraphError:
+            raise KeyError(key) from None
+        value = self._pending.get(code, self)  # self: no pending write
+        at = int(self._keys.searchsorted(code)) if value is self else -1
+        if 0 <= at < self._keys.size and self._keys[at] == code:
+            return self._values.item(at)
+        if value is self or value is _GONE:
+            raise KeyError(key)
+        return value
+
+    def __setitem__(self, key, value) -> None:
+        code = self._code(key)
+        try:
+            kind = _value_kind(value)
+        except GraphError as exc:
+            raise GraphError(f"attribute {self.name!r}: {exc}") from None
+        if kind is not self.kind and self.kind is not None and len(self):
+            raise _kind_error(self.name, self.kind, kind, value)
+        self.kind, self._pending[code] = kind, kind(value)
+
+    def __delitem__(self, key) -> None:
+        self[key]  # KeyError when absent
+        self._pending[self._code(key)] = _GONE
+
+    def __iter__(self):
+        return iter(self._pairs()[0])
+
+    def __len__(self) -> int:
+        return self.arrays()[0].size
+
+    def _pairs(self) -> tuple[list, list]:
+        ids = self.ids()
+        return list(zip(*ids.T.tolist())) if self.edge else ids.tolist(), self._values.tolist()
+
+    values, items = NodeStates.values, NodeStates.items  # views over ``_pairs``
+
+    def clear(self) -> None:
+        self.__init__(self.name, edge=self.edge)
+
+    def copy(self, name: str | None = None) -> "AttributeColumn":
+        column = AttributeColumn(self.name if name is None else name, edge=self.edge)
+        column.kind = self.kind
+        column._set(*(a.copy() for a in self.arrays()))
+        return column
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        try:
+            other = other if isinstance(other, AttributeColumn) else AttributeColumn(self.name, other, edge=self.edge)
+        except GraphError:
+            return False
+        (keys, a), (other_keys, b) = self.arrays(), other.arrays()
+        return np.array_equal(keys, other_keys) and bool(np.all((a == b) | (a != a) & (b != b)))
+
+    def __repr__(self) -> str:
+        return f"AttributeColumn({self.name!r}, {dict(self.items())!r})"
+
+
+class _Columns(dict):
+    """Key -> column; a mapping stored here (also by ``setdefault`` and ``update``) becomes a column."""
+
+    __slots__ = ("edge",)
+
+    def __setitem__(self, key: str, values) -> None:
+        same_side = isinstance(values, AttributeColumn) and values.edge == self.edge
+        super().__setitem__(key, values.copy(key) if same_side else AttributeColumn(key, values, edge=self.edge))
+
+    def setdefault(self, key: str, default=None) -> AttributeColumn:
+        if key not in self:
+            self[key] = {} if default is None else default
+        return self[key]
+
+    def update(self, other=(), /, **kwargs) -> None:
+        for key, values in dict(other, **kwargs).items():
+            self[key] = values
+
+    def write(self, key: str, at, value: AttributeValue) -> None:
+        column = self[key] if key in self else AttributeColumn(key, edge=self.edge)
+        column[at] = value  # a new column is kept only once its first write succeeds
+        super().__setitem__(key, column)
+
+    def replace(self, key: str, values, keys) -> None:
+        column, old = AttributeColumn(key, values, keys, self.edge), self.get(key)
+        if column and old and column.kind is not old.kind:
+            first = next(iter(values.values() if isinstance(values, Mapping) else values))
+            raise _kind_error(key, old.kind, column.kind, first)
+        super().__setitem__(key, column)
+
+
+class AttributeTable:
+    """Node and edge attributes: ``node`` and ``edge`` map each key to its ``AttributeColumn``.
+
+    A mapping stored under a key, as by ``node[key] = {...}`` or ``edge.setdefault(key, {})``, becomes a
+    column, checked at once. Edge attributes are keyed by the ordered pair (u, v); undirected graphs may
     hold distinct values for (u, v) and (v, u).
     """
 
     __slots__ = ("node", "edge")
 
     def __init__(self):
-        self.node: dict[str, dict[int, AttributeValue]] = {}
-        self.edge: dict[str, dict[tuple[int, int], AttributeValue]] = {}
-
-    @staticmethod
-    def _check_kind(column: dict | None, key: str, value: AttributeValue) -> None:
-        kind = _value_kind(value)
-        seen = _value_kind(next(iter(column.values()))) if column else kind
-        if seen is not kind:
-            raise GraphError(
-                f"attribute {key!r} holds {_KIND_NAMES[seen]} values, got {_KIND_NAMES[kind]} {value!r}"
-            )
-
-    def _set_column(self, columns: dict, key: str, values: dict) -> None:
-        if column_kind(key, values):
-            self._check_kind(columns.get(key), key, next(iter(values.values())))
-        columns[key] = values
+        self.node, self.edge = _Columns(), _Columns()
+        self.node.edge, self.edge.edge = False, True
 
     def set_node(self, node: int, key: str, value: AttributeValue) -> None:
-        self._check_kind(self.node.get(key), key, value)
-        self.node.setdefault(key, {})[node] = value
+        self.node.write(key, node, value)
 
     def get_node(self, node: int, key: str, default: AttributeValue | None = None):
-        col = self.node.get(key)
-        if col is None:
-            return default
-        return col.get(node, default)
+        return self.node[key].get(node, default) if key in self.node else default
 
-    def set_node_column(self, key: str, values: dict[int, AttributeValue]) -> None:
-        """Replace a whole node column with ``values`` itself. Values must share the column's kind."""
-        self._set_column(self.node, key, values)
+    def set_node_column(self, key: str, values, nodes=None) -> None:
+        """Replace a node column with ``values``: a mapping, or values for ``nodes`` (default 0, 1, ...),
+        where a numeric array's dtype settles the kind. Values must share the column's kind."""
+        self.node.replace(key, values, nodes)
 
     def set_edge(self, u: int, v: int, key: str, value: AttributeValue) -> None:
-        self._check_kind(self.edge.get(key), key, value)
-        self.edge.setdefault(key, {})[(u, v)] = value
+        self.edge.write(key, (u, v), value)
 
     def get_edge(self, u: int, v: int, key: str, default: AttributeValue | None = None):
-        col = self.edge.get(key)
-        if col is None:
-            return default
-        return col.get((u, v), default)
+        return self.edge[key].get((u, v), default) if key in self.edge else default
 
-    def set_edge_column(self, key: str, values: dict[tuple[int, int], AttributeValue]) -> None:
-        """Replace a whole edge column with ``values`` itself. Values must share the column's kind."""
-        self._set_column(self.edge, key, values)
+    def set_edge_column(self, key: str, values, pairs=None) -> None:
+        """Replace an edge column with ``values``: a mapping, or values for ``pairs``, ``(src, dst)`` id
+        sequences, where a numeric array's dtype settles the kind. Values must share the column's kind."""
+        self.edge.replace(key, values, pairs)
 
     def drop_edge(self, u: int, v: int) -> None:
         """Remove all attribute entries for (u, v) and (v, u)."""
@@ -472,15 +654,15 @@ class AttributeTable:
             col.pop((v, u), None)
 
     def node_kind(self, key: str) -> type | None:
-        return column_kind(key, self.node.get(key, {}))
+        return self.node[key].kind if self.node.get(key) else None
 
     def edge_kind(self, key: str) -> type | None:
-        return column_kind(key, self.edge.get(key, {}))
+        return self.edge[key].kind if self.edge.get(key) else None
 
     def copy(self) -> "AttributeTable":
         t = AttributeTable()
-        t.node = {k: dict(c) for k, c in self.node.items()}
-        t.edge = {k: dict(c) for k, c in self.edge.items()}
+        t.node.update(self.node)
+        t.edge.update(self.edge)
         return t
 
     def __eq__(self, other: object) -> bool:

@@ -130,16 +130,15 @@ def _drawing_rule(comp, members, state, graph, attrs, ledger) -> tuple[np.ndarra
         np.cumsum(state.mask(comp.triggering_status)[indices], out=held[1:])
         return held[indptr[members + 1]] > held[indptr[members]], comp.ratio
     if type(comp) is NodeCategorical:
-        column = attrs.node.get(comp.attribute, {})
-        values = list(map(column.get, members.tolist()))
-        if None in values and comp.attribute not in ledger.warned_attrs:
+        column = attrs.node.get(comp.attribute)
+        values = np.full(members.size, None) if column is None else column.take(members, None)
+        missing = members[values == None]  # noqa: E711 -- elementwise
+        if missing.size and comp.attribute not in ledger.warned_attrs:
             ledger.warned_attrs.add(comp.attribute)
             logger.warning(
-                "node %d lacks categorical attribute %r; treating as not eligible",
-                members[values.index(None)],
-                comp.attribute,
+                "node %d lacks categorical attribute %r; treating as not eligible", missing[0], comp.attribute
             )
-        return np.array([value == comp.value for value in values], dtype=bool), comp.probability
+        return values == comp.value, comp.probability
     raise ConfigError(f"unknown compartment kind {type(comp).__name__}")
 
 

@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from itertools import filterfalse, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -55,7 +55,7 @@ import numpy as np
 
 from .engine import PHASE_AFTER, PHASE_BEFORE, PHASE_FINAL, HookRegistry, SimContext
 from .errors import HookError
-from .graph import csr_matvec
+from .graph import AttributeColumn, csr_matvec
 
 # ---------------------------------------------------------------------------
 # SIR.
@@ -93,12 +93,10 @@ INFLUENCE_PROB_KEY = "influence_prob"
 
 def ic_initialize(ctx: SimContext) -> None:
     """Annotate every directed edge pair with influence_prob = 1/degree(target)."""
-    # Row v of the in-CSR lists every u with an edge pair (u, v): in-neighbors, or neighbors when undirected.
-    csr = ctx.graph.in_csr()
-    ids = list(range(ctx.graph.num_nodes))  # one int object per node, shared by every key
-    pairs = zip(map(ids.__getitem__, csr[1].tolist()), map(ids.__getitem__, csr.rows.tolist()))
-    probs = (1.0 / np.maximum(np.diff(csr[0]), 1))[csr.rows].tolist()
-    ctx.attrs.set_edge_column(INFLUENCE_PROB_KEY, dict(zip(pairs, probs)))
+    # The out-CSR lists every edge pair (u, v), in (u, v) order; a target's entries count its in-degree.
+    out = ctx.graph.out_csr()
+    indegree = np.bincount(out[1], minlength=ctx.graph.num_nodes)
+    ctx.attrs.set_edge_column(INFLUENCE_PROB_KEY, 1.0 / np.maximum(indegree, 1)[out[1]], (out.rows, out[1]))
 
 
 def ic_step(ctx: SimContext, per_edge: bool = False) -> None:
@@ -120,8 +118,8 @@ def ic_step(ctx: SimContext, per_edge: bool = False) -> None:
     rows = np.searchsorted(indptr, hot, side="right") - 1
     into_inactive = states.mask(IC_INACTIVE)[rows]
     rows, sources = rows[into_inactive], indices[hot[into_inactive]]
-    column = ctx.attrs.edge.get(INFLUENCE_PROB_KEY, {})  # read live: an edit counts from the next step
-    probs = np.fromiter(map(column.get, zip(sources.tolist(), rows.tolist()), repeat(0.0)), np.float64, rows.size)
+    column = ctx.attrs.edge.get(INFLUENCE_PROB_KEY)  # read live: an edit counts from the next step
+    probs = np.zeros(rows.size) if column is None else column.take((sources, rows), 0.0)
     if not per_edge:  # one draw per node, against its largest probability (NaN-skipping, as `>` is)
         best = np.full(ctx.graph.num_nodes, -1.0)
         np.fmax.at(best, rows, probs)
@@ -246,8 +244,8 @@ def trust_payoffs(ctx: SimContext) -> float:
     if old is None:
         old = new
     sc["trust_payoff_arr"] = new
-    ctx.attrs.set_node_column("previous_payoff", dict(enumerate(old.tolist())))
-    ctx.attrs.set_node_column("current_payoff", dict(enumerate(new.tolist())))
+    ctx.attrs.set_node_column("previous_payoff", old)
+    ctx.attrs.set_node_column("current_payoff", new)
     total = float(new.sum())
     sc["trust_global_payoff"] = total
     return total
@@ -294,11 +292,11 @@ def stayhome_step(ctx: SimContext) -> float:
     previous = ctx.scratch.get("stayhome_prev_susceptible")
     fraction = 0.0 if previous is None or n == 0 else (previous - current) / n
     ctx.scratch["stayhome_prev_susceptible"] = current
-    order = ctx.rng.permutation(n).tolist()
-    column = ctx.attrs.node.get(LOCATION_KEY, {})
-    missing = next(filterfalse(column.__contains__, order), None)
-    if missing is not None:
-        raise HookError(f"node {missing} has no {LOCATION_KEY!r} attribute", iteration=ctx.iteration)
+    order = ctx.rng.permutation(n)
+    column = ctx.attrs.node.get(LOCATION_KEY, AttributeColumn(LOCATION_KEY))
+    missing = order[column.take(order, None) == None]  # noqa: E711 -- elementwise
+    if missing.size:
+        raise HookError(f"node {missing[0]} has no {LOCATION_KEY!r} attribute", iteration=ctx.iteration)
     params = ctx.net_params
     if fraction <= 0.0:
         p_home = float(params.get("stay-home-baseline", 0.0))
@@ -307,13 +305,13 @@ def stayhome_step(ctx: SimContext) -> float:
         midpoint = float(params.get("stay-home-midpoint", 0.05))
         p_home = 1.0 / (1.0 + math.exp(-slope * (fraction - midpoint)))
     home = (ctx.rng.random(n) < p_home).tolist()
-    column.update(zip(order, map((LOCATION_GRID, LOCATION_HOME).__getitem__, home)))
+    column.update(zip(order.tolist(), map((LOCATION_GRID, LOCATION_HOME).__getitem__, home)))
     return fraction
 
 
 def stayhome_home_count(ctx: SimContext) -> int:
-    column = ctx.attrs.node.get(LOCATION_KEY, {})
-    return sum(1 for value in column.values() if value == LOCATION_HOME)
+    column = ctx.attrs.node.get(LOCATION_KEY)
+    return 0 if column is None else int(np.count_nonzero(column.arrays()[1] == LOCATION_HOME))
 
 
 def stayhome_registry() -> tuple[HookRegistry, None]:

@@ -17,6 +17,7 @@ from crowdkit import (
     AttributeTable,
     CollectError,
     Graph,
+    GraphError,
     SeriesRecorder,
     list_snapshots,
     merge_batches,
@@ -283,7 +284,13 @@ class TestSnapshots:
         g = Graph(2)
         g.add_edge(0, 1)
         attrs = AttributeTable()
-        attrs.node["k"] = column
+        if bad == "1.0":  # an id that is no integer is refused at the column write
+            with pytest.raises(GraphError, match=r"^attribute 'k': 1\.0 is not an integer node id$"):
+                attrs.node["k"] = column
+            attrs.node["k"] = {0: 1.5, 2: 2.5}
+            bad = "2"
+        else:
+            attrs.node["k"] = column
         with pytest.raises(CollectError, match=rf"iter_0\.json: attribute 'k': {bad} is not an integer node id in \[0, 2\)"):
             write_snapshot(0, g, {}, attrs, {}, tmp_path)
         assert list(tmp_path.iterdir()) == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -721,14 +722,30 @@ class TestHookFailure:
         assert sorted(path.name for path in merged) == ["node_counts.json", "poison.json"]
 
     def test_unchecked_column_write_fails_the_snapshot_with_the_column_named(self, tmp_path):
-        def flag(ctx):
-            ctx.attrs.node.setdefault("flag", {})[0] = True  # a bool, past set_node's kind check
+        def set_flag(ctx):
+            ctx.attrs.node.setdefault("flag", {})[0] = True  # a bool, written into the column directly
 
         reg = HookRegistry()
-        reg.add(PHASE_AFTER, "flag", flag)
+        reg.add(PHASE_AFTER, "set_flag", set_flag)
         run_dir = tmp_path / "r"
-        message = "cannot write iter_1.json: attribute 'flag': unsupported attribute value True"
-        with pytest.raises(CollectError, match=message):
+        # the column refuses the write itself, so the run fails before its iteration-1 snapshot
+        message = "hook set_flag (iteration 1): attribute 'flag': unsupported attribute value True"
+        with pytest.raises(HookError, match=re.escape(message)):
+            simulate(tiny_config(), epochs=1, registry=reg, run_dir=run_dir)
+        assert (run_dir / "snapshots" / "iter_0.json").exists()
+        assert not (run_dir / "snapshots" / "iter_1.json").exists()
+        assert message in json.loads((run_dir / RUN_META_FILE).read_text())["error"]
+
+    @pytest.mark.parametrize("pair", [(2**70, 0), ("x", 0)])
+    def test_edge_pair_id_that_fits_no_int64_refused_at_the_write(self, tmp_path, pair):
+        def weigh(ctx):
+            ctx.attrs.set_edge(*pair, "w", 1.0)
+
+        reg = HookRegistry()
+        reg.add(PHASE_AFTER, "weigh", weigh)
+        run_dir = tmp_path / "r"
+        message = f"hook weigh (iteration 1): attribute 'w': {pair!r} is not a pair of integer node ids"
+        with pytest.raises(HookError, match=re.escape(message)):
             simulate(tiny_config(), epochs=1, registry=reg, run_dir=run_dir)
         assert not (run_dir / "snapshots" / "iter_1.json").exists()
         assert message in json.loads((run_dir / RUN_META_FILE).read_text())["error"]

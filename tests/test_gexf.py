@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -279,10 +280,10 @@ class TestDirectColumnWrites:
 
     def test_mixed_column_refused_before_any_file(self, tmp_path):
         attrs = AttributeTable()
-        attrs.node["k"] = {0: "x", 1: 2}
-        with pytest.raises(GexfError, match="attribute 'k'.*mixed value kinds"):
-            write_gexf(triangle(), tmp_path / "x.gexf", None, attrs)
-        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(GraphError, match="attribute 'k': mixed value kinds"):
+            attrs.node["k"] = {0: "x", 1: 2}  # refused at the write, so no writer ever sees it
+        write_gexf(triangle(), tmp_path / "x.gexf", None, attrs)
+        assert load_gexf(tmp_path / "x.gexf")[2].node == {}
 
     def test_node_ids_outside_the_graph_refused_before_any_file(self, tmp_path):
         attrs = AttributeTable()
@@ -291,12 +292,15 @@ class TestDirectColumnWrites:
             write_gexf(triangle(), tmp_path / "x.gexf", None, attrs)
         assert list(tmp_path.iterdir()) == []
 
-    def test_set_column_keeps_the_dict_it_is_given(self):
+    def test_set_column_stores_a_column_equal_to_the_dict_it_is_given(self):
         attrs = AttributeTable()
-        column, edges = {0: 1.5}, {(0, 1): 2}
+        column, edges = {3: 1.5, 0: -0.0, 1: math.nan}, {(1, 0): 2, (-1, 5): 2**70, (0, 1): 3}
         attrs.set_node_column("k", column)
         attrs.set_edge_column("w", edges)
-        assert attrs.node["k"] is column and attrs.edge["w"] is edges
+        assert attrs.node["k"] == column and attrs.edge["w"] == edges
+        assert list(attrs.node["k"]) == [0, 1, 3] and math.isnan(attrs.node["k"][1])  # key order
+        assert list(attrs.edge["w"].items()) == [((-1, 5), 2**70), ((0, 1), 3), ((1, 0), 2)]
+        assert attrs.node["k"] is not column and attrs.edge["w"] is not edges
 
     def test_an_emptied_column_forgets_its_kind(self):
         attrs = AttributeTable()

@@ -752,3 +752,168 @@ def test_property_column_kind_check_matches_per_value_reference(prior, values):
     # edge columns share the check
     edge_column = {(i, i + 1): v for i, v in enumerate(values)}
     assert outcome(tables[1].set_edge_column, "k", edge_column) == expected
+
+
+# ---------------------------------------------------------------------------
+# Attribute columns against a dict reference
+# ---------------------------------------------------------------------------
+
+
+def reference_key_ok(edge: bool, key) -> bool:
+    """A node id in int64, or a pair of ids in (-2**31, 2**31)."""
+    if edge:
+        return isinstance(key, tuple) and len(key) == 2 and all(
+            isinstance(i, int) and -(2**31) < i < 2**31 for i in key
+        )
+    return isinstance(key, int) and -(2**63) <= key < 2**63
+
+
+def reference_kind_of(value):
+    if type(value) is bool or not isinstance(value, (int, float, str)):
+        return None
+    return float if isinstance(value, float) else int if isinstance(value, int) else str
+
+
+class ReferenceTable:
+    """``AttributeTable`` as plain dicts: a write is checked, then applied, or refused and applied not at all."""
+
+    def __init__(self):
+        self.sides = {False: {}, True: {}}
+
+    def copy(self):
+        ref = ReferenceTable()
+        ref.sides = {edge: {k: dict(c) for k, c in cols.items()} for edge, cols in self.sides.items()}
+        return ref
+
+    def kind(self, edge, key):
+        column = self.sides[edge].get(key, {})
+        return reference_kind_of(next(iter(column.values()))) if column else None
+
+    def check_column(self, edge, column):
+        """The column as it is stored; GraphError if any key or value is bad or the kinds mix."""
+        kinds = {reference_kind_of(v) for v in column.values()}
+        if None in kinds or len(kinds) > 1 or not all(reference_key_ok(edge, k) for k in column):
+            raise GraphError("refused")
+        return {k: kinds and next(iter(kinds))(v) for k, v in column.items()}
+
+    def set(self, edge, key, at, value):
+        kind = reference_kind_of(value)
+        if kind is None or not reference_key_ok(edge, at) or self.kind(edge, key) not in (None, kind):
+            raise GraphError("refused")
+        self.sides[edge].setdefault(key, {})[at] = kind(value)
+
+    def set_column(self, edge, key, column, check_kind):
+        stored = self.check_column(edge, column)
+        if check_kind and stored and self.kind(edge, key) not in (None, reference_kind_of(next(iter(stored.values())))):
+            raise GraphError("refused")
+        self.sides[edge][key] = stored
+
+
+def exact(column) -> list:
+    """Items with their types and reprs: -0.0 is not 0.0, and NaN is NaN."""
+    return [(k, type(v), repr(v)) for k, v in column.items()]
+
+
+node_keys = st.one_of(st.integers(-3, 6), st.sampled_from([2**63, -(2**63) - 1, "x", 1.5]))
+pair_keys = st.one_of(
+    st.tuples(st.integers(-3, 6), st.integers(-3, 6)),
+    st.sampled_from([(2**31 - 1, 1 - 2**31), (2**31, 0), (0, -(2**31)), (2**70, 0), ("x", 0), (1, 2, 3), 5]),
+)
+mixed_values = st.one_of(
+    st.integers(-5, 5),
+    st.integers(2**63 - 2, 2**64),  # past int64: an object column of ints
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, 1.5]),
+    st.text(max_size=2),
+    st.sampled_from([True, None, np.int64(3), np.float64(2.5)]),  # bad values, and a float
+)
+
+
+def as_arrays(edge: bool, keys: list, values: list):
+    """Keys and values as ``set_*_column`` takes them, numeric values as one array (its dtype then decides)."""
+    kinds = {reference_kind_of(v) for v in values}
+    if kinds == {float} or kinds == {int} and all(-(2**63) <= v < 2**63 for v in values):
+        values = np.array(values)
+    return values, (tuple(map(list, zip(*keys))) if keys else ([], [])) if edge else keys
+
+
+def refused(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except GraphError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_property_column_facade_matches_a_dict_reference(data):
+    attrs, ref = AttributeTable(), ReferenceTable()
+    ops = ["set", "item", "get", "del", "update", "setdefault", "set_column", "assign", "arrays", "drop_edge", "copy"]
+    for _ in range(data.draw(st.integers(1, 25))):
+        op, edge, key = data.draw(st.sampled_from(ops)), data.draw(st.booleans()), data.draw(st.sampled_from("ab"))
+        columns, ref_columns = (attrs.edge, ref.sides[True]) if edge else (attrs.node, ref.sides[False])
+        keys = pair_keys if edge else node_keys
+        at, value = data.draw(keys), data.draw(mixed_values)
+        if op == "set" and (not edge or isinstance(at, tuple) and len(at) == 2):
+            write = (lambda: attrs.set_edge(*at, key, value)) if edge else (lambda: attrs.set_node(at, key, value))
+            assert refused(write) == refused(ref.set, edge, key, at, value)
+        elif op in ("item", "setdefault") and key in columns:
+            if op == "setdefault" and reference_key_ok(edge, at) and at in ref_columns[key]:
+                assert exact({0: columns[key].setdefault(at, value)}) == exact({0: ref_columns[key][at]})
+            else:
+                write = columns[key].setdefault if op == "setdefault" else columns[key].__setitem__
+                assert refused(write, at, value) == refused(ref.set, edge, key, at, value)
+        elif op == "get" and key in columns:
+            column, expected = columns[key], ref_columns[key] if reference_key_ok(edge, at) else {}
+            assert (at in column) == (at in expected)
+            assert exact({0: column.get(at, "absent")}) == exact({0: expected.get(at, "absent")})
+        elif op == "del" and key in columns:
+            absent = not reference_key_ok(edge, at) or at not in ref_columns[key]
+            with pytest.raises(KeyError) if absent else contextlib.nullcontext():
+                del columns[key][at]
+            if not absent:
+                del ref_columns[key][at]
+        elif op == "update" and key in columns:
+            batch = dict(data.draw(st.lists(st.tuples(keys, mixed_values), max_size=4)))
+            # one key at a time, as dict.update: a refusal keeps the writes before it
+            ref_refused = any(refused(ref.set, edge, key, k, v) for k, v in batch.items())
+            assert refused(columns[key].update, batch) == ref_refused
+        elif op in ("set_column", "assign"):
+            ids = data.draw(st.lists(keys, max_size=5))
+            column = {k: data.draw(mixed_values) if data.draw(st.booleans()) else value for k in ids}
+            if op == "assign":
+                write = columns.__setitem__
+            else:
+                write = attrs.set_edge_column if edge else attrs.set_node_column
+            assert refused(write, key, column) == refused(ref.set_column, edge, key, column, op == "set_column")
+        elif op == "arrays":  # every value is checked, then a repeated key keeps its last value
+            small = st.integers(-1, 2)  # so keys repeat
+            ids = data.draw(st.lists(st.tuples(small, small) if edge else st.one_of(small, node_keys), max_size=6))
+            pool = data.draw(st.sampled_from([mixed_values, st.integers(-5, 5), st.floats(), st.just(value)]))
+            values = [data.draw(pool) for _ in ids]
+            kinds = {reference_kind_of(v) for v in values}
+            write = attrs.set_edge_column if edge else attrs.set_node_column
+            assert refused(write, key, *as_arrays(edge, ids, values)) == (
+                None in kinds or len(kinds) > 1 or refused(ref.set_column, edge, key, dict(zip(ids, values)), True)
+            )
+        elif op == "drop_edge" and edge and reference_key_ok(True, at):
+            attrs.drop_edge(*at)
+            for column in ref.sides[True].values():
+                column.pop(at, None)
+                column.pop(at[::-1], None)
+        elif op == "copy":
+            before, attrs = attrs, attrs.copy()
+            assert attrs == before and attrs.copy() == attrs  # NaN included
+        for side_edge, cols in ((False, attrs.node), (True, attrs.edge)):
+            expected = ref.sides[side_edge]
+            assert list(cols) == list(expected)
+            for name, column in cols.items():
+                ordered = dict(sorted(expected[name].items()))  # iteration follows key (tuple) order
+                assert exact(column) == exact(ordered) and list(column) == list(ordered)
+                assert len(column) == len(ordered) and exact(dict(column)) == exact({**column}) == exact(ordered)
+                assert column == expected[name] and column.kind == ref.kind(side_edge, name)
+                probe = [(u, v) for u in range(-3, 7) for v in range(-3, 7)] if side_edge else list(range(-3, 7))
+                got = column.take(tuple(np.array(probe).T) if side_edge else np.array(probe), None)
+                assert exact(dict(enumerate(got.tolist()))) == exact(dict(enumerate(map(expected[name].get, probe))))
+                assert (attrs.edge_kind if side_edge else attrs.node_kind)(name) == ref.kind(side_edge, name)
