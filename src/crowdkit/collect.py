@@ -37,6 +37,7 @@ COLLECTOR_DIR = "collectors"
 SNAPSHOT_DIR = "snapshots"
 MERGED_DIR = "merged"
 SUMMARY_FILE = "summary.json"
+RUN_META_FILE = "run-meta.json"
 
 
 def _coerce_number(value, where: str) -> int | float:
@@ -109,11 +110,14 @@ def _dump_json(document: dict, path: Path) -> None:
 def _load_json(path: Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            document = json.load(fh)
     except FileNotFoundError:
         raise CollectError(f"no such result file: {path}") from None
     except json.JSONDecodeError as exc:
         raise CollectError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(document, dict):  # every result file holds one object
+        raise CollectError(f"not a JSON object: {path}")
+    return document
 
 
 def write_collectors(recorders, run_dir) -> list[Path]:
@@ -336,11 +340,16 @@ def merge_parent_directory(parent_dir, collector_name: str | None = None) -> lis
 
     Merges every collector name present in the first batch (or just
     ``collector_name``); writes results to <parent>/merged/<name>.json.
+    A batch whose run recorded an error, or wrote no run meta (it did not finish), is refused by name.
     """
     parent = Path(parent_dir)
     batches = batch_dirs(parent)
     if not batches:
         raise CollectError(f"no batch-<k> directories under {parent}")
+    for batch in batches:  # else a failed or unfinished run shows only as a series that does not match
+        error = _load_json(batch / RUN_META_FILE).get("error")
+        if error is not None:
+            raise CollectError(f"{batch.name}: its run failed: {error}")
     first_dir = batches[0] / COLLECTOR_DIR
     if collector_name is not None:
         names = [collector_name]

@@ -51,6 +51,7 @@ import yaml
 
 from . import __version__ as _version
 from .collect import (
+    RUN_META_FILE,
     SeriesRecorder,
     coerce_value,
     write_collectors,
@@ -80,7 +81,6 @@ PHASES = (PHASE_BEFORE, PHASE_AGENT, PHASE_AFTER, PHASE_FINAL)
 NODE_COUNTS_HOOK = "node_counts"
 
 RUN_CONFIG_FILE = "config.yaml"
-RUN_META_FILE = "run-meta.json"
 
 DEFAULT_PROJECTS_DIRNAME = "crowdkit-projects"
 PROJECT_FILE = "project.yaml"

@@ -7,9 +7,9 @@ but answer adjacency symmetrically.
 A graph is stored as read-only CSR arrays ``(indptr, indices)``: row u lists
 the out-neighbors of u (every neighbor when undirected) in ascending order.
 Generators and loaders build it in bulk with ``Graph.from_edges``, and copies
-share the arrays. Per-node sets appear only on the first ``add_edge`` or
-``remove_edge``; from then on they hold the topology, and the arrays are
-rebuilt from them once per ``version``.
+share the arrays. ``add_edge`` and ``remove_edge`` record each edit in a dict
+of pending pair keys ``u * n + v``; the next array read merges them into the
+sorted keys of the CSR in one pass and rebuilds the arrays from the result.
 
 Node states (``NodeStates``) map node ids to type names through one signed
 code array: ``codes[v]`` is the position of v's type in the declared type
@@ -24,10 +24,10 @@ import logging
 import math
 import os
 import warnings
+from bisect import bisect_left
 from collections.abc import ItemsView, Mapping, MutableMapping, ValuesView
 from contextlib import suppress
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Iterator, Union
 
@@ -96,18 +96,13 @@ def _sorted_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> _CSR:
     return _CSR((indptr, indices))
 
 
-def _row_lists(csr: tuple[np.ndarray, np.ndarray]) -> list[list[int]]:
-    bounds, flat = csr[0].tolist(), csr[1].tolist()
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def _row(csr: tuple[np.ndarray, np.ndarray], v: int) -> np.ndarray:
     return csr[1][csr[0][v] : csr[0][v + 1]]
 
 
 def csr_matvec(csr: _CSR, x: np.ndarray) -> np.ndarray:
     """``A @ x`` for the matrix of ones at the entries of a graph's CSR, summing each row in CSR order
-    from 0.0 as scipy does: over ``out_csr()``, bit-identical to the product with ``to_sparse``."""
+    from 0.0 as scipy does: bit-identical to the product with scipy's ``csr_matrix`` of the same arrays."""
     return np.bincount(csr.rows, weights=x[csr[1]], minlength=csr[0].size - 1)
 
 
@@ -122,7 +117,9 @@ def _node_ids(values) -> np.ndarray:
 class Graph:
     """Simple graph over dense integer node ids, stored as sorted CSR arrays."""
 
-    __slots__ = ("directed", "num_nodes", "_num_edges", "version", "_out", "_in", "_csr_version", "_adj", "_pred")
+    # _out: the out-CSR as of the last merge; _in: a directed graph's in-CSR, derived from it on demand;
+    # _pending: the edits since, ``u * n + v`` -> whether u->v is now an edge (both orientations when undirected).
+    __slots__ = ("directed", "num_nodes", "_num_edges", "version", "_out", "_in", "_pending")
 
     def __init__(self, num_nodes: int, directed: bool = False):
         if num_nodes < 0:
@@ -130,11 +127,10 @@ class Graph:
         self.directed = directed
         self.num_nodes = num_nodes
         self._num_edges = 0
-        # Bumped on every mutation; caches key on it.
-        self.version = self._csr_version = 0
+        # Bumped on every edit that changes the graph; caches key on it.
+        self.version = 0
         self._out = _sorted_csr(num_nodes, *np.empty((2, 0), dtype=np.int64))
-        # _in: a directed graph's in-CSR, derived on demand; _adj/_pred: neighbor sets after a mutation.
-        self._in = self._adj = self._pred = None
+        self._in, self._pending = None, {}
 
     @classmethod
     def from_edges(cls, num_nodes: int, src, dst, directed: bool = False) -> tuple["Graph", int]:
@@ -165,78 +161,71 @@ class Graph:
     def nodes(self) -> range:
         return range(self.num_nodes)
 
-    def _check_node(self, v: int) -> None:
+    def _check_node(self, v: int) -> int:
+        """``v`` as an int, or ``GraphError`` when it is no node id."""
+        if type(v) is int and 0 <= v < self.num_nodes:  # the common case, without the isinstance calls
+            return v
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
             raise GraphError(f"node id must be an integer, got {v!r}")
         if not 0 <= v < self.num_nodes:
             raise GraphError(f"node id {v} out of range [0, {self.num_nodes})")
+        return int(v)
 
     def out_csr(self) -> _CSR:
-        """Out-neighbor rows (neighbors when undirected), ascending, as read-only CSR; rebuilt once per ``version``."""
-        if self._csr_version != self.version:
-            rows = np.repeat(np.arange(self.num_nodes), [len(s) for s in self._adj])
-            cols = np.fromiter(chain.from_iterable(map(sorted, self._adj)), dtype=np.int64, count=rows.size)
-            self._out, self._in = _sorted_csr(self.num_nodes, rows, cols), None
-            self._csr_version = self.version
+        """Out-neighbor rows (neighbors when undirected), ascending, as read-only CSR; pending edits merged."""
+        if self._pending:
+            pending, self._pending, n = self._pending, {}, self.num_nodes
+            keys = self._out.rows * n + self._out[1]
+            keys = keys[~np.isin(keys, np.fromiter(pending, np.int64, len(pending)))]
+            added = np.sort(np.fromiter((key for key, held in pending.items() if held), np.int64))
+            keys = np.insert(keys, keys.searchsorted(added), added)
+            self._out, self._in = _sorted_csr(n, *np.divmod(keys, n)), None
         return self._out
 
-    def _sets(self) -> list[set[int]]:
-        """The per-node sets, created from the arrays on the first mutation."""
-        if self._adj is None:
-            self._adj = list(map(set, _row_lists(self.out_csr())))
-            self._pred = list(map(set, _row_lists(self.in_csr()))) if self.directed else None
-        return self._adj
+    def _holds(self, u: int, v: int) -> bool:
+        """Whether u->v is an edge: its pending edit, else a search of row u as of the last merge."""
+        held = self._pending.get(u * self.num_nodes + v)
+        if held is None:
+            indptr, indices = self._out
+            end = indptr.item(u + 1)
+            at = bisect_left(indices, v, indptr.item(u), end)
+            held = at < end and indices.item(at) == v
+        return held
+
+    def _edit(self, u: int, v: int, add: bool) -> bool:
+        """Record adding (``add``) or removing u->v unless the graph already has it so; True if it did."""
+        if self._holds(u, v) == add:
+            return False
+        self._pending[u * self.num_nodes + v] = add
+        if not self.directed:
+            self._pending[v * self.num_nodes + u] = add
+        self._num_edges += 1 if add else -1
+        self.version += 1
+        return True
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        return v in (self._adj[u] if self._adj is not None else _row(self._out, u))
+        return self._holds(self._check_node(u), self._check_node(v))
 
     def add_edge(self, u: int, v: int) -> bool:
         """Add edge u->v (both directions for undirected). Returns False on duplicate."""
-        self._check_node(u)
-        self._check_node(v)
+        u, v = self._check_node(u), self._check_node(v)
         if u == v:
             raise GraphError(f"self-loop ({u}, {u}) not allowed")
-        adj = self._sets()
-        if v in adj[u]:
-            return False
-        adj[u].add(v)
-        if self.directed:
-            self._pred[v].add(u)  # type: ignore[index]
-        else:
-            adj[v].add(u)
-        self._num_edges += 1
-        self.version += 1
-        return True
+        return self._edit(u, v, True)
 
     def remove_edge(self, u: int, v: int) -> bool:
         """Remove edge u->v. Returns False if absent."""
-        self._check_node(u)
-        self._check_node(v)
-        adj = self._sets()
-        if v not in adj[u]:
-            return False
-        adj[u].discard(v)
-        if self.directed:
-            self._pred[v].discard(u)  # type: ignore[index]
-        else:
-            adj[v].discard(u)
-        self._num_edges -= 1
-        self.version += 1
-        return True
+        return self._edit(self._check_node(u), self._check_node(v), False)
 
     def neighbors(self, v: int) -> frozenset[int]:
         """Out-neighbors for directed graphs, neighbors for undirected."""
         self._check_node(v)
-        return frozenset(self._adj[v] if self._adj is not None else _row(self._out, v).tolist())
+        return frozenset(_row(self.out_csr(), v).tolist())
 
     def in_neighbors(self, v: int) -> frozenset[int]:
         """In-neighbors for directed graphs; same as neighbors when undirected."""
-        if not self.directed:
-            return self.neighbors(v)
         self._check_node(v)
-        return frozenset(self._pred[v] if self._pred is not None else _row(self.in_csr(), v).tolist())
+        return frozenset(_row(self.in_csr(), v).tolist())
 
     def degree(self, v: int) -> int:
         """Neighbor count; for directed graphs, in-degree + out-degree."""
@@ -256,12 +245,13 @@ class Graph:
 
     def adjacency_lists(self) -> list[list[int]]:
         """Sorted neighbor lists (out-neighbors when directed). Deterministic order."""
-        return _row_lists(self.out_csr())
+        bounds, flat = (part.tolist() for part in self.out_csr())
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def in_csr(self) -> _CSR:
         """In-neighbor rows (neighbors when undirected), ascending, as read-only CSR ``(indptr, indices)``.
 
-        A directed graph derives them from its out-neighbor rows once per ``version``.
+        A directed graph derives them from its out-neighbor rows once per merge of pending edits.
         """
         out = self.out_csr()
         if not self.directed:
@@ -288,13 +278,6 @@ class Graph:
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"Graph({kind}, nodes={self.num_nodes}, edges={self._num_edges})"
-
-    def to_sparse(self):
-        """Adjacency as a scipy CSR matrix (row u -> out-neighbors)."""
-        from scipy.sparse import csr_matrix
-
-        indptr, indices = self.out_csr()
-        return csr_matrix((np.ones(indices.size), indices, indptr), shape=(self.num_nodes, self.num_nodes))
 
 
 class _Values(ValuesView):
@@ -652,12 +635,6 @@ class AttributeTable:
         for col in self.edge.values():
             col.pop((u, v), None)
             col.pop((v, u), None)
-
-    def node_kind(self, key: str) -> type | None:
-        return self.node[key].kind if self.node.get(key) else None
-
-    def edge_kind(self, key: str) -> type | None:
-        return self.edge[key].kind if self.edge.get(key) else None
 
     def copy(self) -> "AttributeTable":
         t = AttributeTable()

@@ -99,25 +99,6 @@ class CountdownLedger:
             arr = self._counters[name] = np.pad(arr, (0, size - arr.size))
         return arr
 
-    def get(self, node: int, name: str) -> int | None:
-        return int(self.counters(name, node + 1)[node]) or None
-
-    def set(self, node: int, name: str, value: int) -> None:
-        self.counters(name, node + 1)[node] = value
-
-    def pop(self, node: int, name: str) -> None:
-        self.counters(name, node + 1)[node] = 0
-
-    def __len__(self) -> int:
-        return sum(int(np.count_nonzero(arr)) for arr in self._counters.values())
-
-    def items(self) -> list[tuple[tuple[int, str], int]]:
-        return [
-            ((int(node), name), int(arr[node]))
-            for name, arr in self._counters.items()
-            for node in np.flatnonzero(arr)
-        ]
-
 
 def _drawing_rule(comp, members, state, graph, attrs, ledger) -> tuple[np.ndarray, float]:
     """Which ``members`` may draw for a stochastic or categorical compartment, and its probability."""

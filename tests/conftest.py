@@ -1,4 +1,4 @@
-"""Shared fixtures: the large social-graph fixture and isolated project homes."""
+"""Shared fixtures and helpers: the large social-graph fixture, isolated project homes, column kinds."""
 
 from __future__ import annotations
 
@@ -36,6 +36,11 @@ def _surrogate_social_graph() -> Graph:
             if u != v and g.add_edge(u, v) and g.num_edges == FACEBOOK_EDGES:
                 break
     return g
+
+
+def column_kind(columns, key: str) -> type | None:
+    """The value kind of ``columns[key]`` (``attrs.node`` or ``attrs.edge``), None when absent or empty."""
+    return columns[key].kind if columns.get(key) else None
 
 
 _facebook_cache: list[Graph] = []

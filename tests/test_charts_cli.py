@@ -415,6 +415,7 @@ class TestMergeCommand:
             cdir = parent / f"batch-{index}" / "collectors"
             cdir.mkdir(parents=True)
             write_doc(cdir / "x.json", scalar_doc("x", values))
+            write_doc(cdir.parent / "run-meta.json", {})  # a finished run
         res = invoke("merge", "mean", parent)
         assert res.exit_code == 4
         assert "batch-1" in res.output

@@ -30,12 +30,14 @@ from crowdkit import (
 )
 from crowdkit.collect import (
     COLLECTOR_DIR,
+    RUN_META_FILE,
     batch_dirs,
     read_summary,
     write_collectors,
     write_summary,
 )
 from crowdkit.graph import NodeStates
+from conftest import column_kind
 
 
 def series_doc(name: str, values: list) -> dict:
@@ -340,9 +342,9 @@ def test_property_snapshot_round_trip_and_stable_bytes(inputs):
         assert states2 == states
         assert attrs2 == attrs
         for key in attrs.node:
-            assert attrs2.node_kind(key) == attrs.node_kind(key)
+            assert column_kind(attrs2.node, key) == column_kind(attrs.node, key)
         for key in attrs.edge:
-            assert attrs2.edge_kind(key) == attrs.edge_kind(key)
+            assert column_kind(attrs2.edge, key) == column_kind(attrs.edge, key)
         assert params2 == params
         # the array sort matches the scalar (u, v) order it replaced
         doc = json.loads(first)
@@ -547,7 +549,8 @@ class TestMergeLabeled:
 # ---------------------------------------------------------------------------
 
 
-def write_batch_dir(parent, index, values_by_name):
+def write_batch_dir(parent, index, values_by_name, meta=None):
+    """A batch run directory with these collectors and a run meta (``{}`` by default: a finished run)."""
     run_dir = parent / f"batch-{index}"
     recs = []
     for name, values in values_by_name.items():
@@ -556,6 +559,7 @@ def write_batch_dir(parent, index, values_by_name):
             rec.record(i, v)
         recs.append(rec)
     write_collectors(recs, run_dir)
+    (run_dir / RUN_META_FILE).write_text(json.dumps({} if meta is None else meta), encoding="utf-8")
     return run_dir
 
 
@@ -594,6 +598,26 @@ class TestDirectoryMerge:
         with pytest.raises(CollectError) as exc:
             merge_parent_directory(tmp_path)
         assert "batch-1" in str(exc.value)
+
+    def test_batch_with_a_recorded_error_refused_by_name(self, tmp_path):
+        write_batch_dir(tmp_path, 0, {"x": [1.0, 2.0]})
+        write_batch_dir(tmp_path, 1, {"x": [1.0]}, meta={"error": "ValueError: boom"})
+        with pytest.raises(CollectError, match="^batch-1: its run failed: ValueError: boom$"):
+            merge_parent_directory(tmp_path)
+        assert not (tmp_path / "merged").exists()
+
+    def test_batch_without_run_meta_refused_by_name(self, tmp_path):
+        write_batch_dir(tmp_path, 0, {"x": [1.0]})
+        (write_batch_dir(tmp_path, 1, {"x": [1.0]}) / RUN_META_FILE).unlink()
+        with pytest.raises(CollectError, match="^no such result file: .*/batch-1/run-meta.json$"):
+            merge_parent_directory(tmp_path)
+
+    @pytest.mark.parametrize("file", [RUN_META_FILE, f"{COLLECTOR_DIR}/x.json"])
+    def test_result_file_that_is_no_json_object_refused_by_path(self, tmp_path, file):
+        write_batch_dir(tmp_path, 0, {"x": [1.0]})
+        (write_batch_dir(tmp_path, 1, {"x": [1.0]}) / file).write_text("[]", encoding="utf-8")
+        with pytest.raises(CollectError, match=f"^not a JSON object: .*batch-1/{file}$"):
+            merge_parent_directory(tmp_path)
 
     def test_merge_simulations_labeled(self, tmp_path):
         run_a = write_batch_dir(tmp_path, 0, {"spread": [1.0, 2.0]})

@@ -718,8 +718,9 @@ class TestHookFailure:
         assert [e["iteration"] for e in read_collector(run_dir / "collectors" / "poison.json")["entries"]] == [1, 2, 3]
         meta = json.loads((run_dir / RUN_META_FILE).read_text())
         assert "set is not JSON serializable" in meta["error"]
-        merged = merge_parent_directory(tmp_path / "p")
-        assert sorted(path.name for path in merged) == ["node_counts.json", "poison.json"]
+        with pytest.raises(CollectError) as exc:  # merge refuses the failed batch, quoting its error
+            merge_parent_directory(tmp_path / "p")
+        assert str(exc.value) == f"batch-0: its run failed: {meta['error']}"
 
     def test_unchecked_column_write_fails_the_snapshot_with_the_column_named(self, tmp_path):
         def set_flag(ctx):
@@ -831,6 +832,30 @@ class TestBatchRun:
         assert outcomes[1].error is not None
         assert "batch 1 dies" in outcomes[1].error
         assert outcomes[2].error is None
+
+    def test_merge_names_a_failed_batch_and_quotes_its_error(self, tmp_path):
+        calls = {"n": 0}
+
+        def registry_factory():
+            calls["n"] += 1
+            reg, batch = HookRegistry(), calls["n"] - 1
+
+            def explode(ctx):
+                if batch == 1 and ctx.iteration == 3:
+                    raise ValueError("batch 1 dies at iteration 3")
+
+            reg.add(PHASE_AFTER, "explode", explode)
+            return reg, None
+
+        config = load_config(fixture_path("sir.yaml"))
+        outcomes = batch_run(config, tmp_path, batches=2, epochs=5, registry_factory=registry_factory)
+        assert [o.error is None for o in outcomes] == [True, False]
+        error = json.loads((tmp_path / "batch-1" / RUN_META_FILE).read_text())["error"]
+        assert "batch 1 dies at iteration 3" in error
+        with pytest.raises(CollectError) as exc:
+            merge_parent_directory(tmp_path)
+        assert str(exc.value) == f"batch-1: its run failed: {error}"
+        assert not (tmp_path / "merged").exists()
 
     def test_keep_results(self, tmp_path):
         outcomes = batch_run(

@@ -23,6 +23,7 @@ from crowdkit import (
     write_gexf,
     write_snapshot,
 )
+from conftest import column_kind
 
 
 def triangle() -> Graph:
@@ -268,7 +269,7 @@ class TestDirectColumnWrites:
         attrs.node["k"] = {0: 5}
         write_gexf(triangle(), tmp_path / "x.gexf", None, attrs)
         _, _, attrs2 = load_gexf(tmp_path / "x.gexf")
-        assert attrs2.node == {"k": {0: 5}} and attrs2.node_kind("k") is int
+        assert attrs2.node == {"k": {0: 5}} and attrs2.node["k"].kind is int
 
     def test_column_replaced_with_another_kind_reads_back(self, tmp_path):
         attrs = AttributeTable()
@@ -276,7 +277,7 @@ class TestDirectColumnWrites:
         attrs.node["k"] = {0: "x"}
         write_gexf(triangle(), tmp_path / "x.gexf", None, attrs)
         _, _, attrs2 = load_gexf(tmp_path / "x.gexf")
-        assert attrs2.node == {"k": {0: "x"}} and attrs2.node_kind("k") is str
+        assert attrs2.node == {"k": {0: "x"}} and attrs2.node["k"].kind is str
 
     def test_mixed_column_refused_before_any_file(self, tmp_path):
         attrs = AttributeTable()
@@ -308,9 +309,9 @@ class TestDirectColumnWrites:
         with pytest.raises(GraphError, match="holds number values, got category 'x'"):
             attrs.set_node(1, "k", "x")
         del attrs.node["k"][0]
-        assert attrs.node_kind("k") is None
+        assert column_kind(attrs.node, "k") is None
         attrs.set_node(1, "k", "x")
-        assert attrs.node_kind("k") is str
+        assert attrs.node["k"].kind is str
 
 
 def reference_kind(column: dict):
@@ -429,5 +430,5 @@ def test_property_every_writer_checks_every_column(data):
         read_back.append(back)
     for back in read_back:
         for key in ATTR_KEYS:
-            assert back.node_kind(key) is attrs.node_kind(key) is reference_kind(attrs.node.get(key, {}))
-            assert back.edge_kind(key) is attrs.edge_kind(key) is reference_kind(attrs.edge.get(key, {}))
+            assert column_kind(back.node, key) is column_kind(attrs.node, key) is reference_kind(attrs.node.get(key, {}))
+            assert column_kind(back.edge, key) is column_kind(attrs.edge, key) is reference_kind(attrs.edge.get(key, {}))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import logging
 import math
 import statistics
@@ -29,6 +30,7 @@ from crowdkit import (
     write_edge_list,
 )
 from crowdkit.graph import _try_stub_pairing, _value_kind
+from conftest import column_kind
 
 
 def make_rng(seed: int = 0) -> np.random.Generator:
@@ -123,13 +125,14 @@ class TestGraphContainer:
         g.remove_edge(0, 1)
         assert g.version != v1
 
-    def test_to_sparse_shape_and_symmetry(self):
+    def test_out_csr_shape_and_symmetry(self):
         g = Graph(3)
         g.add_edge(0, 1)
         g.add_edge(1, 2)
-        m = g.to_sparse()
-        assert m.shape == (3, 3)
-        dense = m.toarray()
+        csr = g.out_csr()
+        assert csr[0].size == 4
+        dense = np.zeros((3, 3))
+        dense[csr.rows, csr[1]] = 1.0
         assert np.array_equal(dense, dense.T)
         assert dense.sum() == 4.0
 
@@ -638,7 +641,7 @@ def test_property_from_edges_matches_scalar_build(case, data):
     g, duplicates = Graph.from_edges(n, src, dst, directed)
     assert g == ref and duplicates == ref_duplicates
     assert graph_view(g) == graph_view(ref)
-    # the same mutations on both: the bulk graph switches to its sets
+    # the same mutations on both, pending on the bulk graph until the next read
     for _ in range(data.draw(st.integers(1, 3))):
         u, v = data.draw(st.sampled_from([(u, v) for u in range(n) for v in range(n) if u != v]))
         if data.draw(st.booleans()):
@@ -685,6 +688,130 @@ def test_copy_shares_read_only_arrays_and_is_independent(directed):
     assert list(g.edges()) == [(1, 2), (1, 3), (2, 3)]
 
 
+class PairsGraph:
+    """Reference ``Graph``: the set of ordered pairs it holds, both orientations when undirected."""
+
+    def __init__(self, n: int, directed: bool, pairs=()):
+        self.n, self.directed, self.pairs, self.version = n, directed, set(), 0
+        for u, v in pairs:
+            self.pairs |= {(u, v)} if directed else {(u, v), (v, u)}
+
+    def copy(self) -> "PairsGraph":
+        ref = PairsGraph(self.n, self.directed)
+        ref.pairs = set(self.pairs)
+        return ref
+
+    def check(self, v) -> None:
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise GraphError(f"node id must be an integer, got {v!r}")
+        if not 0 <= v < self.n:
+            raise GraphError(f"node id {v} out of range [0, {self.n})")
+
+    def num_edges(self) -> int:
+        return len(self.pairs) if self.directed else len(self.pairs) // 2
+
+    def has_edge(self, u, v) -> bool:
+        self.check(u)
+        self.check(v)
+        return (u, v) in self.pairs
+
+    def add_edge(self, u, v) -> bool:
+        self.check(u)
+        self.check(v)
+        if u == v:
+            raise GraphError(f"self-loop ({u}, {u}) not allowed")
+        return self._edit((u, v), True)
+
+    def remove_edge(self, u, v) -> bool:
+        self.check(u)
+        self.check(v)
+        return self._edit((u, v), False)
+
+    def _edit(self, pair, add: bool) -> bool:
+        if (pair in self.pairs) == add:
+            return False
+        both = {pair} if self.directed else {pair, pair[::-1]}
+        self.pairs = self.pairs | both if add else self.pairs - both
+        self.version += 1
+        return True
+
+    def neighbors(self, v) -> frozenset:
+        self.check(v)
+        return frozenset(b for a, b in self.pairs if a == v)
+
+    def in_neighbors(self, v) -> frozenset:
+        self.check(v)
+        return frozenset(a for a, b in self.pairs if b == v)
+
+    def degree(self, v) -> int:
+        return len(self.neighbors(v)) + (len(self.in_neighbors(v)) if self.directed else 0)
+
+    def csr(self, inward: bool) -> tuple[list[int], list[int]]:
+        rows = [sorted(self.in_neighbors(v) if inward else self.neighbors(v)) for v in range(self.n)]
+        return [0, *itertools.accumulate(map(len, rows))], [w for row in rows for w in row]
+
+    def edge_arrays(self) -> tuple[list[int], list[int]]:
+        edges = sorted((u, v) for u, v in self.pairs if self.directed or u < v)
+        return [u for u, _ in edges], [v for _, v in edges]
+
+
+def graph_call(target, name: str, *args):
+    """What ``target.name(*args)`` returns, or the type and text of the ``GraphError`` it raises."""
+    try:
+        return getattr(target, name)(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def node_ids(n: int):
+    """Ids in range and out of it, numpy integers, and the bool and float ids that are refused."""
+    return st.one_of(
+        st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, n + 1),
+        st.integers(0, n - 1).map(np.int64), st.booleans(), st.sampled_from([0.0, 1.5, float(n)]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7), directed=st.booleans())
+def test_property_graph_matches_a_set_of_pairs_reference(data, n, directed):
+    node = st.integers(0, n - 1)
+    base = data.draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=2 * n))
+    g = Graph.from_edges(n, [u for u, _ in base], [v for _, v in base], directed)[0]
+    graphs = [(g, PairsGraph(n, directed, base))]
+    for _ in range(data.draw(st.integers(1, 40))):
+        at = data.draw(st.integers(0, len(graphs) - 1))
+        g, ref = graphs[at]
+        op = data.draw(st.sampled_from([
+            "add_edge", "remove_edge", "has_edge", "neighbors", "in_neighbors", "degree", "copy", "read", "eq", "remove_add"
+        ]))
+        if op == "copy":
+            graphs.append((g.copy(), ref.copy()))  # a copy starts at version 0
+        elif op == "eq":  # merges the pending edits of every graph
+            assert [g == other for other, _ in graphs] == [ref.pairs == other.pairs for _, other in graphs]
+        elif op == "read":  # merges the pending edits
+            assert [a.tolist() for a in g.out_csr()] == list(ref.csr(False))
+            assert [a.tolist() for a in g.in_csr()] == list(ref.csr(directed))
+            assert [a.tolist() for a in g.edge_arrays()] == list(ref.edge_arrays())
+        elif op == "remove_add":  # an edge taken out and put back, or put in and taken out, with no read between
+            if ref.pairs and data.draw(st.booleans()):
+                (u, v), names = data.draw(st.sampled_from(sorted(ref.pairs))), ("remove_edge", "add_edge")
+            else:
+                (u, v), names = (data.draw(node), data.draw(node)), ("add_edge", "remove_edge")
+            for name in names:
+                assert graph_call(g, name, u, v) == graph_call(ref, name, u, v)
+        elif op in ("add_edge", "remove_edge", "has_edge"):
+            u, v = data.draw(node_ids(n)), data.draw(node_ids(n))
+            assert graph_call(g, op, u, v) == graph_call(ref, op, u, v)
+        else:
+            v = data.draw(node_ids(n))
+            assert graph_call(g, op, v) == graph_call(ref, op, v)
+        assert (g.num_edges, g.version) == (ref.num_edges(), ref.version)
+    for g, ref in graphs:
+        assert g == Graph.from_edges(n, *ref.edge_arrays(), directed)[0]
+        pairs = list(itertools.product(range(n), repeat=2))
+        assert [g.has_edge(u, v) for u, v in pairs] == [pair in ref.pairs for pair in pairs]
+
+
 # ---------------------------------------------------------------------------
 # Column kind checks against the per-value reference
 # ---------------------------------------------------------------------------
@@ -705,7 +832,7 @@ def reference_set_node_column(table: AttributeTable, key: str, values: dict) -> 
     kinds = {_value_kind(v) for v in values.values()}
     if len(kinds) > 1:
         raise GraphError(f"attribute {key!r}: mixed value kinds in column")
-    seen = table.node_kind(key)
+    seen = column_kind(table.node, key)
     if kinds and seen not in (None, *kinds):
         first = next(iter(values.values()))
         raise GraphError(f"attribute {key!r} holds {KIND_NAMES[seen]} values, got {KIND_NAMES[kinds.pop()]} {first!r}")
@@ -748,7 +875,7 @@ def test_property_column_kind_check_matches_per_value_reference(prior, values):
     column = dict(enumerate(values))
     expected = outcome(reference_set_node_column, tables[0], "k", column)
     assert outcome(tables[1].set_node_column, "k", column) == expected
-    assert tables[1].node == tables[0].node and tables[1].node_kind("k") == tables[0].node_kind("k")
+    assert tables[1].node == tables[0].node and column_kind(tables[1].node, "k") == column_kind(tables[0].node, "k")
     # edge columns share the check
     edge_column = {(i, i + 1): v for i, v in enumerate(values)}
     assert outcome(tables[1].set_edge_column, "k", edge_column) == expected
@@ -916,4 +1043,4 @@ def test_property_column_facade_matches_a_dict_reference(data):
                 probe = [(u, v) for u in range(-3, 7) for v in range(-3, 7)] if side_edge else list(range(-3, 7))
                 got = column.take(tuple(np.array(probe).T) if side_edge else np.array(probe), None)
                 assert exact(dict(enumerate(got.tolist()))) == exact(dict(enumerate(map(expected[name].get, probe))))
-                assert (attrs.edge_kind if side_edge else attrs.node_kind)(name) == ref.kind(side_edge, name)
+                assert column_kind(cols, name) == ref.kind(side_edge, name)
