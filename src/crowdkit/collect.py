@@ -6,9 +6,11 @@ flat string-to-number maps (one map shape per series). A snapshot is one
 compact JSON file (graph + states + attributes + network params), edge columns
 as ``{"pairs": [u0, v0, ...], "values": [...]}`` in (u, v) order; ``crowdkit export`` gives GEXF.
 
-``write_snapshot`` writes the text of ``json.dumps(document, separators=(",", ":"))`` from arrays:
-links and in-range pairs join one table of node-id texts, and a float column (edge, or node with a
-value at every node) at most half distinct encodes each distinct value once; the rest is ``json.dumps``.
+``write_snapshot`` writes the text of ``json.dumps(document, separators=(",", ":"))`` from arrays: links and
+in-range pairs join one table of node-id texts, and a float column (edge, or node with a value at every node) at
+most half distinct encodes each distinct value once; the rest is ``json.dumps``. A run passes one ``texts`` dict
+to all its snapshots, so it encodes unchanged links and numeric columns once: a text is reused while the arrays
+it was built from stay bit-equal to the copies kept beside it.
 
 Merging: ``merge_batches`` averages a collector across sibling batch runs
 entry-by-entry (exact up to float addition, permutation-invariant via
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import CollectError, GraphError
 from .gexf import gexf_document
-from .graph import AttributeTable, Graph, NodeStates, write_atomic
+from .graph import AttributeColumn, AttributeTable, Graph, NodeStates, id_texts, write_atomic
 
 Value = Union[int, float, dict]
 
@@ -165,6 +167,28 @@ def _floats_json(values: np.ndarray) -> str:
     return "[" + ",".join(encoded[inverse].tolist()) + "]"
 
 
+def _column_json(key: str, column: AttributeColumn, ids: np.ndarray) -> str:
+    """``"key":`` and the column's snapshot text; ``ids[v]`` is the text of node id v (node keys are ids in range)."""
+    n, (codes, values), name = ids.size, column.arrays(), _dumps({key: 0})[1:-2]  # the key as json.dumps writes it
+    if not column.edge:  # one entry per node, null where it has no value
+        full = codes.size == n and values.dtype == float
+        return name + (_floats_json(values) if full else _dumps(column.take(np.arange(n), None).tolist()))
+    pairs = column.ids().ravel()  # in (u, v) order
+    in_range = not pairs.size or (pairs.min() >= 0 and pairs.max() < n)
+    pairs_text = "[" + ",".join(ids[pairs].tolist()) + "]" if in_range else _dumps(pairs.tolist())
+    values_text = _floats_json(values) if values.dtype == float else _dumps(values.tolist())
+    return name + '{"pairs":' + pairs_text + ',"values":' + values_text + "}"
+
+
+def _reuse(texts: dict, role: str, encode, *arrays: np.ndarray) -> str:
+    """``texts[role]``'s text while ``arrays`` are bit-equal (dtype and bytes: -0.0 and NaN payloads count) to the
+    copies kept with it, else ``encode()``, kept with copies. Object arrays hold references: never reused."""
+    if role not in texts or not all(a.dtype == b.dtype != object and np.array_equal(
+            np.ascontiguousarray(a).view(np.uint8), b.view(np.uint8)) for a, b in zip(arrays, texts[role][1])):
+        texts[role] = (encode(), [a.copy() for a in arrays])
+    return texts[role][0]
+
+
 def write_snapshot(
     iteration: int,
     graph: Graph,
@@ -172,39 +196,30 @@ def write_snapshot(
     attrs: AttributeTable,
     net_params: dict[str, Any],
     run_dir,
+    *,
+    texts: dict | None = None,
 ) -> list[Path]:
     """Write <run_dir>/snapshots/iter_<i>.json (node-attribute keys checked to be node ids in range)."""
     path = Path(run_dir) / SNAPSHOT_DIR / f"iter_{iteration}.json"
-    n, node_attrs, edge_attrs = graph.num_nodes, [], []
+    n, node_attrs, edge_attrs, texts = graph.num_nodes, [], [], {} if texts is None else texts
     for key, column in attrs.node.items():
         try:
             column.check_nodes(n)
         except GraphError as exc:
             raise CollectError(f"cannot write {path.name}: attribute {key!r}: {exc}") from exc
     states = states if isinstance(states, NodeStates) else NodeStates.from_mapping(states, n)
-    ids = np.array(_dumps(list(range(n)))[1:-1].split(","), dtype=object)  # ids[v] is the text of v
-    src, dst = graph.edge_arrays()
-    for key in sorted(attrs.node):
-        nodes, values = attrs.node[key].arrays()
-        if nodes.size == n and values.dtype == float:
-            text = _floats_json(values)
-        else:
-            full = np.full(n, None, dtype=object)  # None where a node has no value
-            full[nodes] = values
-            text = _dumps(full.tolist())
-        node_attrs.append(_dumps({key: 0})[1:-2] + text)  # the key as json.dumps writes it
-    for key in sorted(attrs.edge):
-        pairs, values = attrs.edge[key].ids().ravel(), attrs.edge[key].arrays()[1]  # in (u, v) order
-        in_range = not pairs.size or (pairs.min() >= 0 and pairs.max() < n)
-        values = _floats_json(values) if values.dtype == float else _dumps(values.tolist())
-        pairs_text = "[" + ",".join(ids[pairs].tolist()) + "]" if in_range else _dumps(pairs.tolist())
-        edge_attrs.append(_dumps({key: 0})[1:-2] + '{"pairs":' + pairs_text + ',"values":' + values + "}")
-    links = np.stack((("[" + ids)[src], (ids + "]")[dst]), axis=1).ravel().tolist()  # "[u", "v]", ...
-    write_atomic(path, "".join((
+    ids, size, (src, dst) = id_texts(n), np.array([n]), graph.edge_arrays()
+    for side, columns, out in (("node", attrs.node, node_attrs), ("edge", attrs.edge, edge_attrs)):
+        for key in sorted(columns):
+            out.append(_reuse(texts, f"{side}:{key}", lambda: _column_json(key, columns[key], ids),
+                              size, *columns[key].arrays()))
+    links = _reuse(texts, "links", lambda: ",".join(  # "[u", "v]", ...
+        np.stack((("[" + ids)[src], (ids + "]")[dst]), axis=1).ravel().tolist()), size, src, dst)
+    write_atomic(path, (  # in pieces: the big texts are not copied into one string
         '{"iteration":', _dumps(iteration), ',"graph":{"directed":', _dumps(graph.directed), ',"nodes":', _dumps(n),
-        ',"links":[', ",".join(links), ']},"states":', _dumps(states.column()), ',"node_attrs":{', ",".join(node_attrs),
+        ',"links":[', links, ']},"states":', _dumps(states.column()), ',"node_attrs":{', ",".join(node_attrs),
         '},"edge_attrs":{', ",".join(edge_attrs), '},"net_params":', _dumps(dict(sorted(net_params.items()))), "}\n",
-    )))
+    ))
     return [path]
 
 

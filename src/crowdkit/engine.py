@@ -317,6 +317,7 @@ def simulate(
 
     persist = run_dir is not None
     run_path = Path(run_dir) if persist else None
+    texts: dict = {}  # snapshot texts reused across this run's writes while their arrays are unchanged
     if persist:
         write_atomic(run_path / RUN_CONFIG_FILE, serialize_config(config, include_sweep=False))
 
@@ -343,7 +344,7 @@ def simulate(
 
         _record([hook for hook in after_hooks if hook.record_initial], ctx, recorders)
         if persist:
-            write_snapshot(0, g, ctx.states, attrs, ctx.net_params, run_path)
+            write_snapshot(0, g, ctx.states, attrs, ctx.net_params, run_path, texts=texts)
 
         for it in range(1, epochs + 1):
             ctx.iteration = it
@@ -365,7 +366,7 @@ def simulate(
                     ctx.states.update(transitions)
             _record(after_hooks, ctx, recorders)
             if persist and snapshot_period is not None and it % snapshot_period == 0:
-                write_snapshot(it, g, ctx.states, attrs, ctx.net_params, run_path)
+                write_snapshot(it, g, ctx.states, attrs, ctx.net_params, run_path, texts=texts)
                 write_collectors(recorders.values(), run_path)
 
         summary: dict[str, Any] = {"epochs": epochs, "final_node_counts": ctx.counts()}
@@ -377,7 +378,7 @@ def simulate(
                 summary[hook.name] = coerce_value(value, f"summary[{hook.name!r}]")
         if persist:
             if snapshot_period is None or epochs % snapshot_period != 0:
-                write_snapshot(epochs, g, ctx.states, attrs, ctx.net_params, run_path)
+                write_snapshot(epochs, g, ctx.states, attrs, ctx.net_params, run_path, texts=texts)
             write_summary(summary, run_path)
     except Exception as exc:
         if persist:

@@ -796,31 +796,40 @@ def load_edge_list(path, directed: bool = False, return_id_map: bool = False):
     except (ValueError, Warning):  # line by line, naming the line of any error
         src, dst, id_map = _scalar_edges(text)
     else:
-        ids, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+        ids, inverse = np.unique(pairs.ravel(), return_inverse=True)
+        first = np.full(ids.size, inverse.size)
+        np.minimum.at(first, inverse, np.arange(inverse.size))  # where each id first appears
         order = np.argsort(first)  # ids in first-seen order
-        src, dst = np.argsort(order)[inverse].reshape(-1, 2).T
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        src, dst = rank[inverse].reshape(-1, 2).T
         id_map = dict(zip(ids[order].tolist(), range(order.size)))
     g, duplicates = Graph.from_edges(len(id_map), src, dst, directed)
     if duplicates:
         logger.info("edge list %s: collapsed %d duplicate edges", path, duplicates)
-    if return_id_map:
-        return g, id_map
-    return g
+    return (g, id_map) if return_id_map else g
 
 
-def write_atomic(path, text: str) -> None:
-    """Write via ``<name>.tmp`` (not a ``*.json``) and ``os.replace``; a failure leaves no temp."""
+def write_atomic(path, text: str | tuple[str, ...]) -> None:
+    """Write ``text`` (or its pieces, in order) via ``<name>.tmp`` (not ``*.json``) and ``os.replace``; leaves no temp."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def id_texts(num_nodes: int) -> np.ndarray:
+    """Object array whose entry v is the decimal text of node id v."""
+    return np.array(list(map(str, range(num_nodes))), dtype=object)
+
+
 def write_edge_list(graph: Graph, path) -> None:
     """Write edges as whitespace-separated pairs, one per line, sorted; atomically."""
-    write_atomic(path, "".join(f"{u} {v}\n" for u, v in graph.edges()))
+    ids, (src, dst) = id_texts(graph.num_nodes), graph.edge_arrays()
+    write_atomic(path, "".join(np.stack(((ids + " ")[src], (ids + "\n")[dst]), axis=1).ravel().tolist()))

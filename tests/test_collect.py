@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import tempfile
 from itertools import chain
 from pathlib import Path
@@ -442,6 +443,67 @@ def test_property_snapshot_text_is_the_compact_dump_of_the_reference_document(in
     with tempfile.TemporaryDirectory() as tmp:
         [path] = write_snapshot(*inputs, tmp)
         assert path.read_text(encoding="utf-8") == expected
+
+
+# both zeros, a NaN with a payload other than the default one, and integral values that equal ints
+REUSE_FLOATS = [0.0, -0.0, math.nan, struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0], 1.0]
+REUSE_EDITS = ["edge", "float", "delete", "to_int", "node_column", "grow", "in_place"]
+
+
+def reuse_edit(data, edit: str, graph: Graph, attrs: AttributeTable) -> Graph:
+    """Apply one edit between two snapshot writes; returns the graph the next write sees."""
+    n, floats = graph.num_nodes, st.sampled_from(REUSE_FLOATS)
+    columns = [col for side in (attrs.node, attrs.edge) for col in side.values() if col and col.kind is float]
+    if edit == "edge":  # add or remove one edge; its attribute values stay
+        u, v = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]))
+        (graph.remove_edge if graph.has_edge(u, v) else graph.add_edge)(u, v)
+    elif edit == "float" and columns:  # a pending single write
+        column = data.draw(st.sampled_from(columns))
+        column[data.draw(st.sampled_from(list(column)))] = data.draw(floats)
+    elif edit == "delete" and columns:
+        column = data.draw(st.sampled_from(columns))
+        del column[data.draw(st.sampled_from(list(column)))]
+    elif edit == "to_int" and columns:  # 0.0 and 0 share their bytes, only the dtype differs (NaN becomes 0)
+        column = data.draw(st.sampled_from(columns))
+        side = attrs.edge if column.edge else attrs.node
+        side[column.name] = {key: int(value) if math.isfinite(value) else 0 for key, value in column.items()}
+    elif edit == "node_column":  # add or drop one, of any kind
+        if "extra" in attrs.node:
+            del attrs.node["extra"]
+        else:
+            values = data.draw(st.sampled_from([floats, st.integers(-3, 3), st.sampled_from(["a", "b"])]))
+            attrs.node["extra"] = data.draw(st.dictionaries(st.integers(0, n - 1), values))
+    elif edit == "grow":  # the same edges, arrays and columns on more nodes
+        graph = Graph.from_edges(n + data.draw(st.integers(1, 3)), *graph.edge_arrays(), graph.directed)[0]
+    elif edit == "in_place" and columns:  # a write into the array the column hands out
+        values = data.draw(st.sampled_from(columns)).arrays()[1]
+        values[data.draw(st.integers(0, values.size - 1))] = data.draw(floats)
+    return graph
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 8), directed=st.booleans())
+def test_property_snapshots_sharing_texts_match_the_reference_and_a_fresh_write(data, n, directed):
+    node = st.integers(0, n - 1)
+    pairs = [(u, v) for u, v in data.draw(st.lists(st.tuples(node, node), max_size=12)) if u != v]
+    graph = Graph.from_edges(n, [u for u, _ in pairs], [v for _, v in pairs], directed)[0]
+    attrs = AttributeTable()
+    # each column's values come from a pool of one to three, so some hold 0.0 only
+    floats = [st.sampled_from(data.draw(st.lists(st.sampled_from(REUSE_FLOATS), min_size=1, max_size=3))) for _ in "xw"]
+    attrs.node["x"] = {v: data.draw(floats[0]) for v in range(n)}  # a value at every node
+    attrs.edge["w"] = {pair: data.draw(floats[1]) for pair in graph.edges()}
+    attrs.edge["w"].update(data.draw(st.dictionaries(st.tuples(node, node), floats[1], max_size=4)))  # non-edges too
+    states = data.draw(st.dictionaries(node, st.sampled_from(["S", "I"])))
+    texts: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for iteration in range(data.draw(st.integers(2, 5))):
+            if iteration:
+                graph = reuse_edit(data, data.draw(st.sampled_from(REUSE_EDITS)), graph, attrs)
+            [shared] = write_snapshot(iteration, graph, states, attrs, {}, Path(tmp) / "shared", texts=texts)
+            [fresh] = write_snapshot(iteration, graph, states, attrs, {}, Path(tmp) / "fresh")
+            document = reference_snapshot_document(iteration, graph, states, attrs, {})
+            assert shared.read_text(encoding="utf-8") == json.dumps(document, separators=(",", ":")) + "\n"
+            assert shared.read_bytes() == fresh.read_bytes()
 
 
 # ---------------------------------------------------------------------------

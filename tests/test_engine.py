@@ -19,16 +19,21 @@ from crowdkit import (
     HookRegistry,
     NodeStates,
     Project,
+    SCENARIOS,
     batch_run,
     derive_seed,
     fixture_path,
+    generate_barabasi_albert,
+    list_snapshots,
     load_config,
     merge_parent_directory,
     parse_config,
     read_collector,
+    read_snapshot,
     read_summary,
     simulate,
     sweep_run,
+    write_edge_list,
 )
 from crowdkit.engine import (
     PHASE_AFTER,
@@ -440,6 +445,40 @@ class TestPersistence:
         simulate(tiny_config(), epochs=7, run_dir=tmp_path / "r", snapshot_period=3)
         snaps = {p.name for p in (tmp_path / "r" / "snapshots").glob("iter_*.json")}
         assert snaps == {"iter_0.json", "iter_3.json", "iter_6.json", "iter_7.json"}
+
+    def test_every_snapshot_holds_the_run_as_an_after_hook_saw_it(self, tmp_path):
+        write_edge_list(generate_barabasi_albert(40, 2, np.random.default_rng(4)), tmp_path / "net.txt")
+        config = parse_config(
+            fixture_path("infmax.yaml").read_text()
+            .replace("facebook_combined.txt", "net.txt").replace("count: 100", "count: 3")
+            .replace("count: 3939", "count: 37")
+        )
+        registry, setup = SCENARIOS["infmax"].make_hooks()
+        seen = {}
+
+        def edit(ctx):
+            if ctx.iteration == 2:  # one value rewritten: same topology, same column keys
+                column = ctx.attrs.edge["influence_prob"]
+                pair = next(iter(column))
+                column[pair] = column[pair] / 2
+            elif ctx.iteration == 3:  # one edge added, one removed with its values
+                ctx.mutate_edges(add=[(0, 39)], remove=[(0, 1)])
+            elif ctx.iteration == 4:  # a write into the values array the column hands out
+                ctx.attrs.edge["influence_prob"].arrays()[1][0] /= 2
+
+        def capture(ctx):
+            seen[ctx.iteration] = (ctx.graph.copy(), ctx.attrs.copy(), dict(ctx.states))
+
+        registry.add(PHASE_BEFORE, "edit", edit)
+        registry.add(PHASE_AFTER, "capture", capture, record_initial=True)
+        simulate(config, epochs=5, registry=registry, setup=setup, base_dir=tmp_path, run_dir=tmp_path / "run",
+                 snapshot_period=1)
+        assert seen[1][1] != seen[2][1] != seen[3][1] != seen[4][1] and seen[2][0] != seen[3][0]  # each edit shows
+        paths = list_snapshots(tmp_path / "run")
+        assert [path.name for path in paths] == [f"iter_{it}.json" for it in range(6)]
+        for path in paths:
+            iteration, graph, states, attrs, _ = read_snapshot(path)
+            assert (graph, attrs, states) == seen[iteration]
 
     def test_no_period_means_first_and_last_only(self, tmp_path):
         simulate(tiny_config(), epochs=9, run_dir=tmp_path / "r")

@@ -370,6 +370,15 @@ class TestEdgeListIO:
         assert sorted(g.edges()) == [(0, 1), (1, 2)]
         assert messages == [f"edge list {path}: collapsed 1 duplicate edges"]
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 12), directed=st.booleans(), data=st.data())
+    def test_written_text_is_the_per_edge_format(self, n, directed, data):
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30)) if n else []
+        g = Graph.from_edges(n, [u for u, v in pairs if u != v], [v for u, v in pairs if u != v], directed)[0]
+        with tempfile.TemporaryDirectory() as tmp:
+            write_edge_list(g, Path(tmp) / "out.txt")
+            assert (Path(tmp) / "out.txt").read_text() == "".join(f"{u} {v}\n" for u, v in g.edges())
+
     @pytest.mark.parametrize("text", ["", "# only a comment\n", "\n \t\n"])
     def test_file_without_edges_loads_empty_and_warns_nothing(self, tmp_path, text):
         path = tmp_path / "none.txt"
@@ -396,8 +405,13 @@ def captured_log():
         logger.setLevel(level)
 
 
-# small ids (repeats, reversals, self-loops), signs and zeros; then tokens int() and numpy may read differently
-ID_TOKEN = st.one_of(st.integers(-2, 9).map(str), st.sampled_from(["+4", "-0", "007"]))
+# small ids (repeats, reversals, self-loops), signs and zeros, sparse and large ids up to the int64 bounds;
+# then tokens int() and numpy may read differently
+ID_TOKEN = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["+4", "-0", "007", "4294967296", "123456789012", "-9223372036854775807", "-9223372036854775808"]),
+    st.integers(-(2**63), 2**63 - 1).map(str),
+)
 ODD_TOKEN = st.sampled_from(["1_000", "9223372036854775808", "x", "1.0", "\u0663", "#", "2#"])
 EDGE_SEPARATOR = st.sampled_from([" ", "\t", "  ", " \t ", "\xa0", "\x0b", "\x0c", "\x1c"])
 EDGE_PADDING = st.sampled_from(["", "", " ", "\t", "\xa0", "\x0c"])
