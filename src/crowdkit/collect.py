@@ -9,8 +9,8 @@ as ``{"pairs": [u0, v0, ...], "values": [...]}`` in (u, v) order; ``crowdkit exp
 ``write_snapshot`` writes the text of ``json.dumps(document, separators=(",", ":"))`` from arrays: links and
 in-range pairs join one table of node-id texts, and a float column (edge, or node with a value at every node) at
 most half distinct encodes each distinct value once; the rest is ``json.dumps``. A run passes one ``texts`` dict
-to all its snapshots, so it encodes unchanged links and numeric columns once: a text is reused while the arrays
-it was built from stay bit-equal to the copies kept beside it.
+to all its snapshots, so it builds its id texts and encodes unchanged links and numeric columns once: a text is
+reused while the arrays it was built from stay bit-equal to the copies kept beside it.
 
 Merging: ``merge_batches`` averages a collector across sibling batch runs
 entry-by-entry (exact up to float addition, permutation-invariant via
@@ -180,9 +180,10 @@ def _column_json(key: str, column: AttributeColumn, ids: np.ndarray) -> str:
     return name + '{"pairs":' + pairs_text + ',"values":' + values_text + "}"
 
 
-def _reuse(texts: dict, role: str, encode, *arrays: np.ndarray) -> str:
-    """``texts[role]``'s text while ``arrays`` are bit-equal (dtype and bytes: -0.0 and NaN payloads count) to the
-    copies kept with it, else ``encode()``, kept with copies. Object arrays hold references: never reused."""
+def _reuse(texts: dict, role: str, encode, *arrays: np.ndarray) -> str | np.ndarray:
+    """``texts[role]``'s encoded value (a text, or the id-text table) while ``arrays`` are bit-equal (dtype and
+    bytes: -0.0 and NaN payloads count) to the copies kept with it, else ``encode()``, kept with copies. Object
+    arrays hold references: never reused."""
     if role not in texts or not all(a.dtype == b.dtype != object and np.array_equal(
             np.ascontiguousarray(a).view(np.uint8), b.view(np.uint8)) for a, b in zip(arrays, texts[role][1])):
         texts[role] = (encode(), [a.copy() for a in arrays])
@@ -208,7 +209,8 @@ def write_snapshot(
         except GraphError as exc:
             raise CollectError(f"cannot write {path.name}: attribute {key!r}: {exc}") from exc
     states = states if isinstance(states, NodeStates) else NodeStates.from_mapping(states, n)
-    ids, size, (src, dst) = id_texts(n), np.array([n]), graph.edge_arrays()
+    size, (src, dst) = np.array([n]), graph.edge_arrays()
+    ids = _reuse(texts, "ids", lambda: id_texts(n), size)
     for side, columns, out in (("node", attrs.node, node_attrs), ("edge", attrs.edge, edge_attrs)):
         for key in sorted(columns):
             out.append(_reuse(texts, f"{side}:{key}", lambda: _column_json(key, columns[key], ids),

@@ -9,8 +9,10 @@ not itself a written edge (the reverse of an undirected edge, or of a directed
 edge with no reverse edge), under ``<id>__reverse``. A value on a pair with no
 edge in either direction cannot be written and raises ``GexfError``. Attribute
 kinds map to GEXF types integer -> long, number -> double, category -> string
-(also for an empty column); a string XML 1.0 cannot carry or a node id outside
-the graph raises ``GexfError`` naming the column.
+(also for an empty column); a node type that is no string or is keyed on no
+node id, a value, key or node type name XML 1.0 cannot carry, or a node id
+outside the graph, raises ``GexfError`` naming it before any text is rendered
+from the column arrays.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
+
 from .errors import GexfError, GraphError
-from .graph import AttributeColumn, AttributeTable, AttributeValue, Graph
+from .graph import AttributeColumn, AttributeTable, AttributeValue, Graph, id_texts
 
 NODE_TYPE_KEY = "node_type"
 _REVERSE_SUFFIX = "__reverse"
@@ -41,113 +45,88 @@ def _format_value(value: AttributeValue) -> str:
     return str(value)
 
 
-def _column(key: str, column: AttributeColumn, num_nodes: int | None = None) -> tuple[str, type, dict]:
-    """``(key, kind, values as a dict)``, string kind when empty; ``GexfError`` naming a column the file cannot hold."""
+def _checked(key: str, column: AttributeColumn, num_nodes: int | None = None) -> tuple[str, AttributeColumn]:
+    """``(key, column)``; ``GexfError`` naming a column the file cannot hold (node ids checked given ``num_nodes``)."""
+    if _NOT_XML.search(key):
+        raise GexfError(f"cannot write attribute {key!r}: the key holds a character XML 1.0 does not allow")
     try:
         if num_nodes is not None:
             column.check_nodes(num_nodes)
     except GraphError as exc:
         raise GexfError(f"cannot write attribute {key!r}: {exc}") from exc
-    values = dict(column.items())
-    if (column.kind or str) is str and any(map(_NOT_XML.search, values.values())):
+    if (column.kind or str) is str and _NOT_XML.search("".join(column.arrays()[1])):
         raise GexfError(f"cannot write attribute {key!r}: a value holds a character XML 1.0 does not allow")
-    return key, column.kind or str, values
+    return key, column
 
 
-def gexf_document(
-    graph: Graph,
-    states: dict[int, str] | None = None,
-    attrs: AttributeTable | None = None,
-) -> str:
+def _attvalues(key: str, values: np.ndarray) -> np.ndarray:
+    """The ``<attvalue>`` line of each value for ``key``, "" where it is None."""
+    from xml.sax.saxutils import quoteattr
+
+    line = f"        <attvalue for={quoteattr(key)} value="
+    return np.array(["" if x is None else line + quoteattr(_format_value(x)) + "/>\n" for x in values], dtype=object)
+
+
+def _elements(heads: np.ndarray, lines: list[np.ndarray], tag: str) -> str:
+    """Each ``heads`` element self-closed, or wrapping its ``<attvalue>`` ``lines`` (one array per attribute)."""
+    values = sum(lines, np.full(heads.size, "", dtype=object))
+    wrapped = heads + ">\n        <attvalues>\n" + values + f"        </attvalues>\n      </{tag}>\n"
+    return "".join(np.where(values != "", wrapped, heads + "/>\n"))
+
+
+def gexf_document(graph: Graph, states: dict[int, str] | None = None, attrs: AttributeTable | None = None) -> str:
     from xml.sax.saxutils import quoteattr  # imported here: it loads urllib.request and http.client
-    node_columns: list[tuple[str, type, dict[int, AttributeValue]]] = []
+
+    n, attrs = graph.num_nodes, attrs or AttributeTable()
+    node_columns: list[tuple[str, AttributeColumn]] = []
     if states is not None:
-        node_columns.append((NODE_TYPE_KEY, str, states))
-    if attrs is not None:
-        for key in attrs.node:
-            if key == NODE_TYPE_KEY:
-                raise GexfError(f"node attribute key {NODE_TYPE_KEY!r} is reserved")
-            node_columns.append(_column(key, attrs.node[key], graph.num_nodes))
-    edge_columns: list[tuple[str, type, dict[tuple[int, int], AttributeValue]]] = []
-    if attrs is not None:
-        for key in attrs.edge:
-            if key.endswith(_REVERSE_SUFFIX):
-                raise GexfError(f"edge attribute key {key!r} collides with the reverse marker")
-            edge_columns.append(_column(key, attrs.edge[key]))
+        bad = [name for name in states.values() if not isinstance(name, str) or _NOT_XML.search(name)]
+        if bad:
+            why = "it holds a character XML 1.0 does not allow" if isinstance(bad[0], str) else "it is not a string"
+            raise GexfError(f"cannot write node type {bad[0]!r}: {why}")
+        try:
+            node_columns.append((NODE_TYPE_KEY, AttributeColumn(NODE_TYPE_KEY, states)))
+        except GraphError as exc:  # a key that is no node id
+            raise GexfError(f"cannot write node types: {exc}") from exc
+    for key in attrs.node:
+        if key == NODE_TYPE_KEY:
+            raise GexfError(f"node attribute key {NODE_TYPE_KEY!r} is reserved")
+        node_columns.append(_checked(key, attrs.node[key], n))
+    edge_columns: list[tuple[str, AttributeColumn]] = []
+    for key in attrs.edge:
+        if key.endswith(_REVERSE_SUFFIX):
+            raise GexfError(f"edge attribute key {key!r} collides with the reverse marker")
+        edge_columns.append(_checked(key, attrs.edge[key]))
+
+    for key, column in edge_columns:
+        u, v = column.ids().T
+        off_edge = ~(graph.has_edges(u, v) | graph.has_edges(v, u))
+        if off_edge.any():
+            pair = f"({u[off_edge][0]}, {v[off_edge][0]})"
+            raise GexfError(f"edge attribute {key!r} has a value on {pair}, which is not an edge")
 
     out: list[str] = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
         '<gexf xmlns="http://www.gexf.net/1.2draft" version="1.2">\n',
         f'  <graph defaultedgetype="{"directed" if graph.directed else "undirected"}">\n',
     ]
-    if node_columns:
-        out.append('    <attributes class="node">\n')
-        for key, kind, _ in node_columns:
-            out.append(
-                f"      <attribute id={quoteattr(key)} title={quoteattr(key)}"
-                f' type="{_GEXF_TYPE_BY_KIND[kind]}"/>\n'
-            )
-        out.append("    </attributes>\n")
-    if edge_columns:
-        out.append('    <attributes class="edge">\n')
-        for key, kind, _ in edge_columns:
-            gexf_type = _GEXF_TYPE_BY_KIND[kind]
-            out.append(
-                f"      <attribute id={quoteattr(key)} title={quoteattr(key)}"
-                f' type="{gexf_type}"/>\n'
-            )
-            out.append(
-                f"      <attribute id={quoteattr(key + _REVERSE_SUFFIX)}"
-                f" title={quoteattr(key + _REVERSE_SUFFIX)}"
-                f' type="{gexf_type}"/>\n'
-            )
-        out.append("    </attributes>\n")
+    for side, columns, suffixes in (("node", node_columns, ("",)), ("edge", edge_columns, ("", _REVERSE_SUFFIX))):
+        if columns:
+            out.append(f'    <attributes class="{side}">\n')
+            out += [f"      <attribute id={quoteattr(key + suffix)} title={quoteattr(key + suffix)}"
+                    f' type="{_GEXF_TYPE_BY_KIND[column.kind or str]}"/>\n' for key, column in columns for suffix in suffixes]
+            out.append("    </attributes>\n")
 
-    out.append("    <nodes>\n")
-    for v in graph.nodes():
-        values: list[str] = []
-        for key, _, column in node_columns:
-            if v in column:
-                values.append(
-                    f'        <attvalue for={quoteattr(key)} value={quoteattr(_format_value(column[v]))}/>\n'
-                )
-        if values:
-            out.append(f'      <node id="{v}" label="{v}">\n        <attvalues>\n')
-            out.append("".join(values))
-            out.append("        </attvalues>\n      </node>\n")
-        else:
-            out.append(f'      <node id="{v}" label="{v}"/>\n')
-    out.append("    </nodes>\n")
-
-    edges = list(graph.edges())
-    edge_set = set(edges)
-    for key, _, column in edge_columns:
-        for u, v in column:
-            if (u, v) not in edge_set and (v, u) not in edge_set:
-                raise GexfError(f"edge attribute {key!r} has a value on ({u}, {v}), which is not an edge")
-
-    out.append("    <edges>\n")
-    edge_id = 0
-    for u, v in edges:
-        values = []
-        for key, _, column in edge_columns:
-            if (u, v) in column:
-                values.append(
-                    f'        <attvalue for={quoteattr(key)} value={quoteattr(_format_value(column[(u, v)]))}/>\n'
-                )
-            if (v, u) in column and (v, u) not in edge_set:
-                values.append(
-                    f'        <attvalue for={quoteattr(key + _REVERSE_SUFFIX)}'
-                    f" value={quoteattr(_format_value(column[(v, u)]))}/>\n"
-                )
-        if values:
-            out.append(f'      <edge id="{edge_id}" source="{u}" target="{v}">\n        <attvalues>\n')
-            out.append("".join(values))
-            out.append("        </attvalues>\n      </edge>\n")
-        else:
-            out.append(f'      <edge id="{edge_id}" source="{u}" target="{v}"/>\n')
-        edge_id += 1
-    out.append("    </edges>\n  </graph>\n</gexf>\n")
+    ids = id_texts(n)
+    lines = [_attvalues(key, column.take(np.arange(n), None)) for key, column in node_columns]
+    out += ["    <nodes>\n", _elements('      <node id="' + ids + '" label="' + ids + '"', lines, "node")]
+    src, dst = graph.edge_arrays()
+    reverse_is_edge = graph.directed & graph.has_edges(dst, src)  # its value is written on that edge
+    lines = [_attvalues(key + suffix, values) for key, column in edge_columns for suffix, values in (
+        ("", column.take((src, dst), None)),
+        (_REVERSE_SUFFIX, np.where(reverse_is_edge, None, column.take((dst, src), None))))]
+    heads = '      <edge id="' + id_texts(src.size) + '" source="' + ids[src] + '" target="' + ids[dst] + '"'
+    out += ["    </nodes>\n    <edges>\n", _elements(heads, lines, "edge"), "    </edges>\n  </graph>\n</gexf>\n"]
     return "".join(out)
 
 

@@ -206,6 +206,12 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return self._holds(self._check_node(u), self._check_node(v))
 
+    def has_edges(self, src, dst) -> np.ndarray:
+        """``has_edge`` at each pair of the id arrays ``src`` and ``dst``, as booleans; ids in ``(-2**31, 2**31)``."""
+        out = self.out_csr()
+        codes, want = _pair_codes(out.rows, out[1]), _pair_codes(src, dst)  # sorted, as the CSR is
+        return codes.take(codes.searchsorted(want), mode="clip") == want if codes.size else np.zeros(want.shape, bool)
+
     def add_edge(self, u: int, v: int) -> bool:
         """Add edge u->v (both directions for undirected). Returns False on duplicate."""
         u, v = self._check_node(u), self._check_node(v)
@@ -229,7 +235,8 @@ class Graph:
 
     def degree(self, v: int) -> int:
         """Neighbor count; for directed graphs, in-degree + out-degree."""
-        return len(self.neighbors(v)) + (len(self.in_neighbors(v)) if self.directed else 0)
+        v = self._check_node(v)
+        return len(_row(self.out_csr(), v)) + (len(_row(self.in_csr(), v)) if self.directed else 0)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges in sorted order; undirected edges once with u < v."""
@@ -242,11 +249,6 @@ class Graph:
         out = self.out_csr()
         keep = self.directed | (out.rows < out[1])
         return out.rows[keep], out[1][keep]
-
-    def adjacency_lists(self) -> list[list[int]]:
-        """Sorted neighbor lists (out-neighbors when directed). Deterministic order."""
-        bounds, flat = (part.tolist() for part in self.out_csr())
-        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def in_csr(self) -> _CSR:
         """In-neighbor rows (neighbors when undirected), ascending, as read-only CSR ``(indptr, indices)``.

@@ -2,12 +2,13 @@
 
 All metrics return a full ``{node: score}`` map with finite float scores.
 Ranking ties break deterministically by ascending node id. The power
-iterations sum over the graph's own in-CSR rows with ``csr_matvec``.
+iterations sum over the graph's own in-CSR rows with ``csr_matvec``;
+closeness and betweenness walk its out-CSR rows breadth first, one depth
+at a time for a run of sources at once.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,7 @@ EIGEN_MAX_ITER = 1000
 KATZ_ALPHA = 0.1
 KATZ_BETA = 1.0
 _DIVERGENCE_LIMIT = 1e12
+_BATCH_ENTRIES = 2**18  # the sources walked at once share each BFS depth's numpy calls
 
 
 def _require_nodes(graph: Graph) -> int:
@@ -63,67 +65,76 @@ def degree_centrality(graph: Graph, params: dict | None = None) -> dict[int, flo
     return dict(enumerate((degree * (1.0 / max(n - 1, 1))).tolist()))
 
 
+def _walks(out: tuple[np.ndarray, np.ndarray]):
+    """The BFS over CSR rows ``out`` from every node, for runs of sources at once: yields ``(roots, levels)``.
+
+    A run's arrays hold about ``_BATCH_ENTRIES`` entries: codes ``b * n + v``, node ``v`` as seen from the run's
+    ``b``-th source, whose code is ``roots[b]``. ``levels`` holds ``(nodes, src, dst)`` per depth 1, 2, ..., in
+    runs of ascending ``b``; in each run ``nodes`` are those first reached at that depth, in the order a FIFO queue
+    visits them, and ``src -> dst`` are the edges from the depth above into them, in the order that queue scans them.
+    A depth costs what it scans.
+    """
+    indptr, indices = out
+    n = indptr.size - 1
+    for sources in np.array_split(np.arange(n), min(n, -(-n * (n + indices.size) // _BATCH_ENTRIES))):
+        nodes = roots = np.arange(sources.size) * n + sources
+        seen, first, levels = np.zeros(roots.size * n, dtype=bool), np.empty(roots.size * n, dtype=np.int64), []
+        seen[roots] = True
+        while True:
+            rows = nodes % n
+            starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
+            src = np.repeat(nodes, counts)  # the rows of ``nodes``, in their order
+            gather = np.arange(src.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+            dst = indices[gather] + np.repeat(nodes - rows, counts)
+            new = ~seen[dst]
+            src, dst = src[new], dst[new]
+            if not dst.size:
+                break
+            at = np.arange(dst.size)
+            first[dst] = dst.size  # each node's first position in the scan
+            np.minimum.at(first, dst, at)
+            nodes = dst[first[dst] == at]
+            seen[nodes] = True
+            levels.append((nodes, src, dst))
+        yield roots, levels
+
+
 def betweenness_centrality(graph: Graph, params: dict | None = None) -> dict[int, float]:
-    """Exact shortest-path betweenness (Brandes), pair-normalized."""
+    """Exact shortest-path betweenness (Brandes), pair-normalized.
+
+    ``np.add.at`` adds its terms one by one in the order the one-queue algorithm does, so the scores keep its bits.
+    """
     n = _require_nodes(graph)
-    scores = dict.fromkeys(range(n), 0.0)
     if n <= 2:
-        return scores
-    adj = graph.adjacency_lists()
-    for s in range(n):
-        stack: list[int] = []
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma = [0.0] * n
-        dist = [-1] * n
-        sigma[s] = 1.0
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            dv = dist[v]
-            sv = sigma[v]
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
-                    sigma[w] += sv
-                    preds[w].append(v)
-        delta = [0.0] * n
-        while stack:
-            w = stack.pop()
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                scores[w] += delta[w]
+        return dict.fromkeys(range(n), 0.0)
+    scores = np.zeros(n)
+    for roots, levels in _walks(graph.out_csr()):
+        sigma, delta, visit = np.zeros(roots.size * n), np.zeros(roots.size * n), np.zeros(roots.size * n, np.int64)
+        sigma[roots] = 1.0
+        for nodes, src, dst in levels:
+            np.add.at(sigma, dst, sigma[src])  # from 0.0, in scan order
+            visit[nodes] = np.arange(nodes.size)
+        for _, src, dst in reversed(levels):  # successors in reverse visit order; ties add to different entries
+            order = np.argsort(-visit[dst])
+            np.add.at(delta, src[order], (sigma[src] * ((1.0 + delta[dst]) / sigma[dst]))[order])
+        delta[roots] = 0.0
+        for row in delta.reshape(roots.size, n):  # sources in ascending order
+            scores += row
     # Accumulation is over ordered (s, t) pairs; 1/((n-1)(n-2)) equals the
     # unordered-pair normalization 2/((n-1)(n-2)) for undirected graphs.
-    scale = 1.0 / ((n - 1) * (n - 2))
-    return {v: scores[v] * scale for v in range(n)}
+    return dict(enumerate((scores * (1.0 / ((n - 1) * (n - 2)))).tolist()))
 
 
 def closeness_centrality(graph: Graph, params: dict | None = None) -> dict[int, float]:
     """Classic closeness per component: reachable count over summed distance."""
-    n = _require_nodes(graph)
-    adj = graph.adjacency_lists()
-    scores: dict[int, float] = {}
-    for s in range(n):
-        dist = {s: 0}
-        total = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            dv = dist[v]
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dv + 1
-                    total += dv + 1
-                    queue.append(w)
-        reachable = len(dist) - 1
-        scores[s] = reachable / total if total > 0 else 0.0
-    return scores
+    n, scores = _require_nodes(graph), []
+    for roots, levels in _walks(graph.out_csr()):
+        reached = total = np.zeros(roots.size, dtype=np.int64)
+        for depth, (nodes, _, _) in enumerate(levels, 1):
+            size = np.bincount(nodes // n, minlength=roots.size)
+            reached, total = reached + size, total + depth * size
+        scores += [r / t if t > 0 else 0.0 for r, t in zip(reached.tolist(), total.tolist())]  # as Python ints
+    return dict(enumerate(scores))
 
 
 def eigenvector_centrality(graph: Graph, params: dict | None = None) -> dict[int, float]:

@@ -587,3 +587,17 @@ class TestExportCommand:
     def test_missing_run_dir_is_usage_error(self, tmp_path):
         res = invoke("export", tmp_path / "nothing-here")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("where", ["state", "key"])
+    def test_name_xml_cannot_carry_is_usage_error_and_writes_nothing(self, sir_run_dir, where):
+        path = sir_run_dir / "snapshots" / "iter_0.json"
+        doc = json.loads(path.read_text())
+        if where == "state":
+            doc["states"][0] = "A\x01"
+        else:
+            doc["node_attrs"]["k\x01"] = doc["node_attrs"].pop("age")
+        path.write_text(json.dumps(doc))
+        res = invoke("export", sir_run_dir)
+        assert res.exit_code == 2
+        assert "XML 1.0 does not allow" in res.output
+        assert not list(sir_run_dir.glob("*.gexf"))

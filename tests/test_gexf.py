@@ -12,16 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdkit import (
+    AttributeColumn,
     AttributeTable,
     CollectError,
     GexfError,
     Graph,
     GraphError,
+    NodeStates,
     generate_random_regular,
     load_gexf,
     read_snapshot,
     write_gexf,
     write_snapshot,
+)
+from crowdkit.gexf import (
+    _GEXF_TYPE_BY_KIND,
+    _NOT_XML,
+    _REVERSE_SUFFIX,
+    NODE_TYPE_KEY,
+    _format_value,
+    gexf_document,
 )
 from conftest import column_kind
 
@@ -146,6 +156,30 @@ class TestValidation:
         attrs.set_edge(0, 1, "w__reverse", 1.0)
         with pytest.raises(GexfError):
             write_gexf(triangle(), tmp_path / "x.gexf", None, attrs)
+
+    @pytest.mark.parametrize("side", ["node", "edge"])
+    def test_key_xml_cannot_carry_rejected_before_any_file(self, tmp_path, side):
+        attrs = AttributeTable()
+        getattr(attrs, side)["k\x01"] = {(0, 1) if side == "edge" else 0: 1.5}
+        with pytest.raises(GexfError, match=r"cannot write attribute 'k\\x01': the key holds a character XML 1.0"):
+            write_gexf(triangle(), tmp_path / "x.gexf", None, attrs)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_node_type_xml_cannot_carry_rejected_before_any_file(self, tmp_path):
+        with pytest.raises(GexfError, match=r"cannot write node type 'A\\x01': it holds a character XML 1.0"):
+            write_gexf(triangle(), tmp_path / "x.gexf", {0: "A\x01", 1: "B"})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", [1, 1.5, None])
+    def test_node_type_that_is_no_string_rejected_before_any_file(self, tmp_path, name):
+        with pytest.raises(GexfError, match=rf"cannot write node type {name!r}: it is not a string"):
+            write_gexf(triangle(), tmp_path / "x.gexf", {0: "A", 1: name})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_node_type_keyed_on_no_node_id_rejected_before_any_file(self, tmp_path):
+        with pytest.raises(GexfError, match=r"cannot write node types: .*'a' is not an integer node id"):
+            write_gexf(triangle(), tmp_path / "x.gexf", {0: "A", "a": "B"})
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_value_on_non_edge_rejected_on_write(self, tmp_path, directed):
@@ -432,3 +466,167 @@ def test_property_every_writer_checks_every_column(data):
         for key in ATTR_KEYS:
             assert column_kind(back.node, key) is column_kind(attrs.node, key) is reference_kind(attrs.node.get(key, {}))
             assert column_kind(back.edge, key) is column_kind(attrs.edge, key) is reference_kind(attrs.edge.get(key, {}))
+
+
+# ---------------------------------------------------------------------------
+# Reference writer: the per-element dict and set code ``gexf_document`` ran
+# before it rendered from the column arrays. Text and error texts must match.
+# ---------------------------------------------------------------------------
+
+
+def ref_column(key: str, column: AttributeColumn, num_nodes: int | None = None) -> tuple[str, type, dict]:
+    try:
+        if num_nodes is not None:
+            column.check_nodes(num_nodes)
+    except GraphError as exc:
+        raise GexfError(f"cannot write attribute {key!r}: {exc}") from exc
+    values = dict(column.items())
+    if (column.kind or str) is str and any(map(_NOT_XML.search, values.values())):
+        raise GexfError(f"cannot write attribute {key!r}: a value holds a character XML 1.0 does not allow")
+    return key, column.kind or str, values
+
+
+def ref_gexf_document(
+    graph: Graph,
+    states: dict[int, str] | None = None,
+    attrs: AttributeTable | None = None,
+) -> str:
+    from xml.sax.saxutils import quoteattr
+
+    node_columns: list[tuple[str, type, dict]] = []
+    if states is not None:
+        node_columns.append((NODE_TYPE_KEY, str, states))
+    if attrs is not None:
+        for key in attrs.node:
+            if key == NODE_TYPE_KEY:
+                raise GexfError(f"node attribute key {NODE_TYPE_KEY!r} is reserved")
+            node_columns.append(ref_column(key, attrs.node[key], graph.num_nodes))
+    edge_columns: list[tuple[str, type, dict]] = []
+    if attrs is not None:
+        for key in attrs.edge:
+            if key.endswith(_REVERSE_SUFFIX):
+                raise GexfError(f"edge attribute key {key!r} collides with the reverse marker")
+            edge_columns.append(ref_column(key, attrs.edge[key]))
+
+    out: list[str] = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        '<gexf xmlns="http://www.gexf.net/1.2draft" version="1.2">\n',
+        f'  <graph defaultedgetype="{"directed" if graph.directed else "undirected"}">\n',
+    ]
+    if node_columns:
+        out.append('    <attributes class="node">\n')
+        for key, kind, _ in node_columns:
+            out.append(
+                f"      <attribute id={quoteattr(key)} title={quoteattr(key)}"
+                f' type="{_GEXF_TYPE_BY_KIND[kind]}"/>\n'
+            )
+        out.append("    </attributes>\n")
+    if edge_columns:
+        out.append('    <attributes class="edge">\n')
+        for key, kind, _ in edge_columns:
+            gexf_type = _GEXF_TYPE_BY_KIND[kind]
+            out.append(
+                f"      <attribute id={quoteattr(key)} title={quoteattr(key)}"
+                f' type="{gexf_type}"/>\n'
+            )
+            out.append(
+                f"      <attribute id={quoteattr(key + _REVERSE_SUFFIX)}"
+                f" title={quoteattr(key + _REVERSE_SUFFIX)}"
+                f' type="{gexf_type}"/>\n'
+            )
+        out.append("    </attributes>\n")
+
+    out.append("    <nodes>\n")
+    for v in graph.nodes():
+        values: list[str] = []
+        for key, _, column in node_columns:
+            if v in column:
+                values.append(
+                    f'        <attvalue for={quoteattr(key)} value={quoteattr(_format_value(column[v]))}/>\n'
+                )
+        if values:
+            out.append(f'      <node id="{v}" label="{v}">\n        <attvalues>\n')
+            out.append("".join(values))
+            out.append("        </attvalues>\n      </node>\n")
+        else:
+            out.append(f'      <node id="{v}" label="{v}"/>\n')
+    out.append("    </nodes>\n")
+
+    edges = list(graph.edges())
+    edge_set = set(edges)
+    for key, _, column in edge_columns:
+        for u, v in column:
+            if (u, v) not in edge_set and (v, u) not in edge_set:
+                raise GexfError(f"edge attribute {key!r} has a value on ({u}, {v}), which is not an edge")
+
+    out.append("    <edges>\n")
+    edge_id = 0
+    for u, v in edges:
+        values = []
+        for key, _, column in edge_columns:
+            if (u, v) in column:
+                values.append(
+                    f'        <attvalue for={quoteattr(key)} value={quoteattr(_format_value(column[(u, v)]))}/>\n'
+                )
+            if (v, u) in column and (v, u) not in edge_set:
+                values.append(
+                    f'        <attvalue for={quoteattr(key + _REVERSE_SUFFIX)}'
+                    f" value={quoteattr(_format_value(column[(v, u)]))}/>\n"
+                )
+        if values:
+            out.append(f'      <edge id="{edge_id}" source="{u}" target="{v}">\n        <attvalues>\n')
+            out.append("".join(values))
+            out.append("        </attvalues>\n      </edge>\n")
+        else:
+            out.append(f'      <edge id="{edge_id}" source="{u}" target="{v}"/>\n')
+        edge_id += 1
+    out.append("    </edges>\n  </graph>\n</gexf>\n")
+    return "".join(out)
+
+
+def document_or_error(write, *args):
+    try:
+        return write(*args)
+    except GexfError as exc:
+        return f"GexfError: {exc}"
+
+
+DOC_VALUES = [
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_infinity=True),
+    st.text(max_size=3).filter(lambda text: not _NOT_XML.search(text)),
+]
+RARELY = st.sampled_from([False] * 9 + [True])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_property_document_and_errors_match_the_reference_writer(data):
+    """Directed and undirected graphs from 0 nodes up, with reverse pairs, values on non-edges, reserved keys,
+    empty columns, node ids out of range and strings XML cannot carry."""
+    n = data.draw(st.integers(0, 7))
+    directed = data.draw(st.booleans())
+    node = st.integers(-1, n)
+    pairs = data.draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1] and 0 <= min(p) <= max(p) < n),
+                               max_size=12))
+    pairs += [(v, u) for u, v in data.draw(st.lists(st.sampled_from(pairs), max_size=4))] if pairs else []
+    graph = Graph.from_edges(n, [u for u, _ in pairs], [v for _, v in pairs], directed)[0]
+    edges = list(graph.edges())
+    near = st.sampled_from(edges + [(v, u) for u, v in edges]) if edges else st.tuples(node, node)
+    states = None
+    if data.draw(st.booleans()):
+        states = data.draw(st.dictionaries(node, st.sampled_from(["S", "I", "R&<"]), max_size=n + 1))
+        if data.draw(st.booleans()):  # as a run holds them
+            states = NodeStates.from_mapping({v: name for v, name in states.items() if 0 <= v < n}, n)
+    attrs = AttributeTable()
+    for side, usual, rare, reserved in (
+        ("node", st.integers(0, n - 1) if n else node, node, NODE_TYPE_KEY),
+        ("edge", near, st.tuples(node, node), "w" + _REVERSE_SUFFIX),
+    ):
+        keys = data.draw(st.lists(st.sampled_from(["a", "b", 'q"<&>']), max_size=3, unique=True))
+        for key in keys + [reserved] * data.draw(RARELY):
+            values = data.draw(st.sampled_from(DOC_VALUES + [st.text(max_size=3)] * data.draw(RARELY)))
+            getattr(attrs, side)[key] = data.draw(st.dictionaries(rare if data.draw(RARELY) else usual, values,
+                                                                  max_size=8))
+    want = document_or_error(ref_gexf_document, graph, states, attrs)
+    assert document_or_error(gexf_document, graph, states, attrs) == want

@@ -610,13 +610,17 @@ def scalar_build(n: int, directed: bool, pairs):
         return str(exc)
 
 
+def csr_rows(csr) -> list[list[int]]:
+    indptr, indices = csr
+    return [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+
+
 def graph_view(g: Graph):
-    indptr, indices = g.in_csr()
     return (
         g.num_edges,
         list(g.edges()),
-        [indices[indptr[v] : indptr[v + 1]].tolist() for v in g.nodes()],
-        g.adjacency_lists(),
+        csr_rows(g.in_csr()),
+        csr_rows(g.out_csr()),
         [sorted(g.neighbors(v)) for v in g.nodes()],
         [sorted(g.in_neighbors(v)) for v in g.nodes()],
         [g.degree(v) for v in g.nodes()],
@@ -821,6 +825,8 @@ def test_property_graph_matches_a_set_of_pairs_reference(data, n, directed):
             assert graph_call(g, op, v) == graph_call(ref, op, v)
         assert (g.num_edges, g.version) == (ref.num_edges(), ref.version)
     for g, ref in graphs:
+        ids = np.array(list(itertools.product(range(-2, n + 2), repeat=2)))  # ids outside the graph too
+        assert g.has_edges(ids[:, 0], ids[:, 1]).tolist() == [pair in ref.pairs for pair in map(tuple, ids.tolist())]
         assert g == Graph.from_edges(n, *ref.edge_arrays(), directed)[0]
         pairs = list(itertools.product(range(n), repeat=2))
         assert [g.has_edge(u, v) for u, v in pairs] == [pair in ref.pairs for pair in pairs]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from crowdkit import (
     generate_erdos_renyi,
     top_k_by_metric,
 )
+from crowdkit import metrics
 from crowdkit.graph import csr_matvec
 from crowdkit.metrics import (
     EIGEN_MAX_ITER,
@@ -440,7 +442,86 @@ def ref_degree(g: Graph) -> dict[int, float]:
     return {v: g.degree(v) * scale for v in range(n)}
 
 
-REFERENCES = {"pagerank": ref_pagerank, "eigenvector": ref_eigenvector, "katz": ref_katz, "degree": ref_degree}
+# ---------------------------------------------------------------------------
+# Scalar references: the one-queue Brandes and BFS code the path metrics ran
+# before they walked the CSR level by level. The metrics must match them bit
+# for bit, including where path counts pass 2**53 and sums round.
+# ---------------------------------------------------------------------------
+
+
+def adjacency(g: Graph) -> list[list[int]]:
+    """Sorted neighbor lists (out-neighbors when directed), read from ``out_csr()``."""
+    indptr, indices = g.out_csr()
+    return [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+
+
+def ref_betweenness(graph: Graph) -> dict[int, float]:
+    n = graph.num_nodes
+    scores = dict.fromkeys(range(n), 0.0)
+    if n <= 2:
+        return scores
+    adj = adjacency(graph)
+    for s in range(n):
+        stack: list[int] = []
+        preds: list[list[int]] = [[] for _ in range(n)]
+        sigma = [0.0] * n
+        dist = [-1] * n
+        sigma[s] = 1.0
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            dv = dist[v]
+            sv = sigma[v]
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dv + 1
+                    queue.append(w)
+                if dist[w] == dv + 1:
+                    sigma[w] += sv
+                    preds[w].append(v)
+        delta = [0.0] * n
+        while stack:
+            w = stack.pop()
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                scores[w] += delta[w]
+    scale = 1.0 / ((n - 1) * (n - 2))
+    return {v: scores[v] * scale for v in range(n)}
+
+
+def ref_closeness(graph: Graph) -> dict[int, float]:
+    n = graph.num_nodes
+    adj = adjacency(graph)
+    scores: dict[int, float] = {}
+    for s in range(n):
+        dist = {s: 0}
+        total = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            dv = dist[v]
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dv + 1
+                    total += dv + 1
+                    queue.append(w)
+        reachable = len(dist) - 1
+        scores[s] = reachable / total if total > 0 else 0.0
+    return scores
+
+
+REFERENCES = {
+    "pagerank": ref_pagerank,
+    "eigenvector": ref_eigenvector,
+    "katz": ref_katz,
+    "degree": ref_degree,
+    "betweenness": ref_betweenness,
+    "closeness": ref_closeness,
+}
 
 
 def ref_top_k(scores: dict[int, float], k: int) -> list[int]:
@@ -493,8 +574,59 @@ def test_csr_matvec_matches_scipy_product(g, data):
 def test_metrics_and_ranking_match_scipy_references(g, data):
     k = data.draw(st.integers(1, g.num_nodes))
     for metric in METRICS:
-        reference = REFERENCES.get(metric, lambda graph: centrality(graph, metric))
-        want = outcome(reference, g)
+        want = outcome(REFERENCES[metric], g)
         assert bits(outcome(centrality, g, metric)) == bits(want)
         if not isinstance(want, str):
             assert top_k_by_metric(g, metric, k) == ref_top_k(want, k)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Larger random graphs, directed or not: many with several components, isolated nodes or n <= 2."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.sampled_from([0.02, 0.05, 0.1, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    directed = draw(st.booleans())
+    both = upper | (np.tril(rng.random((n, n)) < p, -1) if directed else False)
+    src, dst = both.nonzero()
+    return Graph.from_edges(n, src, dst, directed)[0]
+
+
+# Sources are walked in runs sized by ``_BATCH_ENTRIES``: one source a run, a few, or all of them.
+BATCH_ENTRIES = st.sampled_from([1, 100, 2**12, metrics._BATCH_ENTRIES])
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=sparse_graphs(), data=st.data())
+def test_path_metrics_match_scalar_references_bitwise(g, data):
+    k = data.draw(st.integers(1, g.num_nodes))
+    with mock.patch.object(metrics, "_BATCH_ENTRIES", data.draw(BATCH_ENTRIES)):
+        for metric in ("betweenness", "closeness"):
+            want = REFERENCES[metric](g)
+            assert bits(centrality(g, metric)) == bits(want)
+            assert top_k_by_metric(g, metric, k) == ref_top_k(want, k)
+
+
+def layered_graph(directed: bool) -> Graph:
+    """40 layers of 6 nodes; each pair of nodes in neighbouring layers joined with probability 0.6."""
+    rng = np.random.default_rng(20240601)
+    layers = np.arange(240).reshape(40, 6)
+    pairs = [(u, v) for upper, lower in zip(layers, layers[1:]) for u in upper for v in lower if rng.random() < 0.6]
+    return Graph.from_edges(240, *zip(*pairs), directed)[0]
+
+
+@pytest.mark.parametrize("batch_entries", [1, 2**12, metrics._BATCH_ENTRIES])
+@pytest.mark.parametrize("directed", [False, True])
+def test_path_metrics_keep_their_bits_past_2_to_the_53_paths(directed, batch_entries, monkeypatch):
+    monkeypatch.setattr(metrics, "_BATCH_ENTRIES", batch_entries)
+    g = layered_graph(directed)
+    sigma = np.zeros(240)  # shortest-path counts from node 0: every layer lies one step further
+    sigma[0] = 1.0
+    for u, v in sorted(g.edges()):
+        sigma[v] += sigma[u]
+    assert sigma.max() > 2.0**53
+    for metric in ("betweenness", "closeness"):
+        want = REFERENCES[metric](g)
+        assert bits(centrality(g, metric)) == bits(want)
+        assert top_k_by_metric(g, metric, 10) == ref_top_k(want, 10)

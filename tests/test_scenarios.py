@@ -149,12 +149,18 @@ def ref_ic_agent_step_per_edge(ctx, node):
         ctx.states[node] = IC_SPREADER
 
 
+def adjacency(g: Graph) -> list[list[int]]:
+    """Sorted neighbor lists (out-neighbors when directed), read from ``out_csr()``."""
+    indptr, indices = g.out_csr()
+    return [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+
+
 def ref_trust_draws(ctx):
     """Pre-draw this iteration's neighbor picks and switch uniforms (by node id)."""
     sc = ctx.scratch
     n = ctx.graph.num_nodes
     if "trust_adj" not in sc:
-        sc["trust_adj"] = ctx.graph.adjacency_lists()
+        sc["trust_adj"] = adjacency(ctx.graph)
     sc["trust_payoff_list"] = sc["trust_payoff_arr"].tolist()
     sc["trust_pick_u"] = ctx.rng.random(n).tolist()
     sc["trust_switch_u"] = ctx.rng.random(n).tolist()
@@ -483,7 +489,7 @@ class TestTrustImitation:
         g.add_edge(0, 1)
         ctx = trust_ctx(g, {0: TRUST_INVESTOR, 1: TRUST_TRUSTWORTHY},
                         {"R_T": 6.0, "r_UT": 0.5, "tv": 1.0})
-        ctx.scratch["trust_adj"] = g.adjacency_lists()
+        ctx.scratch["trust_adj"] = adjacency(g)
         ctx.scratch["trust_payoff_list"] = payoffs
         ctx.scratch["trust_pick_u"] = pick_u
         ctx.scratch["trust_switch_u"] = switch_u
