@@ -721,15 +721,15 @@ def _weighted_choice(weights, draws: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(np.cumsum(weights), draws, side="right"), len(weights) - 1)
 
 
-def _draw(spec: ParamSpec, size: int, rng: np.random.Generator) -> list:
-    """``size`` values of one node or edge parameter."""
+def _draw(spec: ParamSpec, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` values of one node or edge parameter: float64 for a numerical one, else str objects."""
     if isinstance(spec, NumericalParam):
-        return rng.uniform(spec.low, spec.high, size).tolist()
+        return rng.uniform(spec.low, spec.high, size)
     if spec.weights is None:
         idx = rng.integers(0, len(spec.options), size)
     else:
         idx = _weighted_choice(spec.weights, rng.random(size))
-    return [spec.options[i] for i in idx.tolist()]
+    return np.array(spec.options, dtype=object)[idx]
 
 
 def initialize_population(
@@ -805,7 +805,7 @@ def initialize_population(
         src, dst = graph.edge_arrays()
         values = _draw(spec, src.size, rng)
         if not graph.directed:  # an undirected edge's value holds on both of its pairs
-            src, dst, values = np.concatenate((src, dst)), np.concatenate((dst, src)), values + values
+            src, dst, values = np.concatenate((src, dst)), np.concatenate((dst, src)), np.concatenate((values, values))
         attrs.set_edge_column(key, values, (src, dst))
 
     return states, attrs, dict(d.network_parameters)

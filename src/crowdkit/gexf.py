@@ -59,12 +59,16 @@ def _checked(key: str, column: AttributeColumn, num_nodes: int | None = None) ->
     return key, column
 
 
-def _attvalues(key: str, values: np.ndarray) -> np.ndarray:
-    """The ``<attvalue>`` line of each value for ``key``, "" where it is None."""
+def _attvalues(key: str, column: AttributeColumn, keys, blank=False) -> np.ndarray:
+    """The ``<attvalue>`` line for ``key`` of ``column``'s value at each of ``keys``, "" where it has none or
+    ``blank`` holds. Each distinct value is formatted once; floats are told apart by bits (-0.0 is not 0.0)."""
     from xml.sax.saxutils import quoteattr
 
+    values = column.arrays()[1]
+    distinct, inverse = np.unique(values.view(np.int64) if values.dtype == float else values, return_inverse=True)
     line = f"        <attvalue for={quoteattr(key)} value="
-    return np.array(["" if x is None else line + quoteattr(_format_value(x)) + "/>\n" for x in values], dtype=object)
+    texts = [line + quoteattr(_format_value(x)) + "/>\n" for x in distinct.view(values.dtype).tolist()] + [""]
+    return np.array(texts, dtype=object)[np.append(inverse, -1)[np.where(blank, -1, column.positions(keys))]]
 
 
 def _elements(heads: np.ndarray, lines: list[np.ndarray], tag: str) -> str:
@@ -118,13 +122,12 @@ def gexf_document(graph: Graph, states: dict[int, str] | None = None, attrs: Att
             out.append("    </attributes>\n")
 
     ids = id_texts(n)
-    lines = [_attvalues(key, column.take(np.arange(n), None)) for key, column in node_columns]
+    lines = [_attvalues(key, column, np.arange(n)) for key, column in node_columns]
     out += ["    <nodes>\n", _elements('      <node id="' + ids + '" label="' + ids + '"', lines, "node")]
     src, dst = graph.edge_arrays()
     reverse_is_edge = graph.directed & graph.has_edges(dst, src)  # its value is written on that edge
-    lines = [_attvalues(key + suffix, values) for key, column in edge_columns for suffix, values in (
-        ("", column.take((src, dst), None)),
-        (_REVERSE_SUFFIX, np.where(reverse_is_edge, None, column.take((dst, src), None))))]
+    lines = [line for key, column in edge_columns for line in (
+        _attvalues(key, column, (src, dst)), _attvalues(key + _REVERSE_SUFFIX, column, (dst, src), reverse_is_edge))]
     heads = '      <edge id="' + id_texts(src.size) + '" source="' + ids[src] + '" target="' + ids[dst] + '"'
     out += ["    </nodes>\n    <edges>\n", _elements(heads, lines, "edge"), "    </edges>\n  </graph>\n</gexf>\n"]
     return "".join(out)

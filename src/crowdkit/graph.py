@@ -381,8 +381,7 @@ class NodeStates(MutableMapping):
     def update(self, other=(), /, **kwargs) -> None:
         """As ``dict.update``; a ``NodeStates`` over the same types applies in one masked assignment."""
         if isinstance(other, NodeStates) and other.types == self.types and not kwargs:
-            moved = other.codes >= 0
-            self._writable_codes()[moved] = other.codes[moved]
+            np.copyto(self._writable_codes(), other.codes, where=other.codes >= 0)
         else:
             super().update(other, **kwargs)
 
@@ -402,7 +401,7 @@ class NodeStates(MutableMapping):
 
     def counts(self) -> dict[str, int]:
         """Node count per declared type, in declaration order."""
-        held = np.bincount(self.codes[self.codes >= 0], minlength=len(self.types))
+        held = np.bincount(self.codes + 1, minlength=len(self.types) + 1)[1:]  # code -1 counts in bin 0
         return dict(zip(self.types, held.tolist()))
 
     def __repr__(self) -> str:
@@ -487,14 +486,16 @@ class AttributeColumn(MutableMapping):
         src = (codes + 2**31) >> 32
         return np.stack((src, codes - (src << 32)), axis=1)
 
-    def take(self, keys, default) -> np.ndarray:
-        """The values at ``keys`` (node ids, or ``(src, dst)`` arrays of ids in range), ``default`` where absent."""
-        codes, values = self.arrays()
-        want = _pair_codes(*keys) if self.edge else np.asarray(keys)
-        if not codes.size:
-            return np.full(want.shape, default)
+    def positions(self, keys) -> np.ndarray:
+        """Where each of ``keys`` (node ids, or ``(src, dst)`` arrays of ids in range) is in ``arrays()``, -1 if absent."""
+        codes, want = self.arrays()[0], _pair_codes(*keys) if self.edge else np.asarray(keys)
         at = codes.searchsorted(want)
-        return np.where(codes.take(at, mode="clip") == want, values.take(at, mode="clip"), default)
+        return np.where(codes.take(at, mode="clip") == want, at, -1) if codes.size else np.full(want.shape, -1)
+
+    def take(self, keys, default) -> np.ndarray:
+        """The values at ``keys`` (as for ``positions``), ``default`` where absent."""
+        at, values = self.positions(keys), self.arrays()[1]
+        return np.where(at >= 0, values.take(at, mode="clip"), default) if values.size else np.full(at.shape, default)
 
     def check_nodes(self, num_nodes: int) -> None:
         """``GraphError`` naming the largest key that is no node id in ``[0, num_nodes)``."""

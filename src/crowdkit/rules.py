@@ -12,7 +12,9 @@ Compartment kinds:
 
 * ``NodeStochastic`` — eligible when the triggering status is absent or at
   least one in-neighbor (neighbor, when undirected) holds it in the frozen
-  view; fires with probability ``ratio``.
+  view; fires with probability ``ratio``. A pass marks the out-neighbors of
+  a status's holders in one sweep of the out-CSR, shared by every rule that
+  names it, so a directed graph never builds its in-CSR for a trigger.
 * ``CountDown`` — a per-node counter starts at ``iteration_count`` on the
   first evaluation after the node enters the rule's source type and is
   decremented on every evaluation, firing when it reaches zero. A node that
@@ -100,16 +102,18 @@ class CountdownLedger:
         return arr
 
 
-def _drawing_rule(comp, members, state, graph, attrs, ledger) -> tuple[np.ndarray, float]:
-    """Which ``members`` may draw for a stochastic or categorical compartment, and its probability."""
+def _drawing_rule(comp, members, state, graph, attrs, ledger, swept) -> tuple[np.ndarray, float]:
+    """Which ``members`` may draw for a stochastic or categorical compartment, and its probability.
+    ``swept``: this pass's trigger masks by status, each made on first use by one out-CSR sweep."""
     if type(comp) is NodeStochastic:
         if comp.triggering_status is None:
             return np.ones(members.size, dtype=bool), comp.ratio
-        indptr, indices = graph.in_csr()
-        # held[i]: how many of the first i CSR entries hold the trigger.
-        held = np.zeros(indices.size + 1, dtype=np.int32)
-        np.cumsum(state.mask(comp.triggering_status)[indices], out=held[1:])
-        return held[indptr[members + 1]] > held[indptr[members]], comp.ratio
+        hit = swept.get(comp.triggering_status)
+        if hit is None:  # mark every out-neighbor (neighbor, when undirected) of a node holding the trigger
+            indptr, indices = graph.out_csr()
+            hit = swept[comp.triggering_status] = np.zeros(graph.num_nodes, dtype=bool)
+            hit[indices[np.repeat(state.mask(comp.triggering_status), np.diff(indptr))]] = True
+        return hit[members], comp.ratio
     if type(comp) is NodeCategorical:
         column = attrs.node.get(comp.attribute)
         values = np.full(members.size, None) if column is None else column.take(members, None)
@@ -123,18 +127,17 @@ def _drawing_rule(comp, members, state, graph, attrs, ledger) -> tuple[np.ndarra
     raise ConfigError(f"unknown compartment kind {type(comp).__name__}")
 
 
-def _walk(group, size, draws, passes, counters) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+def _walk(group, size, draws, passes, counters) -> tuple[dict, dict[int, np.ndarray]]:
     """Walk a source type's rules in declaration order over its ``size`` members.
 
     ``draws[j]``: drawing rule j's (eligible mask, probability); ``passes[j]``:
-    members whose draw for it succeeds (``None``: every draw fails). Updates
-    ``counters`` (name -> member counters) where a count-down is reached.
-    Returns the winning rule per member (-1: none) and the members drawing
-    for each drawing rule.
+    the positions of members whose draw for it succeeds (``None``: every draw
+    fails). Updates ``counters`` (name -> member counters) where a count-down
+    is reached. Returns the members each rule moves (a mask or positions) and,
+    for ``passes`` None, the drawing members' positions per drawing rule.
     """
-    winner = np.full(size, -1, dtype=np.int32)
     alive = np.ones(size, dtype=bool)
-    drawn = {}
+    moved, drawn = {}, {}
     for j, rule in enumerate(group):
         comp = rule.compartment
         if type(comp) is CountDown:
@@ -142,12 +145,14 @@ def _walk(group, size, draws, passes, counters) -> tuple[np.ndarray, dict[int, n
             left = np.where(current == 0, comp.iteration_count, current) - 1
             fires = alive & (left <= 0)
             counters[comp.name] = np.where(alive, np.where(fires, 0, left), current)
+        elif passes is None:
+            drawn[j] = np.flatnonzero(alive & draws[j][0])
+            continue
         else:
-            drawn[j] = alive & draws[j][0]
-            fires = drawn[j] & passes[j] if passes else np.zeros(size, dtype=bool)
-        winner[fires] = j
-        alive &= ~fires
-    return winner, drawn
+            fires = passes[j][alive[passes[j]]]
+        moved[j] = fires
+        alive[fires] = False
+    return moved, drawn
 
 
 def apply_rules(
@@ -172,18 +177,17 @@ def apply_rules(
         groups.setdefault(rule.from_type, []).append(rule)
     if not isinstance(state, NodeStates):
         state = NodeStates.from_mapping(state, n, dict.fromkeys([*state.values(), *(r.to_type for r in rules)]))
-    comps = [rule.compartment for rule in rules]
     # Counters survive the pass only for nodes in a source type of their name.
-    kept = {c.name: np.zeros(n, dtype=np.int32) for c in comps if type(c) is CountDown}
+    kept = {r.compartment.name: np.zeros(n, dtype=np.int32) for r in rules if type(r.compartment) is CountDown}
 
     # Every draw a node could need: one per eligible drawing rule it reaches
     # when all of its earlier draws fail.
-    plans = []
+    plans, swept = [], {}
     slots = np.zeros(n, dtype=np.int32)
     for from_type, group in groups.items():
         members = np.flatnonzero(state.mask(from_type))
         draws = {
-            j: _drawing_rule(rule.compartment, members, state, graph, attrs, ledger)
+            j: _drawing_rule(rule.compartment, members, state, graph, attrs, ledger, swept)
             for j, rule in enumerate(group)
             if type(rule.compartment) is not CountDown
         }
@@ -193,8 +197,8 @@ def apply_rules(
             if type(rule.compartment) is CountDown
         }
         _, drawn = _walk(group, members.size, draws, None, dict(counters))
-        for mask in drawn.values():
-            slots[members] += mask
+        for at in drawn.values():
+            slots[members[at]] += 1
         plans.append((group, members, draws, counters, drawn))
 
     start = np.cumsum(slots, dtype=np.int32) - slots
@@ -202,14 +206,14 @@ def apply_rules(
     values = rng.random(int(slots.sum()))
     # A node that fires before its last possible draw leaves the rest unused,
     # so every later node's draws start that much earlier.
-    pending = sorted(
-        (members[i], [draws[j][1] for j, mask in drawn.items() if mask[i]])
-        for _, members, draws, _, drawn in plans
-        for i in np.flatnonzero(slots[members] > 1)
-    )
+    pending = {}  # node -> probability of each draw it may take; a node's only draw is never left unused
+    for _, members, draws, _, drawn in plans:
+        for j, at in drawn.items() if len(drawn) > 1 else ():
+            for node in members[at].tolist():
+                pending.setdefault(node, []).append(draws[j][1])
     unused = np.zeros(n, dtype=np.int32)
     skipped = 0
-    for node, probabilities in pending:
+    for node, probabilities in sorted(pending.items()):
         hits = np.flatnonzero(values[start[node] - skipped :][: len(probabilities)] < probabilities)
         unused[node] = len(probabilities) - 1 - hits[0] if hits.size else 0
         skipped += unused[node]
@@ -222,17 +226,17 @@ def apply_rules(
 
     moves = NodeStates(state.types, n)
     for group, members, draws, counters, drawn in plans:
-        at = start[members]
         passes = {}
-        for j, mask in drawn.items():
-            passes[j] = np.zeros(members.size, dtype=bool)
-            passes[j][mask] = values[at[mask]] < draws[j][1]
-            at = at + mask
-        winner, _ = _walk(group, members.size, draws, passes, counters)
-        fired = winner >= 0
+        for j, at in drawn.items():
+            nodes = members[at]
+            passes[j] = at[values[start[nodes]] < draws[j][1]]
+            start[nodes] += 1  # the node's next draw
+        moved, _ = _walk(group, members.size, draws, passes, counters)
+        for j, fires in moved.items():
+            moves.codes[members[fires]] = state.code_of[group[j].to_type]
+            for left in counters.values():
+                left[fires] = 0
         for name, left in counters.items():
-            kept[name][members] = np.where(fired, 0, left)
-        targets = np.array([state.code_of[rule.to_type] for rule in group], dtype=moves.codes.dtype)
-        moves.codes[members[fired]] = targets[winner[fired]]
+            kept[name][members] = left
     ledger._counters.update(kept)
     return moves

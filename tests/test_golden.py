@@ -1,11 +1,12 @@
 """Stored output digests: determinism pinned across versions, not just runs.
 
 Each bundled scenario runs one persisted batch at a fixed seed and a small
-size. The sha256 of every collector file, of every snapshot file, of
-``summary.json`` and of the final-state list must match the digests stored
-below. A change that alters how a run consumes its random stream, or what it
-writes, fails here even when two runs inside one process still agree with
-each other.
+size, and ``sir-directed`` runs the SIR fixture over a directed edge list, so
+that its trigger reads in-neighbours. The sha256 of every collector file, of
+every snapshot file, of ``summary.json`` and of the final-state list must
+match the digests stored below. A change that alters how a run consumes its
+random stream, or what it writes, fails here even when two runs inside one
+process still agree with each other.
 
 To re-pin after an intended output change, run this file as a script from
 the repository root and paste what it prints into ``GOLDEN``:
@@ -19,10 +20,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
 from conftest import _surrogate_social_graph
 
-from crowdkit import SCENARIOS, batch_run, fixture_path, load_config
+from crowdkit import SCENARIOS, batch_run, fixture_path, load_config, parse_config
 
 SEED = 20240917
 
@@ -30,6 +33,7 @@ SEED = 20240917
 # surrogate graph, even when a real edge list is configured for other tests.
 PLANS = {
     "sir": (20, 5),
+    "sir-directed": (20, 5),
     "stayhome": (20, 5),
     "trust": (10, 5),
     "infmax": (4, None),
@@ -40,14 +44,28 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _directed_sir_config(parent: Path):
+    """``sir.yaml`` over a directed edge list written to ``parent``: 100 nodes, 3 out-edges each."""
+    rng = np.random.default_rng(SEED)
+    src = np.repeat(np.arange(100), 3)
+    dst = (src + rng.integers(1, 100, src.size)) % 100
+    (parent / "edges.txt").write_text("".join(f"{u} {v}\n" for u, v in zip(src.tolist(), dst.tolist())))
+    config = yaml.safe_load(fixture_path("sir.yaml").read_text(encoding="utf-8"))
+    config["structure"] = {"file": {"path": "edges.txt", "format": "edge-list", "directed": True}}
+    return parse_config(config)
+
+
 def run_digests(name: str, parent: Path) -> dict[str, str]:
     """Digests of one persisted batch of scenario ``name`` written under ``parent``."""
     epochs, period = PLANS[name]
-    scenario = SCENARIOS[name]
+    scenario = SCENARIOS[name.split("-")[0]]
     graph = _surrogate_social_graph() if name == "infmax" else None
+    parent.mkdir(parents=True, exist_ok=True)
+    config = _directed_sir_config(parent) if name == "sir-directed" else load_config(fixture_path(scenario.fixture))
     (outcome,) = batch_run(
-        load_config(fixture_path(scenario.fixture)),
+        config,
         parent,
+        base_dir=parent,
         batches=1,
         epochs=epochs,
         snapshot_period=period,
@@ -93,6 +111,17 @@ GOLDEN = {
         "snapshots/iter_5.json": "04f662e8d34c343bd060c9428c6e7d7b55e74335e20fe9405ce1603e1b6c125e",
         "summary.json": "3d9e965f3ec21b7c9026d3133e9e6b6d5bd3cfa41fc25eeef6fe97ca44fc1d04",
         "final_states": "2b9537207db9cc0c0bc67130f02d94353b2985d56753313adfc653743950c27a"
+    },
+    "sir-directed": {
+        "collectors/node_counts.json": "3dd26a7676171e30680b8ec1e14e4647ae2e5eeb9dc3af59ce2fdc0e96da04ce",
+        "collectors/percentage_infected.json": "b731ace12159d0649b8fcfaf5aa61cb4b83ff71cc08071a03df044fbce29d244",
+        "snapshots/iter_0.json": "9e6f86ba6f76275dc8f0cb2d86a0d318ce174ad08e50176d2fd7c161c771bc24",
+        "snapshots/iter_10.json": "254cc5da03533439435ed0f563c2ec3ab55d3c4d3658c6323750f2a286b157dd",
+        "snapshots/iter_15.json": "f1027b447a08e71bc6363a3e2df1064d948973cc749760c6e1267da9190aaf27",
+        "snapshots/iter_20.json": "01c1a60f06c575695912dae7f6226b411a138c11b2310d649507edd8af91afb0",
+        "snapshots/iter_5.json": "3a4dd9a6ec5643b32540dcdc7fd6fb961d233c0efc274247c7f0550f03e870fd",
+        "summary.json": "377dedcf43b2a5e9985f29b39f894ccb5023ad6ea03f5aa50e5f3fca6d4d275a",
+        "final_states": "e482ec7d1d7da2b293581fb9d3356c866c359ec67f453ddc4c2e4c89280a2593"
     },
     "stayhome": {
         "collectors/home_count.json": "5437b40866f8b4518730af0acf74af55fd9cb919753be893755c2ce51102a9c9",

@@ -15,6 +15,7 @@ from crowdkit import (
     CountdownLedger,
     Graph,
     NodeCategorical,
+    NodeStates,
     NodeStochastic,
     Rule,
     apply_rules,
@@ -439,9 +440,15 @@ def scenarios(draw):
             attrs.set_node(node, "loc", value)
     states = {node: draw(st.sampled_from(TYPES)) for node in range(n)}
     node_types = st.tuples(st.integers(0, n - 1), st.sampled_from(TYPES))
-    edits = draw(st.lists(st.lists(node_types, max_size=4), min_size=1, max_size=6))
-    shuffles = draw(st.lists(st.booleans(), min_size=len(edits), max_size=len(edits)))
-    return g, attrs, states, draw(rule_sets()), edits, shuffles
+    edge_edits = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans())  # (u, v, add)
+    # Per pass: hook moves after it, topology edits after it, whether to shuffle
+    # before it and whether to pass the states as a NodeStates or as a dict.
+    passes = draw(st.lists(
+        st.tuples(st.lists(node_types, max_size=4), st.lists(edge_edits, max_size=4), st.booleans(), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ))
+    return g, attrs, states, draw(rule_sets()), passes
 
 
 def ledger_entries(ledger: CountdownLedger, n: int) -> dict:
@@ -457,20 +464,30 @@ def ledger_entries(ledger: CountdownLedger, n: int) -> dict:
 @settings(max_examples=300, deadline=None)
 @given(case=scenarios(), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_property_array_pass_matches_scalar_reference(case, seed):
-    g, attrs, states, rules, edits, shuffles = case
+    """Passes over states given as a dict or as the engine's NodeStates, with edges added and removed between
+    passes (each pass reads a re-merged CSR). The reference reads its own copy of the graph, so a directed
+    graph's in-CSR is built only if the array pass builds it, which it must not."""
+    g, attrs, states, rules, passes = case
+    ref_g = g.copy()
     rng, ref_rng = make_rng(seed), make_rng(seed)
     ledger, counters = CountdownLedger(), {}
     current, ref_current = dict(states), dict(states)
-    for pass_edits, shuffle in zip(edits, shuffles):
+    for moves, edge_edits, shuffle, as_states in passes:
         if shuffle:  # leaves a buffered 32-bit half-word, as the agent phase does
             rng.permutation(g.num_nodes)
             ref_rng.permutation(g.num_nodes)
-        transitions = apply_rules(current, g, attrs, rules, ledger, rng)
-        expected = reference_apply_rules(ref_current, g, attrs, rules, counters, ref_rng)
+        given_states = NodeStates.from_mapping(current, g.num_nodes, TYPES) if as_states else current
+        transitions = apply_rules(given_states, g, attrs, rules, ledger, rng)
+        expected = reference_apply_rules(ref_current, ref_g, attrs, rules, counters, ref_rng)
         assert transitions == expected
         assert ledger_entries(ledger, g.num_nodes) == counters
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert not g.directed or g._in is None
         current.update(transitions)
         ref_current.update(expected)
-        for node, type_name in pass_edits:  # hook moves between passes
+        for node, type_name in moves:  # hook moves between passes
             current[node] = ref_current[node] = type_name
+        for u, v, add in edge_edits:
+            if u != v:
+                for graph in (g, ref_g):
+                    (graph.add_edge if add else graph.remove_edge)(u, v)
