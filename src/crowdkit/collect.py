@@ -230,7 +230,9 @@ def read_snapshot(path) -> tuple[int, Graph, dict[int, str], AttributeTable, dic
     doc = _load_json(Path(path))
     try:
         g = doc["graph"]
-        src, dst = zip(*g["links"], strict=True) if g["links"] else ((), ())
+        links = np.array(g["links"] or np.empty((0, 2), dtype=np.int64))  # ragged links raise ValueError here
+        as_given = links.dtype.kind not in "iu" or links.shape[1:] != (2,)  # so that the error names a bad id
+        src, dst = zip(*g["links"], strict=True) if as_given else links.T
         graph, _ = Graph.from_edges(g["nodes"], src, dst, g["directed"])
         states = {i: s for i, s in enumerate(doc["states"]) if s is not None}
         attrs = AttributeTable()
@@ -238,7 +240,7 @@ def read_snapshot(path) -> tuple[int, Graph, dict[int, str], AttributeTable, dic
             held = [i for i, value in enumerate(values) if value is not None]
             attrs.set_node_column(key, [values[i] for i in held], held)
         for key, column in doc["edge_attrs"].items():
-            pairs, values = column["pairs"], column["values"]
+            pairs, values = np.array(column["pairs"]), column["values"]
             if len(pairs) != 2 * len(values):
                 raise ValueError(f"edge attribute {key!r}: {len(pairs)} pair ids for {len(values)} values")
             attrs.set_edge_column(key, values, (pairs[0::2], pairs[1::2]))

@@ -104,7 +104,7 @@ def gexf_document(graph: Graph, states: dict[int, str] | None = None, attrs: Att
 
     for key, column in edge_columns:
         u, v = column.ids().T
-        off_edge = ~(graph.has_edges(u, v) | graph.has_edges(v, u))
+        off_edge = ~(graph.has_edges(u, v) | (graph.directed and graph.has_edges(v, u)))  # undirected: both held
         if off_edge.any():
             pair = f"({u[off_edge][0]}, {v[off_edge][0]})"
             raise GexfError(f"edge attribute {key!r} has a value on {pair}, which is not an edge")
@@ -125,7 +125,7 @@ def gexf_document(graph: Graph, states: dict[int, str] | None = None, attrs: Att
     lines = [_attvalues(key, column, np.arange(n)) for key, column in node_columns]
     out += ["    <nodes>\n", _elements('      <node id="' + ids + '" label="' + ids + '"', lines, "node")]
     src, dst = graph.edge_arrays()
-    reverse_is_edge = graph.directed & graph.has_edges(dst, src)  # its value is written on that edge
+    reverse_is_edge = graph.directed and graph.has_edges(dst, src)  # its value is written on that edge
     lines = [line for key, column in edge_columns for line in (
         _attvalues(key, column, (src, dst)), _attvalues(key + _REVERSE_SUFFIX, column, (dst, src), reverse_is_edge))]
     heads = '      <edge id="' + id_texts(src.size) + '" source="' + ids[src] + '" target="' + ids[dst] + '"'

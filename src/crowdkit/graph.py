@@ -6,10 +6,10 @@ but answer adjacency symmetrically.
 
 A graph is stored as read-only CSR arrays ``(indptr, indices)``: row u lists
 the out-neighbors of u (every neighbor when undirected) in ascending order.
-Generators and loaders build it in bulk with ``Graph.from_edges``, and copies
+Each CSR is built from the sorted pair codes ``u << 32 | v`` of its entries
+(so ids lie below 2**31), in bulk by ``Graph.from_edges`` or a generator; copies
 share the arrays. ``add_edge`` and ``remove_edge`` record each edit in a dict
-of pending pair keys ``u * n + v``; the next array read merges them into the
-sorted keys of the CSR in one pass and rebuilds the arrays from the result.
+keyed by pair code, merged into the CSR's codes in one pass on the next read.
 
 Node states (``NodeStates``) map node ids to type names through one signed
 code array: ``codes[v]`` is the position of v's type in the declared type
@@ -77,23 +77,23 @@ def _pair_codes(src, dst) -> np.ndarray:
     return np.left_shift(src, 32, dtype=np.int64) + dst
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class _CSR(tuple):
-    """Read-only CSR ``(indptr, indices)``; ``rows``, the read-only row id of each entry, is built on first use."""
+    """Read-only CSR ``(indptr, indices)``; ``rows`` (each entry's row id) and ``codes`` (its pair code, sorted)
+    are read-only and built on first use."""
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        rows = np.repeat(np.arange(self[0].size - 1), np.diff(self[0]))
-        rows.flags.writeable = False
-        return rows
+    rows = cached_property(lambda self: _frozen(np.repeat(np.arange(self[0].size - 1), np.diff(self[0]))))
+    codes = cached_property(lambda self: _frozen(_pair_codes(self.rows, self[1])))
 
 
-def _sorted_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> _CSR:
-    """Read-only CSR ``(indptr, indices)`` of pairs already sorted by (row, col)."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indices = cols.astype(np.int32)
-    indptr.flags.writeable = indices.flags.writeable = False
-    return _CSR((indptr, indices))
+def _code_csr(n: int, codes: np.ndarray) -> _CSR:
+    """Read-only CSR ``(indptr, indices)`` of sorted, distinct pair codes with ids in ``[0, n)``."""
+    indptr = np.cumsum(np.bincount((codes >> 32) + 1, minlength=n + 1))  # bin u + 1 counts row u
+    return _CSR((_frozen(indptr), _frozen(codes.astype(np.int32))))  # indices: the codes' low 32 bits
 
 
 def _row(csr: tuple[np.ndarray, np.ndarray], v: int) -> np.ndarray:
@@ -118,18 +118,18 @@ class Graph:
     """Simple graph over dense integer node ids, stored as sorted CSR arrays."""
 
     # _out: the out-CSR as of the last merge; _in: a directed graph's in-CSR, derived from it on demand;
-    # _pending: the edits since, ``u * n + v`` -> whether u->v is now an edge (both orientations when undirected).
+    # _pending: the edits since, pair code -> whether u->v is now an edge (both orientations when undirected).
     __slots__ = ("directed", "num_nodes", "_num_edges", "version", "_out", "_in", "_pending")
 
     def __init__(self, num_nodes: int, directed: bool = False):
-        if num_nodes < 0:
-            raise GraphError(f"num_nodes must be >= 0, got {num_nodes}")
+        if not 0 <= num_nodes < 2**31:  # pair codes hold ids below 2**31; checked before anything is allocated
+            raise GraphError(f"num_nodes must be in [0, 2**31), got {num_nodes}")
         self.directed = directed
         self.num_nodes = num_nodes
         self._num_edges = 0
         # Bumped on every edit that changes the graph; caches key on it.
         self.version = 0
-        self._out = _sorted_csr(num_nodes, *np.empty((2, 0), dtype=np.int64))
+        self._out = _code_csr(num_nodes, np.empty(0, dtype=np.int64))
         self._in, self._pending = None, {}
 
     @classmethod
@@ -146,12 +146,12 @@ class Graph:
         bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst)
         if bad.any():  # add_edge raises its error for the first bad pair
             g.add_edge(src[bad.argmax()].item(), dst[bad.argmax()].item())
-        if not directed:
-            src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
-        keys = np.sort(src * n + dst)  # then drop repeats: many times faster than np.unique here
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if keys.size else keys
-        g._num_edges = keys.size if directed else keys.size // 2
-        g._out = _sorted_csr(n, *np.divmod(keys, max(n, 1)))
+        codes = _pair_codes(src, dst) if directed else np.concatenate((_pair_codes(src, dst), _pair_codes(dst, src)))
+        codes.sort()  # then drop repeats: many times faster than np.unique here
+        distinct = np.ones(codes.size, dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=distinct[1:])
+        codes = codes[distinct]
+        g._out, g._num_edges = _code_csr(n, codes), codes.size if directed else codes.size // 2
         return g, pairs - g._num_edges
 
     @property
@@ -174,17 +174,15 @@ class Graph:
     def out_csr(self) -> _CSR:
         """Out-neighbor rows (neighbors when undirected), ascending, as read-only CSR; pending edits merged."""
         if self._pending:
-            pending, self._pending, n = self._pending, {}, self.num_nodes
-            keys = self._out.rows * n + self._out[1]
-            keys = keys[~np.isin(keys, np.fromiter(pending, np.int64, len(pending)))]
-            added = np.sort(np.fromiter((key for key, held in pending.items() if held), np.int64))
-            keys = np.insert(keys, keys.searchsorted(added), added)
-            self._out, self._in = _sorted_csr(n, *np.divmod(keys, n)), None
+            pending, self._pending, codes = self._pending, {}, self._out.codes
+            codes = codes[~np.isin(codes, np.fromiter(pending, np.int64, len(pending)))]
+            added = np.sort(np.fromiter((code for code, held in pending.items() if held), np.int64))
+            self._out, self._in = _code_csr(self.num_nodes, np.insert(codes, codes.searchsorted(added), added)), None
         return self._out
 
     def _holds(self, u: int, v: int) -> bool:
         """Whether u->v is an edge: its pending edit, else a search of row u as of the last merge."""
-        held = self._pending.get(u * self.num_nodes + v)
+        held = self._pending.get(u << 32 | v)
         if held is None:
             indptr, indices = self._out
             end = indptr.item(u + 1)
@@ -196,9 +194,9 @@ class Graph:
         """Record adding (``add``) or removing u->v unless the graph already has it so; True if it did."""
         if self._holds(u, v) == add:
             return False
-        self._pending[u * self.num_nodes + v] = add
+        self._pending[u << 32 | v] = add
         if not self.directed:
-            self._pending[v * self.num_nodes + u] = add
+            self._pending[v << 32 | u] = add
         self._num_edges += 1 if add else -1
         self.version += 1
         return True
@@ -208,8 +206,7 @@ class Graph:
 
     def has_edges(self, src, dst) -> np.ndarray:
         """``has_edge`` at each pair of the id arrays ``src`` and ``dst``, as booleans; ids in ``(-2**31, 2**31)``."""
-        out = self.out_csr()
-        codes, want = _pair_codes(out.rows, out[1]), _pair_codes(src, dst)  # sorted, as the CSR is
+        codes, want = self.out_csr().codes, _pair_codes(src, dst)
         return codes.take(codes.searchsorted(want), mode="clip") == want if codes.size else np.zeros(want.shape, bool)
 
     def add_edge(self, u: int, v: int) -> bool:
@@ -259,9 +256,7 @@ class Graph:
         if not self.directed:
             return out
         if self._in is None:
-            src, dst = self.edge_arrays()
-            order = np.argsort(dst, kind="stable")
-            self._in = _sorted_csr(self.num_nodes, dst[order], src[order])
+            self._in = _code_csr(self.num_nodes, np.sort(_pair_codes(out[1], out.rows)))
         return self._in
 
     def copy(self) -> "Graph":
@@ -323,9 +318,7 @@ class NodeStates(MutableMapping):
 
     def frozen(self) -> "NodeStates":
         """A read-only copy."""
-        codes = self.codes.copy()
-        codes.flags.writeable = False
-        return NodeStates(self.types, codes=codes)
+        return NodeStates(self.types, codes=_frozen(self.codes.copy()))
 
     def __getitem__(self, node):
         try:
@@ -462,7 +455,7 @@ class AttributeColumn(MutableMapping):
             ids = np.asarray(keys)
             shaped = ids.dtype.kind in "iub" and ids.shape[1:] == (2,) * self.edge
             if not ids.size or shaped and low < ids.min() and ids.max() < high:
-                ids = ids.astype(np.int64).reshape(-1, 1 + self.edge)
+                ids = ids.astype(np.int64, copy=not self.edge).reshape(-1, 1 + self.edge)  # edge codes are new anyway
                 return _pair_codes(ids[:, 0], ids[:, 1]) if self.edge else ids[:, 0]
         return np.array(list(map(self._code, keys)), dtype=np.int64)
 
@@ -668,38 +661,43 @@ def generate_random_regular(num_nodes: int, degree: int, rng: np.random.Generato
         raise GraphError(f"no {degree}-regular graph on {num_nodes} nodes: odd stub count")
     if degree >= num_nodes and degree > 0:
         raise GraphError(f"degree {degree} must be < num_nodes {num_nodes}")
+    graph = Graph(num_nodes)
     if degree == 0 or num_nodes == 0:
-        return Graph(num_nodes)
+        return graph
 
     for _attempt in range(100):
-        keys = _try_stub_pairing(num_nodes, degree, rng)
-        if keys is not None:
-            return Graph.from_edges(num_nodes, *np.divmod(keys, num_nodes))[0]
+        codes = _try_stub_pairing(num_nodes, degree, rng)
+        if codes is not None:  # with each edge's reversed code, sorted in place: the undirected CSR's codes
+            codes = np.concatenate((codes, (codes & 0xFFFFFFFF) << 32 | codes >> 32))
+            codes.sort()
+            graph._out, graph._num_edges = _code_csr(num_nodes, codes), codes.size // 2
+            return graph
     raise GraphError(f"could not realize a {degree}-regular graph on {num_nodes} nodes")
 
 
 def _try_stub_pairing(n: int, d: int, rng: np.random.Generator) -> np.ndarray | None:
-    """Sorted ``u * n + v`` keys (u < v) of a d-regular pairing; None when a pass gets stuck.
+    """Sorted pair codes ``u << 32 | v`` (u < v) of a d-regular pairing's edges; None when a pass gets stuck.
 
-    A pass keeps each shuffled stub pair that is no self-loop, taken edge or repeat within it.
+    A pass keeps each shuffled stub pair that is no self-loop, taken edge or repeat within it. The draws
+    depend only on the stub count and code order is ``(u, v)`` order, so the result is the scalar pairing's.
     """
     taken = np.empty(0, dtype=np.int64)
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    stubs = np.repeat(np.arange(n, dtype=np.int32), d)
     while stubs.size:
         rng.shuffle(stubs)
         a, b = stubs[0::2], stubs[1::2]
-        keys = np.minimum(a, b) * n + np.maximum(a, b)
-        # keys >= 0, so the -1 pad past the end never matches.
-        ok = (a != b) & (np.append(taken, -1)[np.searchsorted(taken, keys)] != keys)
-        ordered = np.sort(keys)
-        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+        keys = _pair_codes(np.minimum(a, b), np.maximum(a, b))
+        ok = (a != b) & (taken.take(taken.searchsorted(keys), mode="clip") != keys if taken.size else True)
+        repeats = np.sort(keys)  # then only the repeated keys, so the full sorted copy is freed
+        repeats = repeats[1:][repeats[1:] == repeats[:-1]]
         if repeats.size:  # a pair repeated within the pass: only its first copy may be kept
-            where = np.flatnonzero(np.isin(keys, repeats))
+            where = np.flatnonzero(repeats.take(repeats.searchsorted(keys), mode="clip") == keys)
             ok[np.setdiff1d(where, where[np.unique(keys[where], return_index=True)[1]])] = False
         if not ok.any():
             return None  # stuck; caller restarts from scratch
-        taken = np.sort(np.concatenate((taken, keys[ok])))  # disjoint by construction
-        stubs = np.stack((a, b), axis=1)[~ok].ravel()
+        taken = np.concatenate((taken, np.sort(keys[ok])))  # disjoint sorted runs: the stable sort merges them
+        taken.sort(kind="stable")
+        stubs = stubs.reshape(-1, 2)[~ok].ravel()
     return taken
 
 

@@ -8,6 +8,7 @@ import logging
 import math
 import statistics
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -29,6 +30,7 @@ from crowdkit import (
     load_edge_list,
     write_edge_list,
 )
+from crowdkit.engine import derive_seed
 from crowdkit.graph import _try_stub_pairing, _value_kind
 from conftest import column_kind
 
@@ -69,6 +71,15 @@ class TestGraphContainer:
         g = Graph(3)
         with pytest.raises(GraphError):
             g.add_edge(1, 1)
+
+    def test_node_count_bound(self):
+        """Pair codes hold ids below 2**31, so larger graphs are refused before anything is allocated."""
+        for bad in (2**31, 2**40, -1):
+            with pytest.raises(GraphError, match=r"num_nodes must be in \[0, 2\*\*31\), got"):
+                Graph(bad)
+        with pytest.raises(GraphError, match=r"num_nodes must be in"):
+            generate_random_regular(2**31, 4, make_rng())
+        assert Graph(5).num_nodes == 5
 
     def test_out_of_range_rejected(self):
         g = Graph(3)
@@ -592,13 +603,57 @@ def test_stub_pairing_matches_scalar_reference():
                         stuck += 1
                         assert keys is None
                     else:
-                        assert {divmod(k, n) for k in keys.tolist()} == expected
+                        assert {(k >> 32, k & 0xFFFFFFFF) for k in keys.tolist()} == expected
     assert stuck > 100  # restarts were exercised
     # and at a size where the pairing runs several passes
     ref_rng, rng = make_rng(3), make_rng(3)
     expected = reference_stub_pairing(5000, 4, ref_rng)
-    assert {divmod(k, 5000) for k in _try_stub_pairing(5000, 4, rng).tolist()} == expected
+    assert {(k >> 32, k & 0xFFFFFFFF) for k in _try_stub_pairing(5000, 4, rng).tolist()} == expected
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_random_regular(n: int, d: int, rng: np.random.Generator) -> tuple[Graph, int]:
+    """``from_edges`` over the scalar reference pairing, restarted on the same stream when stuck, as the
+    generator restarts; and how many attempts it took."""
+    attempts = 1
+    while (pairs := reference_stub_pairing(n, d, rng) if d else set()) is None:
+        attempts += 1
+    return Graph.from_edges(n, [u for u, _ in pairs], [v for _, v in pairs])[0], attempts
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 30), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_property_random_regular_matches_from_edges_over_the_scalar_pairing(n, d, seed):
+    """The generator's direct CSR build equals the reference graph and leaves the generator in the same state."""
+    d = min(d, n - 1) - (n * min(d, n - 1) % 2)
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    g = generate_random_regular(n, d, rng)
+    assert g == reference_random_regular(n, d, ref_rng)[0] and g.num_edges == n * d // 2
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_random_regular_restarts_match_the_scalar_pairing():
+    """Seeds whose first pairing passes get stuck restart and still build the reference graph."""
+    restarted = 0
+    for seed in range(40):
+        rng, ref_rng = make_rng(seed), make_rng(seed)
+        ref, attempts = reference_random_regular(12, 5, ref_rng)
+        assert generate_random_regular(12, 5, rng) == ref
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        restarted += attempts > 1
+    assert restarted >= 5
+
+
+def test_random_regular_100k_build_stays_small():
+    """The 100k-node, degree-4 build (the sir-100k-mem graph) peaks at no more than 12 MiB of numpy memory."""
+    tracemalloc.start()
+    try:
+        g = generate_random_regular(100_000, 4, make_rng(derive_seed(0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 200_000
+    assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def scalar_build(n: int, directed: bool, pairs):
