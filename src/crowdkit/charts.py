@@ -1,19 +1,21 @@
 """Deterministic chart files (SVG or self-contained HTML) from collector JSON.
 
 Every chart is a pure function of its inputs: fixed palette, fixed layout,
-no timestamps — identical inputs give byte-identical files. Accepted inputs
-are the collector document shapes from the collect module (plain, mean-merged,
-labeled). Map-valued series fan out into one plotted series per key; labeled
-documents plot one series per label. Kinds: line, bar, area, scatter. An
-input with no entries still renders axes (and no marks).
+no timestamps — identical inputs give byte-identical files. Inputs are read
+and checked by the collect module: a plain, mean-merged or labelled collector
+document whose every series a run could have written (``check_collector``),
+else ``CollectError``. This module only flattens and draws: map-valued series
+fan out into one plotted series per key; labelled documents plot one series
+per label. Kinds: line, bar, area, scatter. An input with no entries still
+renders axes (and no marks).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
+from .collect import _load_json, check_collector
 from .errors import CollectError
 from .graph import write_atomic
 
@@ -56,58 +58,28 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _series_from_entries(entries: list[dict], base_label: str) -> list[tuple[str, list[tuple[float, float]]]]:
-    if not entries:
-        return [(base_label, [])]
-    first = entries[0].get("value")
-    if isinstance(first, dict):
-        keys = list(first.keys())
-        out = []
-        for key in keys:
-            points = []
-            for entry in entries:
-                value = entry["value"]
-                if not isinstance(value, dict) or key not in value:
-                    raise CollectError(f"series {base_label!r}: key {key!r} missing at iteration {entry['iteration']}")
-                points.append((float(entry["iteration"]), float(value[key])))
-            out.append((key, points))
-        return out
-    points = []
-    for entry in entries:
-        value = entry["value"]
-        if isinstance(value, dict):
-            raise CollectError(f"series {base_label!r}: mixed scalar and map values")
-        points.append((float(entry["iteration"]), float(value)))
-    return [(base_label, points)]
-
-
 def extract_series(document: dict) -> list[tuple[str, list[tuple[float, float]]]]:
-    """Flatten any collector document shape into [(label, points)] pairs."""
-    if not isinstance(document, dict):
-        raise CollectError("chart input is not a JSON object")
-    if document.get("aggregation") == "labeled":
-        out = []
-        for series in document.get("series", []):
-            for label, points in _series_from_entries(series["entries"], str(series["label"])):
-                suffix = "" if label == str(series["label"]) else f".{label}"
-                out.append((f"{series['label']}{suffix}", points))
-        return out
-    if "entries" in document:
-        return _series_from_entries(document["entries"], str(document.get("name", "series")))
-    raise CollectError("chart input has neither 'entries' nor labeled 'series'")
+    """Flatten a collector document, checked by ``check_collector``, into [(label, points)] pairs: one series per
+    map key, named ``<label>.<key>`` in a labelled document."""
+    labeled = isinstance(document, dict) and document.get("aggregation") == "labeled"
+    out = []
+    for label, entries in check_collector(document, "chart input", labeled):
+        first = entries[0]["value"] if entries else None
+        if not isinstance(first, dict):
+            out.append((label, [(float(e["iteration"]), float(e["value"])) for e in entries]))
+            continue
+        for key in first:
+            name = f"{label}.{key}" if labeled and key != label else key
+            out.append((name, [(float(e["iteration"]), float(e["value"][key])) for e in entries]))
+    return out
 
 
 def load_chart_series(paths) -> list[tuple[str, list[tuple[float, float]]]]:
     out = []
-    for path in paths:
-        p = Path(path)
-        try:
-            document = json.loads(p.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise CollectError(f"no such chart input: {p}") from None
-        except json.JSONDecodeError as exc:
-            raise CollectError(f"invalid JSON in {p}: {exc}") from exc
-        out.extend(extract_series(document))
+    for path in map(Path, paths):
+        if not path.is_file():
+            raise CollectError(f"no such chart input: {path}")
+        out.extend(extract_series(_load_json(path)))
     return out
 
 

@@ -20,7 +20,7 @@ import click
 
 from . import __version__
 from .charts import CHART_KINDS, write_chart
-from .collect import export_gexf, merge_parent_directory, merge_simulations, read_snapshot
+from .collect import export_gexf, merge_parent_directory, merge_simulations, read_snapshot, snapshot_path
 from .config import FileStructure, _structure_file, load_config, validate
 from .engine import (
     HOME_ENV_VAR,
@@ -273,7 +273,7 @@ def cmd_chart(inputs, kind, out_path, title):
 
 
 def _snapshot_path(run_dir: Path, iteration: int) -> Path:
-    path = run_dir / "snapshots" / f"iter_{iteration}.json"
+    path = snapshot_path(run_dir, iteration)
     if not path.is_file():
         raise ConfigError(f"no snapshot for iteration {iteration} under {run_dir}")
     return path

@@ -2,7 +2,10 @@
 
 Collector files are JSON documents ``{"name": ..., "entries": [{"iteration",
 "value"}, ...]}`` with iterations strictly increasing. Values are numbers or
-flat string-to-number maps (one map shape per series). A snapshot is one
+flat string-to-number maps (one map shape per series). ``SeriesRecorder``
+holds these rules, and ``check_collector`` reads every collector document by
+them (``read_collector``, the merges and the charts): a document passes only
+if a run could have written each of its series. A snapshot is one
 compact JSON file (graph + states + attributes + network params), edge columns
 as ``{"pairs": [u0, v0, ...], "values": [...]}`` in (u, v) order; ``crowdkit export`` gives GEXF.
 
@@ -71,6 +74,11 @@ def coerce_value(value, where: str = "value") -> Value:
     return _coerce_number(value, where)
 
 
+def _shape(value: Value) -> tuple | None:
+    """A map value's sorted key set, or None for a number."""
+    return tuple(sorted(value)) if isinstance(value, dict) else None
+
+
 class SeriesRecorder:
     """One named series of (iteration, value) entries.
 
@@ -89,20 +97,36 @@ class SeriesRecorder:
                 f"series {self.name!r}: iteration {iteration} not after {self.entries[-1]['iteration']}"
             )
         clean = coerce_value(value, f"series {self.name!r}")
-        shape = ("map", tuple(sorted(clean))) if isinstance(clean, dict) else ("scalar",)
-        if self._shape is None:
-            self._shape = shape
-        elif shape != self._shape:
-            raise CollectError(
-                f"series {self.name!r}: value shape changed at iteration {iteration} "
-                f"(was {self._shape[0]}, got {shape[0]}"
-                + (f" with keys {list(shape[1])}" if len(shape) > 1 and shape[0] == self._shape[0] else "")
-                + ")"
-            )
+        shape = _shape(clean)
+        if self.entries and shape != self._shape:
+            was, got = ("scalar" if keys is None else f"map with keys {list(keys)}" for keys in (self._shape, shape))
+            raise CollectError(f"series {self.name!r}: value shape changed at iteration {iteration} (was {was}, got {got})")
+        self._shape = shape
         self.entries.append({"iteration": iteration, "value": clean})
 
     def as_document(self) -> dict:
         return {"name": self.name, "entries": self.entries}
+
+
+def check_collector(document: dict, where: str, labeled: bool = False) -> list[tuple[str, list[dict]]]:
+    """``[(name, entries)]`` of a collector document, or with ``labeled`` ``[(label, entries)]`` of a labelled one,
+    if a run could have written every series: each entry is exactly ``{"iteration": int, "value": ...}`` and the
+    entries replay through a ``SeriesRecorder``. Else ``CollectError`` naming ``where``."""
+    found, key = (document.get("series"), "label") if labeled else ([document], "name")
+    if not isinstance(found, list) or not all(
+            isinstance(s, dict) and isinstance(s.get(key), str) and isinstance(s.get("entries"), list) for s in found):
+        raise CollectError(f"not a collector document: {where}: " + ("'series' must be a list of objects with a"
+                           if labeled else "it needs a") + f" {key!r} string and an 'entries' list")
+    for series in found:
+        recorder = SeriesRecorder(series[key])
+        for i, entry in enumerate(series["entries"]):
+            if not isinstance(entry, dict) or entry.keys() != {"iteration", "value"} or type(entry["iteration"]) is not int:
+                raise CollectError(f"{where}: series {series[key]!r}: entry {i} is not {{iteration: int, value}}")
+            try:
+                recorder.record(entry["iteration"], entry["value"])
+            except CollectError as exc:
+                raise CollectError(f"{where}: {exc}") from exc
+    return [(series[key], series["entries"]) for series in found]
 
 
 def _dump_json(document: dict, path: Path) -> None:
@@ -115,7 +139,7 @@ def _load_json(path: Path) -> dict:
             document = json.load(fh)
     except FileNotFoundError:
         raise CollectError(f"no such result file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are no UTF-8
         raise CollectError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(document, dict):  # every result file holds one object
         raise CollectError(f"not a JSON object: {path}")
@@ -133,9 +157,9 @@ def write_collectors(recorders, run_dir) -> list[Path]:
 
 
 def read_collector(path) -> dict:
+    """A run's (or ``merge mean``'s) collector document, checked by ``check_collector``."""
     document = _load_json(Path(path))
-    if "entries" not in document or "name" not in document:
-        raise CollectError(f"not a collector document: {path}")
+    check_collector(document, str(path))
     return document
 
 
@@ -200,8 +224,8 @@ def write_snapshot(
     *,
     texts: dict | None = None,
 ) -> list[Path]:
-    """Write <run_dir>/snapshots/iter_<i>.json (node-attribute keys checked to be node ids in range)."""
-    path = Path(run_dir) / SNAPSHOT_DIR / f"iter_{iteration}.json"
+    """Write ``snapshot_path(run_dir, iteration)`` (node-attribute keys checked to be node ids in range)."""
+    path = snapshot_path(run_dir, iteration)
     n, node_attrs, edge_attrs, texts = graph.num_nodes, [], [], {} if texts is None else texts
     for key, column in attrs.node.items():
         try:
@@ -234,7 +258,11 @@ def read_snapshot(path) -> tuple[int, Graph, dict[int, str], AttributeTable, dic
         as_given = links.dtype.kind not in "iu" or links.shape[1:] != (2,)  # so that the error names a bad id
         src, dst = zip(*g["links"], strict=True) if as_given else links.T
         graph, _ = Graph.from_edges(g["nodes"], src, dst, g["directed"])
-        states = {i: s for i, s in enumerate(doc["states"]) if s is not None}
+        states = doc["states"]  # as a run writes them: a node type or null at every node
+        if not isinstance(states, list) or len(states) != graph.num_nodes or not all(
+                s is None or isinstance(s, str) for s in states):
+            raise ValueError(f"states must list a node type (a string) or null for each of {graph.num_nodes} nodes")
+        states = {i: s for i, s in enumerate(states) if s is not None}
         attrs = AttributeTable()
         for key, values in doc["node_attrs"].items():
             held = [i for i, value in enumerate(values) if value is not None]
@@ -260,12 +288,15 @@ def export_gexf(snapshot_path, out_path) -> None:
     write_gexf(graph, out_path, states, attrs)
 
 
+def snapshot_path(run_dir, iteration) -> Path:
+    """Where a run writes its snapshot of ``iteration``: ``<run_dir>/snapshots/iter_<iteration>.json``."""
+    return Path(run_dir) / SNAPSHOT_DIR / f"iter_{iteration}.json"
+
+
 def list_snapshots(run_dir) -> list[Path]:
-    snap_dir = Path(run_dir) / SNAPSHOT_DIR
-    if not snap_dir.is_dir():
-        return []
-    paths = [p for p in snap_dir.iterdir() if p.suffix == ".json" and p.stem.startswith("iter_")]
-    return sorted(paths, key=lambda p: int(p.stem.split("_", 1)[1]))
+    """Every ``snapshot_path(run_dir, i)`` that exists, by ``i``."""
+    stems = (path.stem.partition("_")[2] for path in Path(run_dir).glob(str(snapshot_path("", "*"))))
+    return [snapshot_path(run_dir, i) for i in sorted(int(s) for s in stems if s.isdecimal() and str(int(s)) == s)]
 
 
 # ---------------------------------------------------------------------------
@@ -273,51 +304,34 @@ def list_snapshots(run_dir) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _entry_iterations(document: dict) -> list[int]:
-    return [entry["iteration"] for entry in document["entries"]]
-
-
 def merge_batches(documents: list[dict], sources: list[str] | None = None) -> dict:
     """Average one collector across batch runs, entry by entry.
 
-    All documents must agree on name, length, iteration grid, and value shape;
-    a mismatch raises with the offending source named. The mean uses
-    ``math.fsum``, so the result is independent of batch order.
+    Each document must pass ``check_collector``, and all must agree on name,
+    iteration grid and value shape; a mismatch raises with the offending
+    source named. The mean uses ``math.fsum``, so the result is independent
+    of batch order.
     """
     if not documents:
         raise CollectError("nothing to merge")
     if sources is None:
         sources = [f"input {i}" for i in range(len(documents))]
-    first = documents[0]
-    name = first["name"]
-    grid = _entry_iterations(first)
-    for doc, source in zip(documents, sources):
-        if doc["name"] != name:
-            raise CollectError(f"{source}: collector name {doc['name']!r} does not match {name!r}")
-        if _entry_iterations(doc) != grid:
-            raise CollectError(
-                f"{source}: iteration grid differs from {sources[0]} "
-                f"({len(doc['entries'])} vs {len(grid)} entries)"
-            )
+    checked = [check_collector(doc, source)[0] for doc, source in zip(documents, sources)]
+    name, first = checked[0]
+    grid = [entry["iteration"] for entry in first]
+    for (doc_name, entries), source in zip(checked, sources):
+        if doc_name != name:
+            raise CollectError(f"{source}: collector name {doc_name!r} does not match {name!r}")
+        if [entry["iteration"] for entry in entries] != grid:
+            raise CollectError(f"{source}: iteration grid differs from {sources[0]} ({len(entries)} vs {len(grid)} entries)")
+        if grid and _shape(entries[0]["value"]) != _shape(first[0]["value"]):
+            raise CollectError(f"{source}: value shape does not match {sources[0]}")
     entries = []
     for idx, iteration in enumerate(grid):
-        values = [doc["entries"][idx]["value"] for doc in documents]
+        values = [series[idx]["value"] for _, series in checked]
         if isinstance(values[0], dict):
-            keys = list(values[0].keys())
-            for value, source in zip(values, sources):
-                if not isinstance(value, dict) or list(value.keys()) != keys:
-                    raise CollectError(
-                        f"{source}: value keys at iteration {iteration} do not match {sources[0]}"
-                    )
-            mean: Value = {
-                key: math.fsum(value[key] for value in values) / len(values) for key in keys
-            }
+            mean: Value = {key: math.fsum(value[key] for value in values) / len(values) for key in values[0]}
         else:
-            for value, source in zip(values, sources):
-                if isinstance(value, dict):
-                    raise CollectError(
-                        f"{source}: scalar/map value shape at iteration {iteration} does not match {sources[0]}"
-                    )
             mean = math.fsum(values) / len(values)
         entries.append({"iteration": iteration, "value": mean})
     return {"name": name, "aggregation": "mean", "sources": list(sources), "entries": entries}
@@ -329,15 +343,13 @@ def merge_labeled(documents: list[dict], labels: list[str]) -> dict:
         raise CollectError("nothing to merge")
     if len(documents) != len(labels):
         raise CollectError(f"{len(documents)} documents for {len(labels)} labels")
-    name = documents[0]["name"]
-    for doc, label in zip(documents, labels):
-        if doc["name"] != name:
-            raise CollectError(f"{label}: collector name {doc['name']!r} does not match {name!r}")
-    return {
-        "name": name,
-        "aggregation": "labeled",
-        "series": [{"label": label, "entries": doc["entries"]} for label, doc in zip(labels, documents)],
-    }
+    checked = [check_collector(doc, label)[0] for doc, label in zip(documents, labels)]
+    name = checked[0][0]
+    for (doc_name, _), label in zip(checked, labels):
+        if doc_name != name:
+            raise CollectError(f"{label}: collector name {doc_name!r} does not match {name!r}")
+    series = [{"label": label, "entries": entries} for label, (_, entries) in zip(labels, checked)]
+    return {"name": name, "aggregation": "labeled", "series": series}
 
 
 def batch_dirs(parent_dir) -> list[Path]:
@@ -380,22 +392,14 @@ def merge_parent_directory(parent_dir, collector_name: str | None = None) -> lis
             raise CollectError(f"no collector files in {first_dir}")
     written = []
     for name in names:
-        documents = []
-        sources = []
-        for batch in batches:
-            documents.append(read_collector(batch / COLLECTOR_DIR / f"{name}.json"))
-            sources.append(batch.name)
-        merged = merge_batches(documents, sources)
-        out_path = parent / MERGED_DIR / f"{name}.json"
-        _dump_json(merged, out_path)
-        written.append(out_path)
+        documents = [read_collector(batch / COLLECTOR_DIR / f"{name}.json") for batch in batches]
+        written.append(parent / MERGED_DIR / f"{name}.json")
+        _dump_json(merge_batches(documents, [batch.name for batch in batches]), written[-1])
     return written
 
 
 def merge_simulations(run_dirs: list, labels: list[str], collector_name: str, out_path) -> Path:
     """Stack one collector from several runs into a labeled document on disk."""
     documents = [read_collector(Path(d) / COLLECTOR_DIR / f"{collector_name}.json") for d in run_dirs]
-    merged = merge_labeled(documents, labels)
-    path = Path(out_path)
-    _dump_json(merged, path)
-    return path
+    _dump_json(merge_labeled(documents, labels), Path(out_path))
+    return Path(out_path)

@@ -77,6 +77,18 @@ def _pair_codes(src, dst) -> np.ndarray:
     return np.left_shift(src, 32, dtype=np.int64) + dst
 
 
+def _split_codes(keys) -> np.ndarray | None:
+    """``_pair_codes(src, dst)`` if ``keys`` are ``(src, dst)`` one-dimensional arrays of one length, empty or
+    holding integer ids in ``_PAIR_BOUNDS``, else None."""
+    if len(keys) != 2:
+        return None
+    src, dst = map(np.asarray, keys)
+    if src.ndim != 1 or src.shape != dst.shape or src.size and not (np.result_type(src, dst).kind in "iub" and (
+            _PAIR_BOUNDS[0] < min(src.min(), dst.min()) and max(src.max(), dst.max()) < _PAIR_BOUNDS[1])):
+        return None
+    return _pair_codes(src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False))
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -420,13 +432,14 @@ class AttributeColumn(MutableMapping):
 
     def __init__(self, name: str, values=(), keys=None, edge: bool = False):
         """``values``: a mapping, or values at ``keys``: node ids (default 0, 1, ...) or ``(src, dst)`` id sequences."""
-        self.name, self.edge, self._pending = name, edge, {}
+        self.name, self.edge, self._pending, codes = name, edge, {}, None
         if isinstance(values, Mapping):
             keys, values = list(values), list(values.values())
-        elif edge and keys is not None:
-            keys = np.column_stack(keys) if len(keys[0]) else ()
+        elif edge and keys is not None:  # (src, dst): coded as given, stacked into (m, 2) pairs only if a key is bad
+            codes = _split_codes(keys)
+            keys = keys if codes is not None else np.column_stack(keys) if len(keys[0]) else ()
         values, self.kind = _typed(name, values)
-        self._set(self._codes(np.arange(values.size) if keys is None else keys), values)
+        self._set(self._codes(np.arange(values.size) if keys is None else keys) if codes is None else codes, values)
 
     def _set(self, codes: np.ndarray, values: np.ndarray) -> None:
         if codes.size != values.size:

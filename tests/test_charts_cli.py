@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crowdkit import CollectError, load_gexf
+from crowdkit import CollectError, SeriesRecorder, load_gexf, merge_labeled
 from crowdkit.charts import (
     CHART_KINDS,
     extract_series,
@@ -147,6 +150,108 @@ class TestExtractSeries:
             extract_series({"no": "entries"})
         with pytest.raises(CollectError):
             extract_series(["not", "a", "dict"])
+
+
+def ref_series_from_entries(entries: list[dict], base_label: str) -> list[tuple[str, list[tuple[float, float]]]]:
+    """The chart reader's series flattening before it read documents through ``check_collector``."""
+    if not entries:
+        return [(base_label, [])]
+    first = entries[0].get("value")
+    if isinstance(first, dict):
+        keys = list(first.keys())
+        out = []
+        for key in keys:
+            points = []
+            for entry in entries:
+                value = entry["value"]
+                if not isinstance(value, dict) or key not in value:
+                    raise CollectError(f"series {base_label!r}: key {key!r} missing at iteration {entry['iteration']}")
+                points.append((float(entry["iteration"]), float(value[key])))
+            out.append((key, points))
+        return out
+    points = []
+    for entry in entries:
+        value = entry["value"]
+        if isinstance(value, dict):
+            raise CollectError(f"series {base_label!r}: mixed scalar and map values")
+        points.append((float(entry["iteration"]), float(value)))
+    return [(base_label, points)]
+
+
+def ref_extract_series(document: dict) -> list[tuple[str, list[tuple[float, float]]]]:
+    if document.get("aggregation") == "labeled":
+        out = []
+        for series in document.get("series", []):
+            for label, points in ref_series_from_entries(series["entries"], str(series["label"])):
+                suffix = "" if label == str(series["label"]) else f".{label}"
+                out.append((f"{series['label']}{suffix}", points))
+        return out
+    return ref_series_from_entries(document["entries"], str(document.get("name", "series")))
+
+
+NAMES = st.sampled_from(["S", "I", "a", "b.c"])  # labels and map keys share names, so a label can equal a key
+NUMBERS = st.one_of(st.integers(-(2**70), 2**70), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def recorded(draw, name: str = "x") -> dict:
+    """A collector document as a run writes it."""
+    recorder, keys = SeriesRecorder(name), draw(st.none() | st.lists(NAMES, unique=True, max_size=3))
+    for iteration in sorted(draw(st.sets(st.integers(0, 50), max_size=4))):
+        recorder.record(iteration, draw(NUMBERS) if keys is None else {k: draw(NUMBERS) for k in draw(st.permutations(keys))})
+    return recorder.as_document()
+
+
+BREAKS = ["nan", "inf", "bool", "string", "none", "list", "iteration float", "iteration repeats", "extra key",
+          "key dropped", "key added", "entries 5", "no name", "series 5", "label 1", "no label"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_property_extract_series_matches_the_reference_and_refuses_what_no_run_writes(data):
+    labeled = data.draw(st.booleans())
+    docs = data.draw(st.lists(recorded(), min_size=1, max_size=3))
+    document = merge_labeled(docs, data.draw(st.lists(NAMES, min_size=len(docs), max_size=len(docs)))) if labeled else docs[0]
+    assert extract_series(document) == ref_extract_series(document)
+    broken = json.loads(json.dumps(document))
+    series = broken["series"][data.draw(st.integers(0, len(docs) - 1))] if labeled else broken
+    entries = series["entries"]
+    how = data.draw(st.sampled_from(BREAKS))
+    if how in ("nan", "inf", "bool", "string", "none", "list") and entries:
+        value = {"nan": math.nan, "inf": -math.inf, "bool": True, "string": "1", "none": None, "list": [1]}[how]
+        entry = data.draw(st.sampled_from(entries))
+        if isinstance(entry["value"], dict) and entry["value"]:
+            entry["value"][data.draw(st.sampled_from(sorted(entry["value"])))] = value
+        else:
+            entry["value"] = value
+    elif how == "iteration float" and entries:
+        entries[-1]["iteration"] += 0.5
+    elif how == "iteration repeats" and len(entries) > 1:
+        entries[-1]["iteration"] = entries[-2]["iteration"]
+    elif how == "extra key" and entries:
+        entries[0]["note"] = 0
+    elif how in ("key dropped", "key added") and len(entries) > 1 and isinstance(entries[0]["value"], dict):
+        value = entries[-1]["value"]
+        if how == "key added":
+            value["new"] = 1
+        elif value:
+            value.pop(next(iter(value)))
+        else:
+            return
+    elif how == "entries 5":
+        series["entries"] = 5
+    elif how == "no name" and not labeled:
+        del broken["name"]
+    elif how == "series 5" and labeled:
+        broken["series"] = 5
+    elif how in ("label 1", "no label") and labeled:
+        series["label"] = 1
+        if how == "no label":
+            del series["label"]
+    else:
+        return
+    with pytest.raises(CollectError):
+        extract_series(broken)
 
 
 # ---------------------------------------------------------------------------
@@ -601,3 +706,78 @@ class TestExportCommand:
         assert res.exit_code == 2
         assert "XML 1.0 does not allow" in res.output
         assert not list(sir_run_dir.glob("*.gexf"))
+
+
+# ---------------------------------------------------------------------------
+# CLI: inputs no run could have written
+# ---------------------------------------------------------------------------
+
+
+def entries(*values) -> list[dict]:
+    return [{"iteration": i, "value": v} for i, v in enumerate(values)]
+
+
+# Collector documents that break one rule a run writes by; each is refused by chart and by both merges.
+BAD_COLLECTORS = {
+    "bytes that are no UTF-8": b'{"name": "\xff", "entries": []}',
+    "NaN value": '{"name": "x", "entries": [{"iteration": 0, "value": NaN}]}',
+    "string value": {"name": "x", "entries": entries("a")},
+    "boolean value": {"name": "x", "entries": entries(True)},
+    "map holding a string": {"name": "x", "entries": entries({"S": 1}, {"S": "a"})},
+    "map key set changes": {"name": "x", "entries": entries({"S": 1, "I": 2}, {"S": 1})},
+    "entry without iteration": {"name": "x", "entries": [{"value": 1}]},
+    "entry with an extra key": {"name": "x", "entries": [{"iteration": 0, "value": 1, "note": 1}]},
+    "float iteration": {"name": "x", "entries": [{"iteration": 0.5, "value": 1}]},
+    "decreasing iterations": {"name": "x", "entries": [{"iteration": 1, "value": 1}, {"iteration": 0, "value": 2}]},
+    "entries is a number": {"name": "x", "entries": 5},
+    "entries is a map": {"name": "x", "entries": {"a": 1}},
+    "no name": {"entries": entries(1)},
+}
+# Labelled documents that no merge could have written; chart refuses each.
+BAD_LABELED = {
+    "series without label": {"name": "x", "aggregation": "labeled", "series": [{"entries": entries(1)}]},
+    "series is a number": {"name": "x", "aggregation": "labeled", "series": 5},
+    "series entries is a map": {"name": "x", "aggregation": "labeled", "series": [{"label": "a", "entries": {"a": 1}}]},
+    "series holds NaN": {"aggregation": "labeled", "series": [{"label": "a", "entries": entries(1, math.nan)}]},
+}
+# Snapshot node states other than a node type or null at each of the graph's 2 nodes.
+BAD_STATES = {"a string": "ab", "too many": ["A", "B", "C"], "too few": ["A"], "a number": ["A", 5], "a map": {"0": "A"}}
+
+MALFORMED = (
+    [("chart", name) for name in [*BAD_COLLECTORS, *BAD_LABELED]]
+    + [(merge, name) for merge in ("merge mean", "merge labeled") for name in BAD_COLLECTORS]
+    + [(command, name) for command in ("inspect", "export") for name in BAD_STATES]
+)
+
+
+def write_json(path: Path, doc) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(doc if isinstance(doc, bytes) else (doc if isinstance(doc, str) else json.dumps(doc)).encode())
+    return path
+
+
+@pytest.mark.parametrize("command, case", MALFORMED, ids=[f"{command}: {case}" for command, case in MALFORMED])
+def test_input_no_run_could_write_exits_4_with_one_error_line_and_writes_nothing(tmp_path, command, case):
+    out = tmp_path / "out"
+    if command == "chart":
+        doc = write_json(tmp_path / "in.json", {**BAD_COLLECTORS, **BAD_LABELED}[case])
+        res = invoke("chart", doc, "--out", out.with_suffix(".svg"))
+    elif command.startswith("merge"):
+        for index, doc in enumerate((scalar_doc("x", [1.0, 2.0]), BAD_COLLECTORS[case])):
+            write_json(tmp_path / f"batch-{index}" / "collectors" / "x.json", doc)
+            write_json(tmp_path / f"batch-{index}" / "run-meta.json", {})  # a finished run
+        if command == "merge mean":
+            res = invoke("merge", "mean", tmp_path)
+        else:
+            res = invoke("merge", "labeled", tmp_path / "batch-0", tmp_path / "batch-1", "--name", "x", "--out", out)
+    else:
+        snapshot = {"iteration": 0, "graph": {"directed": False, "nodes": 2, "links": [[0, 1]]},
+                    "states": BAD_STATES[case], "node_attrs": {}, "edge_attrs": {}, "net_params": {}}
+        write_json(tmp_path / "run" / "snapshots" / "iter_0.json", snapshot)
+        extra = ("--node", 0) if command == "inspect" else ("--out", out.with_suffix(".gexf"))
+        res = invoke(command, tmp_path / "run", *extra)
+        assert "malformed snapshot" in res.output
+    assert res.exit_code == 4, res.output
+    [line] = res.output.splitlines()
+    assert line.startswith("error: ")
+    assert not list(tmp_path.glob("out*")) and not (tmp_path / "merged").exists()

@@ -34,6 +34,7 @@ from crowdkit.collect import (
     RUN_META_FILE,
     batch_dirs,
     read_summary,
+    snapshot_path,
     write_collectors,
     write_summary,
 )
@@ -218,6 +219,26 @@ class TestSnapshots:
 
     def test_list_snapshots_missing_dir(self, tmp_path):
         assert list_snapshots(tmp_path) == []
+
+    def test_list_snapshots_lists_only_the_files_snapshot_path_names(self, tmp_path):
+        g, states, attrs, params = self.build()
+        for it in [3, 12]:
+            write_snapshot(it, g, states, attrs, params, tmp_path)
+        for stray in ("iter_x.json", "iter_.json", "iter_007.json", "iter_-1.json", "other_4.json", "iter_5.txt"):
+            (tmp_path / "snapshots" / stray).write_text("{}", encoding="utf-8")
+        assert list_snapshots(tmp_path) == [snapshot_path(tmp_path, 3), snapshot_path(tmp_path, 12)]
+
+    def test_states_other_than_a_type_or_null_per_node_are_malformed(self, tmp_path):
+        g, states, attrs, params = self.build()
+        [path] = write_snapshot(0, g, states, attrs, params, tmp_path)
+        doc = json.loads(path.read_text())
+        assert len(doc["states"]) == g.num_nodes
+        for bad in ("ABCD", doc["states"] + ["A"], doc["states"][1:], doc["states"][:-1] + [1], {"0": "A"}, None):
+            path.write_text(json.dumps(dict(doc, states=bad)))
+            with pytest.raises(CollectError, match="malformed snapshot .*states must list"):
+                read_snapshot(path)
+        path.write_text(json.dumps(dict(doc, states=[None] * g.num_nodes)))
+        assert read_snapshot(path)[2] == {}
 
     def test_malformed_snapshot_rejected(self, tmp_path):
         bad = tmp_path / "iter_0.json"
@@ -580,6 +601,64 @@ class TestMergeBatches:
     def test_empty_input_rejected(self):
         with pytest.raises(CollectError):
             merge_batches([])
+
+
+def ref_merge_batches(documents: list[dict]) -> dict:
+    """``merge_batches`` before it read documents through ``check_collector``: shapes compared entry by entry."""
+    sources = [f"input {i}" for i in range(len(documents))]
+    first = documents[0]
+    name = first["name"]
+    grid = [entry["iteration"] for entry in first["entries"]]
+    for doc, source in zip(documents, sources):
+        if doc["name"] != name:
+            raise CollectError(f"{source}: collector name {doc['name']!r} does not match {name!r}")
+        if [entry["iteration"] for entry in doc["entries"]] != grid:
+            raise CollectError(f"{source}: iteration grid differs from {sources[0]}")
+    entries = []
+    for idx, iteration in enumerate(grid):
+        values = [doc["entries"][idx]["value"] for doc in documents]
+        if isinstance(values[0], dict):
+            keys = list(values[0].keys())
+            for value, source in zip(values, sources):
+                if not isinstance(value, dict) or list(value.keys()) != keys:
+                    raise CollectError(f"{source}: value keys at iteration {iteration} do not match {sources[0]}")
+            mean = {key: math.fsum(value[key] for value in values) / len(values) for key in keys}
+        else:
+            for value, source in zip(values, sources):
+                if isinstance(value, dict):
+                    raise CollectError(f"{source}: scalar/map value shape at iteration {iteration} does not match")
+            mean = math.fsum(values) / len(values)
+        entries.append({"iteration": iteration, "value": mean})
+    return {"name": name, "aggregation": "mean", "sources": list(sources), "entries": entries}
+
+
+def refused_or(fn, *args):
+    try:
+        return fn(*args)
+    except CollectError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_property_merge_batches_matches_the_reference(data):
+    grid = sorted(data.draw(st.sets(st.integers(0, 20), max_size=4)))
+    keys = data.draw(st.none() | st.lists(st.sampled_from("SIR"), unique=True, max_size=3))
+    numbers = st.one_of(st.integers(-(2**70), 2**70), st.floats(-1e300, 1e300))
+    docs = []
+    for _ in range(data.draw(st.integers(1, 4))):  # now and then a batch with another name, grid or shape
+        rec = SeriesRecorder(data.draw(st.sampled_from("xxxxy")))
+        shape = data.draw(st.sampled_from([keys] * 5 + [None, ["S"], ["S", "I"]]))
+        for it in grid[: len(grid) - data.draw(st.sampled_from([0] * 5 + [1]))]:
+            rec.record(it, data.draw(numbers) if shape is None else {k: data.draw(numbers) for k in data.draw(st.permutations(shape))})
+        docs.append(rec.as_document())
+    got, expected = refused_or(merge_batches, docs), refused_or(ref_merge_batches, docs)
+    if got is not None and expected is None:  # the reference refused map keys that came in another order only
+        first = [entry["value"] for entry in docs[0]["entries"]]
+        expected = ref_merge_batches([dict(doc, entries=[
+            {"iteration": e["iteration"], "value": {k: e["value"][k] for k in first[i]}} for i, e in enumerate(doc["entries"])
+        ]) for doc in docs])
+    assert json.dumps(got) == json.dumps(expected)
 
 
 # ---------------------------------------------------------------------------
