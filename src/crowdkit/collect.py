@@ -139,6 +139,8 @@ def _load_json(path: Path) -> dict:
             document = json.load(fh)
     except FileNotFoundError:
         raise CollectError(f"no such result file: {path}") from None
+    except OSError as exc:  # a directory in the file's place, a file it may not read
+        raise CollectError(f"cannot read result file {path}: {exc.strerror}") from exc
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are no UTF-8
         raise CollectError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(document, dict):  # every result file holds one object
@@ -312,6 +314,17 @@ def merge_batches(documents: list[dict], sources: list[str] | None = None) -> di
     source named. The mean uses ``math.fsum``, so the result is independent
     of batch order.
     """
+
+    def mean(values: list) -> Value:
+        """The values' mean, key by key for maps; where ``math.fsum`` overflows, the exact mean rounded once."""
+        if isinstance(values[0], dict):
+            return {key: mean([value[key] for value in values]) for key in values[0]}
+        try:
+            return math.fsum(values) / len(values)
+        except OverflowError:  # finite values whose sum passes the float maximum
+            from fractions import Fraction  # imported here: no other mean needs it
+            return float(sum(map(Fraction, values)) / len(values))
+
     if not documents:
         raise CollectError("nothing to merge")
     if sources is None:
@@ -326,14 +339,8 @@ def merge_batches(documents: list[dict], sources: list[str] | None = None) -> di
             raise CollectError(f"{source}: iteration grid differs from {sources[0]} ({len(entries)} vs {len(grid)} entries)")
         if grid and _shape(entries[0]["value"]) != _shape(first[0]["value"]):
             raise CollectError(f"{source}: value shape does not match {sources[0]}")
-    entries = []
-    for idx, iteration in enumerate(grid):
-        values = [series[idx]["value"] for _, series in checked]
-        if isinstance(values[0], dict):
-            mean: Value = {key: math.fsum(value[key] for value in values) / len(values) for key in values[0]}
-        else:
-            mean = math.fsum(values) / len(values)
-        entries.append({"iteration": iteration, "value": mean})
+    entries = [{"iteration": iteration, "value": mean([series[idx]["value"] for _, series in checked])}
+               for idx, iteration in enumerate(grid)]
     return {"name": name, "aggregation": "mean", "sources": list(sources), "entries": entries}
 
 

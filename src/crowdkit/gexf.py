@@ -1,6 +1,6 @@
 """GEXF 1.2 documents: ``gexf_document`` renders one, ``load_gexf`` reads one.
 
-``collect.write_gexf`` writes the rendered document to disk atomically.
+``collect.write_gexf`` writes one to disk atomically; ``load_gexf`` reads tags by local name, in any namespace or none.
 
 Node types travel under the reserved attribute key ``node_type``. Edge
 attributes are stored per written edge: the value for (source, target) under
@@ -133,86 +133,67 @@ def gexf_document(graph: Graph, states: dict[int, str] | None = None, attrs: Att
     return "".join(out)
 
 
-def _local_name(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 def load_gexf(path) -> tuple[Graph, dict[int, str], AttributeTable]:
     """Read a GEXF 1.2 file into (graph, states, attributes).
 
     Node ids are remapped to dense 0-based ids in document order (identity for
-    files this module wrote). ``states`` is empty when no node carries the
-    ``node_type`` attribute.
+    files this module wrote); of several ``<nodes>`` (or ``<edges>``) blocks the
+    last is read. ``states`` is empty when no node carries ``node_type``.
     """
     try:
-        tree = ET.parse(path)
+        root = ET.parse(path).getroot()
     except ET.ParseError as exc:
         raise GexfError(f"malformed XML in {path}: {exc}") from exc
-    root = tree.getroot()
-    if _local_name(root.tag) != "gexf":
+    if root.tag.rsplit("}", 1)[-1] != "gexf":
         raise GexfError(f"{path}: root element is {root.tag!r}, expected gexf")
-    graph_el = None
-    for child in root:
-        if _local_name(child.tag) == "graph":
-            graph_el = child
-            break
+    graph_el = root.find("{*}graph")
     if graph_el is None:
         raise GexfError(f"{path}: no <graph> element")
-    directed = graph_el.get("defaultedgetype", "undirected") == "directed"
 
-    node_attr_parsers: dict[str, type] = {}
-    edge_attr_parsers: dict[str, type] = {}
-    nodes_el = None
-    edges_el = None
-    for child in graph_el:
-        tag = _local_name(child.tag)
-        if tag == "attributes":
-            target = edge_attr_parsers if child.get("class") == "edge" else node_attr_parsers
-            for attr in child:
-                if _local_name(attr.tag) != "attribute":
-                    continue
-                attr_id = attr.get("id")
-                attr_type = attr.get("type", "string")
-                if attr_id is None:
-                    raise GexfError(f"{path}: <attribute> without id")
-                parser = _PARSERS_BY_GEXF_TYPE.get(attr_type)
-                if parser is None:
-                    raise GexfError(f"{path}: unknown attribute kind {attr_type!r} for {attr_id!r}")
-                target[attr_id] = parser
-        elif tag == "nodes":
-            nodes_el = child
-        elif tag == "edges":
-            edges_el = child
+    parsers: dict[str, dict[str, type]] = {"node": {}, "edge": {}}
+    for block in graph_el.iterfind("{*}attributes"):
+        for attr in block.iterfind("{*}attribute"):
+            attr_id, attr_type = attr.get("id"), attr.get("type", "string")
+            if attr_id is None:
+                raise GexfError(f"{path}: <attribute> without id")
+            if attr_type not in _PARSERS_BY_GEXF_TYPE:
+                raise GexfError(f"{path}: unknown attribute kind {attr_type!r} for {attr_id!r}")
+            parsers["edge" if block.get("class") == "edge" else "node"][attr_id] = _PARSERS_BY_GEXF_TYPE[attr_type]
 
+    def attvalues(element, side: str):
+        """``(key, value)`` of each of ``element``'s attvalues; an ``__reverse`` key parses as its base key."""
+        for attvalue in element.iterfind("{*}attvalues/{*}attvalue"):
+            key, raw = attvalue.get("for"), attvalue.get("value")
+            if key is None or raw is None:
+                raise GexfError(f"{path}: <attvalue> missing for/value")
+            parser = parsers[side].get(key) or parsers[side].get(key.removesuffix(_REVERSE_SUFFIX))
+            if parser is None:
+                raise GexfError(f"{path}: attvalue references undeclared attribute {key!r}")
+            try:
+                yield key, parser(raw)
+            except ValueError as exc:
+                raise GexfError(f"{path}: bad value {raw!r} for attribute {key!r}") from exc
+
+    nodes_el, edges_el = ((graph_el.findall("{*}" + block) or [ET.Element(block)])[-1] for block in ("nodes", "edges"))
     id_map: dict[str, int] = {}
-    node_values: list[tuple[int, str, AttributeValue]] = []
-    if nodes_el is not None:
-        for node in nodes_el:
-            if _local_name(node.tag) != "node":
-                continue
-            raw_id = node.get("id")
-            if raw_id is None:
-                raise GexfError(f"{path}: <node> without id")
-            if raw_id in id_map:
-                raise GexfError(f"{path}: duplicate node id {raw_id!r}")
-            dense = len(id_map)
-            id_map[raw_id] = dense
-            for key, value in _iter_attvalues(node, node_attr_parsers, path):
-                node_values.append((dense, key, value))
-
     states: dict[int, str] = {}
     node_columns: dict[str, dict] = {}
-    edge_columns: dict[str, dict] = {}
-    for dense, key, value in node_values:
-        if key == NODE_TYPE_KEY:
-            states[dense] = str(value)
-        else:
-            node_columns.setdefault(key, {})[dense] = value
+    for node in nodes_el.iterfind("{*}node"):
+        raw_id = node.get("id")
+        if raw_id is None:
+            raise GexfError(f"{path}: <node> without id")
+        if raw_id in id_map:
+            raise GexfError(f"{path}: duplicate node id {raw_id!r}")
+        dense = id_map[raw_id] = len(id_map)
+        for key, value in attvalues(node, "node"):
+            if key == NODE_TYPE_KEY:
+                states[dense] = str(value)
+            else:
+                node_columns.setdefault(key, {})[dense] = value
 
     src, dst = [], []
-    for edge in edges_el if edges_el is not None else ():
-        if _local_name(edge.tag) != "edge":
-            continue
+    edge_columns: dict[str, dict] = {}
+    for edge in edges_el.iterfind("{*}edge"):
         raw_u, raw_v = edge.get("source"), edge.get("target")
         if raw_u is None or raw_v is None:
             raise GexfError(f"{path}: <edge> missing source/target")
@@ -223,34 +204,10 @@ def load_gexf(path) -> tuple[Graph, dict[int, str], AttributeTable]:
             raise GexfError(f"{path}: invalid edge ({raw_u!r}, {raw_v!r}): self-loop ({u}, {u}) not allowed")
         src.append(u)
         dst.append(v)
-        for key, value in _iter_attvalues(edge, edge_attr_parsers, path):
-            if key.endswith(_REVERSE_SUFFIX):
-                edge_columns.setdefault(key[: -len(_REVERSE_SUFFIX)], {})[(v, u)] = value
-            else:
-                edge_columns.setdefault(key, {})[(u, v)] = value
-    graph, _ = Graph.from_edges(len(id_map), src, dst, directed)
+        for key, value in attvalues(edge, "edge"):
+            base = key.removesuffix(_REVERSE_SUFFIX)
+            edge_columns.setdefault(base, {})[(u, v) if base == key else (v, u)] = value
     attrs = AttributeTable()
     attrs.node.update(node_columns)  # each column built at once from its values
     attrs.edge.update(edge_columns)
-    return graph, states, attrs
-
-
-def _iter_attvalues(element, parsers: dict[str, type], path):
-    for child in element:
-        if _local_name(child.tag) != "attvalues":
-            continue
-        for av in child:
-            if _local_name(av.tag) != "attvalue":
-                continue
-            key = av.get("for")
-            raw = av.get("value")
-            if key is None or raw is None:
-                raise GexfError(f"{path}: <attvalue> missing for/value")
-            base_key = key[: -len(_REVERSE_SUFFIX)] if key.endswith(_REVERSE_SUFFIX) else key
-            parser = parsers.get(key) or parsers.get(base_key)
-            if parser is None:
-                raise GexfError(f"{path}: attvalue references undeclared attribute {key!r}")
-            try:
-                yield key, parser(raw)
-            except ValueError as exc:
-                raise GexfError(f"{path}: bad value {raw!r} for attribute {key!r}") from exc
+    return Graph.from_edges(len(id_map), src, dst, graph_el.get("defaultedgetype") == "directed")[0], states, attrs

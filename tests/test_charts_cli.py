@@ -781,3 +781,17 @@ def test_input_no_run_could_write_exits_4_with_one_error_line_and_writes_nothing
     [line] = res.output.splitlines()
     assert line.startswith("error: ")
     assert not list(tmp_path.glob("out*")) and not (tmp_path / "merged").exists()
+
+
+@pytest.mark.parametrize("unreadable", ["batch-0/collectors/x.json", "batch-1/run-meta.json"])
+def test_merge_mean_refuses_a_directory_in_a_result_files_place(tmp_path, unreadable):
+    for index in (0, 1):
+        write_json(tmp_path / f"batch-{index}" / "collectors" / "x.json", scalar_doc("x", [1.0, 2.0]))
+        write_json(tmp_path / f"batch-{index}" / "run-meta.json", {})  # a finished run
+    (tmp_path / unreadable).unlink()
+    (tmp_path / unreadable).mkdir()
+    res = invoke("merge", "mean", tmp_path)
+    assert res.exit_code == 4, res.output
+    [line] = res.output.splitlines()
+    assert line.startswith(f"error: cannot read result file {tmp_path / unreadable}: ")
+    assert not (tmp_path / "merged").exists()

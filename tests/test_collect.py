@@ -602,6 +602,13 @@ class TestMergeBatches:
         with pytest.raises(CollectError):
             merge_batches([])
 
+    def test_sums_past_the_float_maximum_give_the_exact_mean(self):
+        a, b = 1.5 * 2.0**1023, 1.25 * 2.0**1023  # math.fsum overflows on any two; scaling by 2**1023 is exact
+        scalar = merge_batches([series_doc("x", [a, 1.0]), series_doc("x", [a, 2.0]), series_doc("x", [b, 4.0])])
+        assert [e["value"] for e in scalar["entries"]] == [4.25 / 3 * 2.0**1023, 7 / 3]
+        maps = merge_batches([series_doc("c", [{"S": a, "I": 1}]), series_doc("c", [{"S": b, "I": 2}])])
+        assert maps["entries"][0]["value"] == {"S": 1.375 * 2.0**1023, "I": 1.5}
+
 
 def ref_merge_batches(documents: list[dict]) -> dict:
     """``merge_batches`` before it read documents through ``check_collector``: shapes compared entry by entry."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -631,3 +632,91 @@ def test_property_document_and_errors_match_the_reference_writer(data):
                                                                   max_size=8))
     want = document_or_error(ref_gexf_document, graph, states, attrs)
     assert document_or_error(gexf_document, graph, states, attrs) == want
+
+
+# ---------------------------------------------------------------------------
+# Reading: every refusal by its text, and the documents read by local name
+# ---------------------------------------------------------------------------
+
+
+def gexf_text(graph: str, root: str = '<gexf xmlns="http://www.gexf.net/1.2draft" version="1.2">') -> str:
+    return f'<?xml version="1.0" encoding="UTF-8"?>\n{root}\n  <graph defaultedgetype="undirected">{graph}</graph>\n</gexf>\n'
+
+
+NODE_X = '<attributes class="node"><attribute id="x" type="long"/></attributes>'
+TWO_NODES = '<nodes><node id="0"/><node id="1"/></nodes>'
+# (document, the text after "<path>: ") for each refusal of load_gexf; "{path}" stands for the file's path.
+READER_REFUSALS = {
+    "malformed XML": ("<gexf><graph><nodes>", "malformed XML in {path}: "),
+    "root element": ('<?xml version="1.0"?>\n<network><graph/></network>\n',
+                     "{path}: root element is 'network', expected gexf"),
+    "no graph": ('<gexf xmlns="http://www.gexf.net/1.2draft"><meta/></gexf>', "{path}: no <graph> element"),
+    "attribute without id": (gexf_text('<attributes class="edge"><attribute type="long"/></attributes>'),
+                             "{path}: <attribute> without id"),
+    "unknown attribute kind": (gexf_text('<attributes class="node"><attribute id="x" type="boolean"/></attributes>'),
+                               "{path}: unknown attribute kind 'boolean' for 'x'"),
+    "node without id": (gexf_text('<nodes><node label="a"/></nodes>'), "{path}: <node> without id"),
+    "duplicate node id": (gexf_text('<nodes><node id="0"/><node id="0"/></nodes>'), "{path}: duplicate node id '0'"),
+    "attvalue without value": (gexf_text(NODE_X + '<nodes><node id="0"><attvalues><attvalue for="x"/></attvalues>'
+                                         "</node></nodes>"), "{path}: <attvalue> missing for/value"),
+    "undeclared attribute": (gexf_text('<nodes><node id="0"><attvalues><attvalue for="77" value="1"/></attvalues>'
+                                       "</node></nodes>"), "{path}: attvalue references undeclared attribute '77'"),
+    "bad value": (gexf_text(NODE_X + '<nodes><node id="0"><attvalues><attvalue for="x" value="abc"/></attvalues>'
+                            "</node></nodes>"), "{path}: bad value 'abc' for attribute 'x'"),
+    "edge without target": (gexf_text(TWO_NODES + '<edges><edge id="0" source="0"/></edges>'),
+                            "{path}: <edge> missing source/target"),
+    "edge to an undeclared node": (gexf_text(TWO_NODES + '<edges><edge id="0" source="0" target="9"/></edges>'),
+                                   "{path}: edge ('0', '9') references an undeclared node"),
+    # The order of the checks: every declaration before any node, every node before any edge.
+    "declaration after the nodes": (gexf_text('<nodes><node id="0"/><node id="0"/></nodes>'
+                                              '<attributes class="node"><attribute type="long"/></attributes>'),
+                                    "{path}: <attribute> without id"),
+    "edges before the nodes": (gexf_text('<edges><edge id="0"/></edges><nodes><node/></nodes>'),
+                               "{path}: <node> without id"),
+}
+
+
+@pytest.mark.parametrize("case", READER_REFUSALS)
+def test_every_reader_refusal_names_its_fault(tmp_path, case):
+    document, text = READER_REFUSALS[case]
+    path = tmp_path / "bad.gexf"
+    path.write_text(document)
+    with pytest.raises(GexfError, match=re.escape(text.format(path=path))):
+        load_gexf(path)
+
+
+def test_documents_in_no_or_a_foreign_namespace_read_as_the_written_one(tmp_path):
+    graph = Graph.from_edges(4, [0, 1, 2], [1, 2, 3], directed=True)[0]
+    attrs = AttributeTable()
+    attrs.node["w"] = {0: 1.5, 3: -2.0}
+    attrs.edge["x"] = {(0, 1): 1, (1, 0): 2, (2, 3): 3}
+    written = gexf_document(graph, {0: "S", 1: "I", 2: "S", 3: "R"}, attrs)
+    namespace = 'xmlns="http://www.gexf.net/1.2draft"'
+    assert namespace in written
+    read = []
+    for name, replacement in (("draft", namespace), ("none", ""), ("foreign", 'xmlns="http://example.org/other"')):
+        (tmp_path / f"{name}.gexf").write_text(written.replace(namespace, replacement))
+        read.append(load_gexf(tmp_path / f"{name}.gexf"))
+    assert read[0] == (graph, {0: "S", 1: "I", 2: "S", 3: "R"}, attrs)
+    assert read[1] == read[0] and read[2] == read[0]
+
+
+def test_reverse_value_lands_on_the_reversed_pair_when_only_its_base_key_is_declared(tmp_path):
+    path = tmp_path / "reverse.gexf"
+    path.write_text(gexf_text(
+        '<attributes class="edge"><attribute id="x" type="double"/></attributes>' + TWO_NODES
+        + '<edges><edge id="0" source="0" target="1"><attvalues><attvalue for="x" value="0.5"/>'
+        '<attvalue for="x__reverse" value="2"/></attvalues></edge></edges>'))
+    _, _, attrs = load_gexf(path)
+    assert attrs.edge == {"x": {(0, 1): 0.5, (1, 0): 2.0}}
+    assert attrs.edge["x"].kind is float
+
+
+def test_the_last_nodes_and_edges_blocks_are_read(tmp_path):
+    path = tmp_path / "blocks.gexf"
+    path.write_text(gexf_text(
+        '<nodes><node id="a"/><node id="b"/><node id="c"/></nodes><edges><edge id="0" source="a" target="b"/></edges>'
+        '<nodes><node id="0"/><node id="1"/></nodes><edges><edge id="0" source="1" target="0"/></edges>'))
+    graph, states, attrs = load_gexf(path)
+    assert graph == Graph.from_edges(2, [0], [1])[0]
+    assert states == {} and attrs == AttributeTable()
