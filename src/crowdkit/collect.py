@@ -9,11 +9,11 @@ if a run could have written each of its series. A snapshot is one
 compact JSON file (graph + states + attributes + network params), edge columns
 as ``{"pairs": [u0, v0, ...], "values": [...]}`` in (u, v) order; ``crowdkit export`` gives GEXF.
 
-``write_snapshot`` writes the text of ``json.dumps(document, separators=(",", ":"))`` from arrays: links and
-in-range pairs join one table of node-id texts, and a float column (edge, or node with a value at every node) at
-most half distinct encodes each distinct value once; the rest is ``json.dumps``. A run passes one ``texts`` dict
-to all its snapshots, so it builds its id texts and encodes unchanged links and numeric columns once: a text is
-reused while the arrays it was built from stay bit-equal to the copies kept beside it.
+``write_snapshot`` writes the text of ``json.dumps(document, separators=(",", ":"))`` from arrays, in pieces of at
+most ``_CHUNK`` entries: links and in-range pairs join one table of node-id texts, and a float column (edge, or node
+with a value at every node) at most half distinct encodes each distinct value once; the rest is ``json.dumps``. A
+run passes one ``texts`` dict to all its snapshots, so it builds its id texts and encodes unchanged links and numeric
+columns once: a text's pieces are reused while the arrays they were built from stay bit-equal to the copies kept.
 
 Merging: ``merge_batches`` averages a collector across sibling batch runs
 entry-by-entry (exact up to float addition, permutation-invariant via
@@ -182,33 +182,43 @@ def read_summary(run_dir) -> dict:
 
 
 _dumps = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(..., separators=(",", ":"))
+_CHUNK = 2**15  # entries per piece of a snapshot text: no gather, list or joined string spans a whole column
 
 
-def _floats_json(values: np.ndarray) -> str:
-    """``_dumps(values.tolist())``, encoding each distinct value once when at most half are distinct."""
+def _joined(size: int, text) -> list[str]:
+    """``text(slice(0, size))`` in pieces: ``text`` of each run of at most ``_CHUNK`` entries, commas between."""
+    pieces = []
+    for start in range(0, size, _CHUNK):
+        pieces += (",", text(slice(start, start + _CHUNK)))
+    return pieces[1:]
+
+
+def _floats_json(values: np.ndarray) -> list[str]:
+    """``_dumps(values.tolist())`` in pieces, encoding each distinct value once when at most half are distinct."""
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)  # by bits: -0.0 is not 0.0
     if distinct.size * 2 > values.size:
-        return _dumps(values.tolist())
+        return ["[", *_joined(values.size, lambda at: _dumps(values[at].tolist())[1:-1]), "]"]
     encoded = np.array(_dumps(distinct.view(np.float64).tolist())[1:-1].split(","), dtype=object)
-    return "[" + ",".join(encoded[inverse].tolist()) + "]"
+    return ["[", *_joined(values.size, lambda at: ",".join(encoded[inverse[at]].tolist())), "]"]
 
 
-def _column_json(key: str, column: AttributeColumn, ids: np.ndarray) -> str:
-    """``"key":`` and the column's snapshot text; ``ids[v]`` is the text of node id v (node keys are ids in range)."""
+def _column_json(key: str, column: AttributeColumn, ids: np.ndarray) -> list[str]:
+    """``"key":`` and the column's snapshot text, in pieces; ``ids[v]`` is node id v's text (node keys are in range)."""
     n, (codes, values), name = ids.size, column.arrays(), _dumps({key: 0})[1:-2]  # the key as json.dumps writes it
     if not column.edge:  # one entry per node, null where it has no value
         full = codes.size == n and values.dtype == float
-        return name + (_floats_json(values) if full else _dumps(column.take(np.arange(n), None).tolist()))
-    pairs = column.ids().ravel()  # in (u, v) order
-    in_range = not pairs.size or (pairs.min() >= 0 and pairs.max() < n)
-    pairs_text = "[" + ",".join(ids[pairs].tolist()) + "]" if in_range else _dumps(pairs.tolist())
-    values_text = _floats_json(values) if values.dtype == float else _dumps(values.tolist())
-    return name + '{"pairs":' + pairs_text + ',"values":' + values_text + "}"
+        return [name, *(_floats_json(values) if full else [_dumps(column.take(np.arange(n), None).tolist())])]
+
+    def pairs_text(at: slice) -> str:  # node ids from their table, other ids as json.dumps writes them
+        pairs = column.ids(at).ravel()  # in (u, v) order
+        return ",".join(ids[pairs].tolist() if pairs.min() >= 0 and pairs.max() < n else map(str, pairs.tolist()))
+    values_text = _floats_json(values) if values.dtype == float else [_dumps(values.tolist())]
+    return [name, '{"pairs":[', *_joined(codes.size, pairs_text), '],"values":', *values_text, "}"]
 
 
-def _reuse(texts: dict, role: str, encode, *arrays: np.ndarray) -> str | np.ndarray:
-    """``texts[role]``'s encoded value (a text, or the id-text table) while ``arrays`` are bit-equal (dtype and
-    bytes: -0.0 and NaN payloads count) to the copies kept with it, else ``encode()``, kept with copies. Object
+def _reuse(texts: dict, role: str, encode, *arrays: np.ndarray) -> list[str] | np.ndarray:
+    """``texts[role]``'s encoded value (a text's pieces, or the id-text table) while ``arrays`` are bit-equal (dtype
+    and bytes: -0.0 and NaN payloads count) to the copies kept with it, else ``encode()``, kept with copies. Object
     arrays hold references: never reused."""
     if role not in texts or not all(a.dtype == b.dtype != object and np.array_equal(
             np.ascontiguousarray(a).view(np.uint8), b.view(np.uint8)) for a, b in zip(arrays, texts[role][1])):
@@ -226,7 +236,7 @@ def write_snapshot(
     *,
     texts: dict | None = None,
 ) -> list[Path]:
-    """Write ``snapshot_path(run_dir, iteration)`` (node-attribute keys checked to be node ids in range)."""
+    """Write ``snapshot_path(run_dir, iteration)`` (node-attribute keys checked to be node ids in range) in pieces."""
     path = snapshot_path(run_dir, iteration)
     n, node_attrs, edge_attrs, texts = graph.num_nodes, [], [], {} if texts is None else texts
     for key, column in attrs.node.items():
@@ -238,15 +248,16 @@ def write_snapshot(
     size, (src, dst) = np.array([n]), graph.edge_arrays()
     ids = _reuse(texts, "ids", lambda: id_texts(n), size)
     for side, columns, out in (("node", attrs.node, node_attrs), ("edge", attrs.edge, edge_attrs)):
-        for key in sorted(columns):
-            out.append(_reuse(texts, f"{side}:{key}", lambda: _column_json(key, columns[key], ids),
-                              size, *columns[key].arrays()))
-    links = _reuse(texts, "links", lambda: ",".join(  # "[u", "v]", ...
-        np.stack((("[" + ids)[src], (ids + "]")[dst]), axis=1).ravel().tolist()), size, src, dst)
-    write_atomic(path, (  # in pieces: the big texts are not copied into one string
+        for key in sorted(columns):  # each after a comma; the first comma is dropped below
+            out += (",", *_reuse(texts, f"{side}:{key}", lambda: _column_json(key, columns[key], ids),
+                                 size, *columns[key].arrays()))
+    ends = _reuse(texts, "ends", lambda: np.concatenate(("[" + ids, ids + "]")), size)  # "[v" and "v]" of each v
+    links = _reuse(texts, "links", lambda: _joined(src.size, lambda at: ",".join(  # "[u", "v]", ...
+        ends[np.stack((src[at], dst[at] + n), axis=1).ravel()].tolist())), size, src, dst)
+    write_atomic(path, (
         '{"iteration":', _dumps(iteration), ',"graph":{"directed":', _dumps(graph.directed), ',"nodes":', _dumps(n),
-        ',"links":[', links, ']},"states":', _dumps(states.column()), ',"node_attrs":{', ",".join(node_attrs),
-        '},"edge_attrs":{', ",".join(edge_attrs), '},"net_params":', _dumps(dict(sorted(net_params.items()))), "}\n",
+        ',"links":[', *links, ']},"states":', _dumps(states.column()), ',"node_attrs":{', *node_attrs[1:],
+        '},"edge_attrs":{', *edge_attrs[1:], '},"net_params":', _dumps(dict(sorted(net_params.items()))), "}\n",
     ))
     return [path]
 
@@ -376,9 +387,9 @@ def batch_dirs(parent_dir) -> list[Path]:
 def merge_parent_directory(parent_dir, collector_name: str | None = None) -> list[Path]:
     """Mean-merge collectors across every batch under a parent directory.
 
-    Merges every collector name present in the first batch (or just
-    ``collector_name``); writes results to <parent>/merged/<name>.json.
-    A batch whose run recorded an error, or wrote no run meta (it did not finish), is refused by name.
+    Merges every collector name present in the first batch (or just ``collector_name``); writes results to
+    <parent>/merged/<name>.json once every name has merged, so a refusal writes none. A batch whose run recorded
+    an error, or wrote no run meta (it did not finish), is refused by name.
     """
     parent = Path(parent_dir)
     batches = batch_dirs(parent)
@@ -397,11 +408,11 @@ def merge_parent_directory(parent_dir, collector_name: str | None = None) -> lis
         names = sorted(p.stem for p in first_dir.iterdir() if p.suffix == ".json")
         if not names:
             raise CollectError(f"no collector files in {first_dir}")
-    written = []
-    for name in names:
-        documents = [read_collector(batch / COLLECTOR_DIR / f"{name}.json") for batch in batches]
-        written.append(parent / MERGED_DIR / f"{name}.json")
-        _dump_json(merge_batches(documents, [batch.name for batch in batches]), written[-1])
+    merged = [merge_batches([read_collector(batch / COLLECTOR_DIR / f"{name}.json") for batch in batches],
+                            [batch.name for batch in batches]) for name in names]  # every name, before any is written
+    written = [parent / MERGED_DIR / f"{name}.json" for name in names]
+    for document, path in zip(merged, written):
+        _dump_json(document, path)
     return written
 
 

@@ -484,9 +484,9 @@ class AttributeColumn(MutableMapping):
             self._set(codes, np.concatenate(values))
         return self._keys, self._values
 
-    def ids(self) -> np.ndarray:
-        """The keys in key order: node ids, or an edge column's ``(m, 2)`` pairs."""
-        codes = self.arrays()[0]
+    def ids(self, at: slice = slice(None)) -> np.ndarray:
+        """The keys (those ``at`` a slice of them) in key order: node ids, or an edge column's ``(m, 2)`` pairs."""
+        codes = self.arrays()[0][at]
         if not self.edge:
             return codes
         src = (codes + 2**31) >> 32

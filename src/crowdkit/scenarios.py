@@ -22,7 +22,8 @@ Scenario notes:
   uniform draw per eligible inactive node per iteration, compared against
   the largest spreader-edge probability (``per_edge=True`` switches to the
   classic one-draw-per-spreader-edge variant). A node spreads for exactly
-  one iteration, then retires to plain Active. Each step reads
+  one iteration, then retires to plain Active. A step walks only the
+  spreaders' out-rows, the frontier, never the whole edge set. Each step reads
   ``influence_prob`` afresh, so a hook's edit takes effect on the next step.
 * **trust** — an investor/trustee game with proportional imitation. Payoffs
   are recomputed after the imitation phase each iteration, so imitation at
@@ -108,24 +109,26 @@ def ic_step(ctx: SimContext, per_edge: bool = False) -> None:
     visit order, and activates (as next iteration's spreader) iff the largest
     spreader-edge influence probability is >= the draw; with ``per_edge`` it
     draws once per spreader in-edge (ascending source id) and activates iff
-    some edge's probability is >= its draw.
+    some edge's probability is >= its draw. Only the spreaders' out-rows are
+    read, in (source, target) order, so probabilities are looked up by sorted keys.
     """
     states = ctx.states
     order = ctx.rng.permutation(ctx.graph.num_nodes)
     spreading = states.mask(IC_SPREADER)
-    indptr, indices = ctx.graph.in_csr()
-    hot = np.flatnonzero(spreading[indices])  # in-CSR entries whose source spreads
-    rows = np.searchsorted(indptr, hot, side="right") - 1
-    into_inactive = states.mask(IC_INACTIVE)[rows]
-    rows, sources = rows[into_inactive], indices[hot[into_inactive]]
+    indptr, indices = ctx.graph.out_csr()
+    sources = np.flatnonzero(spreading)
+    lengths = indptr[sources + 1] - indptr[sources]  # the spreaders' out-rows, expanded in (source, target) order
+    entries = np.repeat(indptr[sources] - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+    into_inactive = states.mask(IC_INACTIVE)[indices[entries]]
+    sources, rows = np.repeat(sources, lengths)[into_inactive], indices[entries[into_inactive]]
     column = ctx.attrs.edge.get(INFLUENCE_PROB_KEY)  # read live: an edit counts from the next step
     probs = np.zeros(rows.size) if column is None else column.take((sources, rows), 0.0)
     if not per_edge:  # one draw per node, against its largest probability (NaN-skipping, as `>` is)
         best = np.full(ctx.graph.num_nodes, -1.0)
         np.fmax.at(best, rows, probs)
-        rows = np.flatnonzero(best >= 0.0)
+        sources = rows = np.flatnonzero(best >= 0.0)  # one entry per node: no source order to keep
         probs = best[rows]
-    visit = np.argsort(order.argsort()[rows], kind="stable")
+    visit = np.lexsort((sources, order.argsort()[rows]))  # visit order; a node's edges by ascending source
     activated = rows[visit][probs[visit] >= ctx.rng.random(rows.size)]
     if spreading.any():
         states.codes[spreading] = states.code(IC_ACTIVE)
@@ -189,8 +192,8 @@ def compute_trust_payoffs(ctx: SimContext) -> np.ndarray:
     investors = codes == 0
     trustworthy = codes == 1
     untrustworthy = codes == 2
-    k_t = csr_matvec(adjacency, trustworthy.astype(np.float64))
-    k_trustees = csr_matvec(adjacency, (trustworthy | untrustworthy).astype(np.float64))  # exact counts
+    counts = np.bincount(adjacency.rows * 4 + codes[adjacency[1]] + 1, minlength=4 * n).reshape(n, 4)  # by code + 1
+    k_t, k_trustees = counts[:, 2], counts[:, 2] + counts[:, 3]
     has_trustees = k_trustees > 0.0
     payoff = np.zeros(n, dtype=np.float64)
 

@@ -795,3 +795,16 @@ def test_merge_mean_refuses_a_directory_in_a_result_files_place(tmp_path, unread
     [line] = res.output.splitlines()
     assert line.startswith(f"error: cannot read result file {tmp_path / unreadable}: ")
     assert not (tmp_path / "merged").exists()
+
+
+def test_merge_mean_writes_no_merged_file_when_a_later_collector_is_refused(tmp_path):
+    for index in (0, 1):
+        write_json(tmp_path / f"batch-{index}" / "collectors" / "a.json", scalar_doc("a", [1.0, 2.0]))
+        write_json(tmp_path / f"batch-{index}" / "run-meta.json", {})  # a finished run
+    write_json(tmp_path / "batch-0" / "collectors" / "z.json", scalar_doc("z", [1.0, 2.0]))
+    write_json(tmp_path / "batch-1" / "collectors" / "z.json", BAD_COLLECTORS["entries is a number"])
+    res = invoke("merge", "mean", tmp_path)
+    assert res.exit_code == 4, res.output
+    [line] = res.output.splitlines()
+    assert line.startswith("error: ") and "z.json" in line
+    assert not (tmp_path / "merged").exists()

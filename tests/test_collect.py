@@ -29,6 +29,7 @@ from crowdkit import (
     read_snapshot,
     write_snapshot,
 )
+from crowdkit import collect
 from crowdkit.collect import (
     COLLECTOR_DIR,
     RUN_META_FILE,
@@ -461,9 +462,11 @@ def test_few_distinct_floats_keep_both_zeros_and_every_special_value(tmp_path):
 @given(wide_snapshot_inputs())
 def test_property_snapshot_text_is_the_compact_dump_of_the_reference_document(inputs):
     expected = json.dumps(reference_snapshot_document(*inputs), separators=(",", ":")) + "\n"
-    with tempfile.TemporaryDirectory() as tmp:
-        [path] = write_snapshot(*inputs, tmp)
-        assert path.read_text(encoding="utf-8") == expected
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        for chunk in (collect._CHUNK, 3):  # each text in one piece, and in pieces of 3 entries
+            patch.setattr(collect, "_CHUNK", chunk)
+            [path] = write_snapshot(*inputs, tmp)
+            assert path.read_text(encoding="utf-8") == expected
 
 
 # both zeros, a NaN with a payload other than the default one, and integral values that equal ints
@@ -525,6 +528,36 @@ def test_property_snapshots_sharing_texts_match_the_reference_and_a_fresh_write(
             document = reference_snapshot_document(iteration, graph, states, attrs, {})
             assert shared.read_text(encoding="utf-8") == json.dumps(document, separators=(",", ":")) + "\n"
             assert shared.read_bytes() == fresh.read_bytes()
+
+
+# Picks around a piece boundary of 3 entries: none, one, C - 1, C, C + 1 and 2C + 1.
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), count=st.sampled_from([0, 1, 2, 3, 4, 7]) | st.integers(0, 12))
+def test_property_joined_pieces_make_the_whole_join(data, count):
+    texts = data.draw(st.lists(st.text("ab\u00e9", max_size=2), min_size=1 if count else 0, max_size=5))
+    table = np.array(texts, dtype=object)  # empty when there are no picks
+    picks = np.array(data.draw(st.lists(st.integers(0, max(len(texts) - 1, 0)), min_size=count, max_size=count)), np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(collect, "_CHUNK", 3)
+        pieces = collect._joined(picks.size, lambda at: ",".join(table[picks[at]].tolist()))
+    assert "".join(pieces) == ",".join(table[picks].tolist())
+    assert pieces[1::2] == [","] * (len(pieces) // 2) and len(pieces) == max(2 * -(-count // 3) - 1, 0)
+    assert all(piece.count(",") < 3 for piece in pieces[0::2])  # at most 3 texts, none holding a comma
+
+
+def test_an_edited_float_edge_value_is_encoded_again_in_the_next_snapshot(tmp_path, monkeypatch):
+    monkeypatch.setattr(collect, "_CHUNK", 2)  # so the column's texts span several pieces
+    graph = Graph.from_edges(8, range(7), range(1, 8), directed=True)[0]
+    attrs = AttributeTable()
+    attrs.edge["w"] = {pair: 0.5 for pair in graph.edges()}  # one distinct value: encoded once, then picked
+    texts: dict = {}
+    write_snapshot(0, graph, {}, attrs, {}, tmp_path / "shared", texts=texts)
+    attrs.edge["w"][(3, 4)] = 0.25
+    [shared] = write_snapshot(1, graph, {}, attrs, {}, tmp_path / "shared", texts=texts)
+    [fresh] = write_snapshot(1, graph, {}, attrs, {}, tmp_path / "fresh")
+    assert shared.read_bytes() == fresh.read_bytes()
+    assert read_snapshot(snapshot_path(tmp_path / "shared", 0))[3].edge["w"][(3, 4)] == 0.5
+    assert read_snapshot(shared)[3].edge["w"] == {**{pair: 0.5 for pair in graph.edges()}, (3, 4): 0.25}
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import pytest
 import yaml
 from conftest import _surrogate_social_graph
 
-from crowdkit import SCENARIOS, batch_run, fixture_path, load_config, parse_config
+from crowdkit import SCENARIOS, batch_run, collect, fixture_path, load_config, parse_config
 
 SEED = 20240917
 
@@ -150,6 +150,14 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(PLANS))
 def test_outputs_match_stored_digests(name, tmp_path):
+    assert run_digests(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(PLANS))
+def test_outputs_written_in_two_entry_pieces_match_stored_digests(name, tmp_path, monkeypatch):
+    # Snapshot texts are built in pieces of at most ``_CHUNK`` entries. At the default size only infmax's
+    # texts span several pieces; at 2, every links, pairs and values text of every fixture does.
+    monkeypatch.setattr(collect, "_CHUNK", 2)
     assert run_digests(name, tmp_path) == GOLDEN[name]
 
 
