@@ -12,13 +12,13 @@ class GraphError(CrowdkitError):
 
 
 class EdgeListError(GraphError):
-    """Malformed edge-list input. Carries the offending line number."""
+    """Malformed edge-list input. Carries the offending line number and the file's path."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
+    def __init__(self, message: str, line: int | None = None, path=None):
+        self.line, self.path = line, path
         if line is not None:
             message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 class GexfError(CrowdkitError):

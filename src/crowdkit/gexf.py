@@ -208,6 +208,9 @@ def load_gexf(path) -> tuple[Graph, dict[int, str], AttributeTable]:
             base = key.removesuffix(_REVERSE_SUFFIX)
             edge_columns.setdefault(base, {})[(u, v) if base == key else (v, u)] = value
     attrs = AttributeTable()
-    attrs.node.update(node_columns)  # each column built at once from its values
-    attrs.edge.update(edge_columns)
+    try:
+        attrs.node.update(node_columns)  # each column built at once from its values
+        attrs.edge.update(edge_columns)
+    except GraphError as exc:  # e.g. an edge column whose reverse values hold another kind
+        raise GexfError(f"{path}: {exc}") from exc
     return Graph.from_edges(len(id_map), src, dst, graph_el.get("defaultedgetype") == "directed")[0], states, attrs

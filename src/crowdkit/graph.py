@@ -10,6 +10,9 @@ Each CSR is built from the sorted pair codes ``u << 32 | v`` of its entries
 (so ids lie below 2**31), in bulk by ``Graph.from_edges`` or a generator; copies
 share the arrays. ``add_edge`` and ``remove_edge`` record each edit in a dict
 keyed by pair code, merged into the CSR's codes in one pass on the next read.
+``csr_matvec`` gathers into a work buffer the CSR keeps (not thread-safe).
+``load_edge_list`` has ``np.loadtxt`` read the file from its path, renumbers
+ids in first-seen order from one ``argsort``, and names the file on errors.
 
 Node states (``NodeStates``) map node ids to type names through one signed
 code array: ``codes[v]`` is the position of v's type in the declared type
@@ -95,11 +98,12 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class _CSR(tuple):
-    """Read-only CSR ``(indptr, indices)``; ``rows`` (each entry's row id) and ``codes`` (its pair code, sorted)
-    are read-only and built on first use."""
+    """Read-only CSR ``(indptr, indices)``; ``rows`` (each entry's row id), ``codes`` (its pair code, sorted) and
+    ``gathered`` (``csr_matvec``'s work buffer, one float per entry) are built on first use; not thread-safe."""
 
     rows = cached_property(lambda self: _frozen(np.repeat(np.arange(self[0].size - 1), np.diff(self[0]))))
     codes = cached_property(lambda self: _frozen(_pair_codes(self.rows, self[1])))
+    gathered = cached_property(lambda self: np.empty(self[1].size))
 
 
 def _code_csr(n: int, codes: np.ndarray) -> _CSR:
@@ -114,8 +118,11 @@ def _row(csr: tuple[np.ndarray, np.ndarray], v: int) -> np.ndarray:
 
 def csr_matvec(csr: _CSR, x: np.ndarray) -> np.ndarray:
     """``A @ x`` for the matrix of ones at the entries of a graph's CSR, summing each row in CSR order
-    from 0.0 as scipy does: bit-identical to the product with scipy's ``csr_matrix`` of the same arrays."""
-    return np.bincount(csr.rows, weights=x[csr[1]], minlength=csr[0].size - 1)
+    from 0.0 as scipy does: bit-identical to scipy's ``csr_matrix`` product. ``x`` (float64, one per node, else
+    ``ValueError``) is gathered into the CSR's ``gathered`` buffer, so a product allocates only its result."""
+    if x.shape != (csr[0].size - 1,):
+        raise ValueError(f"x has shape {x.shape}, expected ({csr[0].size - 1},)")
+    return np.bincount(csr.rows, weights=x.take(csr[1], out=csr.gathered, mode="clip"), minlength=x.size)
 
 
 def _node_ids(values) -> np.ndarray:
@@ -695,9 +702,10 @@ def _try_stub_pairing(n: int, d: int, rng: np.random.Generator) -> np.ndarray | 
     depend only on the stub count and code order is ``(u, v)`` order, so the result is the scalar pairing's.
     """
     taken = np.empty(0, dtype=np.int64)
-    stubs = np.repeat(np.arange(n, dtype=np.int32), d)
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     while stubs.size:
-        rng.shuffle(stubs)
+        rng.shuffle(stubs)  # the draws do not depend on the item size, and 8-byte items swap fastest
+        stubs = stubs.astype(np.int32)  # the pass's arrays are as small as with int32 stubs
         a, b = stubs[0::2], stubs[1::2]
         keys = _pair_codes(np.minimum(a, b), np.maximum(a, b))
         ok = (a != b) & (taken.take(taken.searchsorted(keys), mode="clip") != keys if taken.size else True)
@@ -710,7 +718,7 @@ def _try_stub_pairing(n: int, d: int, rng: np.random.Generator) -> np.ndarray | 
             return None  # stuck; caller restarts from scratch
         taken = np.concatenate((taken, np.sort(keys[ok])))  # disjoint sorted runs: the stable sort merges them
         taken.sort(kind="stable")
-        stubs = stubs.reshape(-1, 2)[~ok].ravel()
+        stubs = stubs.reshape(-1, 2)[~ok].ravel().astype(np.int64)
     return taken
 
 
@@ -771,7 +779,7 @@ def generate_erdos_renyi(num_nodes: int, p: float, rng: np.random.Generator) -> 
 # ---------------------------------------------------------------------------
 
 
-def _scalar_edges(text: str) -> tuple[list[int], list[int], dict[int, int]]:
+def _scalar_edges(text: str, path) -> tuple[list[int], list[int], dict[int, int]]:
     id_map: dict[int, int] = {}
     src, dst = [], []
     for line_no, raw in enumerate(text.split("\n"), 1):
@@ -780,13 +788,13 @@ def _scalar_edges(text: str) -> tuple[list[int], list[int], dict[int, int]]:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise EdgeListError(f"expected 2 fields, got {len(parts)}: {line!r}", line=line_no)
+            raise EdgeListError(f"expected 2 fields, got {len(parts)}: {line!r}", line_no, path)
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
-            raise EdgeListError(f"non-integer node id in {line!r}", line=line_no) from None
+            raise EdgeListError(f"non-integer node id in {line!r}", line_no, path) from None
         if a == b:
-            raise EdgeListError(f"self-loop on node {a}", line=line_no)
+            raise EdgeListError(f"self-loop on node {a}", line_no, path)
         src.append(id_map.setdefault(a, len(id_map)))  # new ids in first-seen order
         dst.append(id_map.setdefault(b, len(id_map)))
     return src, dst, id_map
@@ -796,28 +804,30 @@ def load_edge_list(path, directed: bool = False, return_id_map: bool = False):
     """Load a whitespace-separated integer-pair edge list.
 
     Lines starting with ``#`` and blank lines are skipped; a ``#`` anywhere else is an error. Node ids are
-    remapped to dense 0-based ids in first-seen order; duplicate edges collapse (count logged).
+    remapped to dense 0-based ids in first-seen order; duplicate edges collapse (count logged). ``np.loadtxt``
+    reads the file from its path; a file it refuses is read line by line, and an error names its file and line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy warns on a file with no data
-            pairs = np.loadtxt(text.split("\n"), dtype=np.int64, ndmin=2)  # all lines at once
+            pairs = np.loadtxt(path, dtype=np.int64, ndmin=2, encoding="utf-8")
         if pairs.shape[1] != 2 or (pairs[:, 0] == pairs[:, 1]).any() or "#" in text and any(
             line.lstrip().find("#") > 0 for line in text.split("\n")):  # loadtxt drops "1 2 # x"
             raise ValueError("a line that is not two distinct ids")
-    except (ValueError, Warning):  # line by line, naming the line of any error
-        src, dst, id_map = _scalar_edges(text)
-    else:
-        ids, inverse = np.unique(pairs.ravel(), return_inverse=True)
-        first = np.full(ids.size, inverse.size)
-        np.minimum.at(first, inverse, np.arange(inverse.size))  # where each id first appears
-        order = np.argsort(first)  # ids in first-seen order
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        src, dst = rank[inverse].reshape(-1, 2).T
-        id_map = dict(zip(ids[order].tolist(), range(order.size)))
+    except (ValueError, Warning):  # line by line, naming the file and line of any error
+        src, dst, id_map = _scalar_edges(text, path)
+    else:  # sort the ids once: each run of equal ids is one node
+        flat = pairs.ravel()
+        order = flat.argsort()
+        ids = flat[order]
+        starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+        by_first = np.minimum.reduceat(order, starts).argsort()  # the runs, by the first position of their id
+        flat[order] = np.repeat(by_first.argsort(), np.diff(starts, append=ids.size))  # raw ids become dense ids
+        id_map = dict(zip(ids[starts[by_first]].tolist(), range(by_first.size)))
+        src, dst = flat.reshape(-1, 2).T
+        del order, ids  # not held while the graph is built
     g, duplicates = Graph.from_edges(len(id_map), src, dst, directed)
     if duplicates:
         logger.info("edge list %s: collapsed %d duplicate edges", path, duplicates)

@@ -2,9 +2,10 @@
 
 All metrics return a full ``{node: score}`` map with finite float scores.
 Ranking ties break deterministically by ascending node id. The power
-iterations sum over the graph's own in-CSR rows with ``csr_matvec``;
-closeness and betweenness walk its out-CSR rows breadth first, one depth
-at a time for a run of sources at once.
+iterations sum over the graph's own in-CSR rows with ``csr_matvec``, whose
+gather reuses the CSR's work buffer (so not thread-safe); closeness and
+betweenness walk its out-CSR rows breadth first, one depth at a time for a
+run of sources at once.
 """
 
 from __future__ import annotations

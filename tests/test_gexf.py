@@ -667,6 +667,12 @@ READER_REFUSALS = {
                             "{path}: <edge> missing source/target"),
     "edge to an undeclared node": (gexf_text(TWO_NODES + '<edges><edge id="0" source="0" target="9"/></edges>'),
                                    "{path}: edge ('0', '9') references an undeclared node"),
+    # A column the values cannot make: the reverse values of "x" hold another kind than its own.
+    "mixed column kinds": (gexf_text(
+        '<attributes class="edge"><attribute id="x" type="long"/><attribute id="x__reverse" type="double"/>'
+        "</attributes>" + TWO_NODES + '<edges><edge id="0" source="0" target="1"><attvalues>'
+        '<attvalue for="x" value="1"/><attvalue for="x__reverse" value="2.5"/></attvalues></edge></edges>'),
+        "{path}: attribute 'x': mixed value kinds in column"),
     # The order of the checks: every declaration before any node, every node before any edge.
     "declaration after the nodes": (gexf_text('<nodes><node id="0"/><node id="0"/></nodes>'
                                               '<attributes class="node"><attribute type="long"/></attributes>'),

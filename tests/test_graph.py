@@ -448,6 +448,16 @@ def edge_list_texts(draw) -> str:
     return "".join(lines) + draw(st.sampled_from(["", "0 1"]))
 
 
+@st.composite
+def long_edge_list_texts(draw) -> str:
+    """A few hundred distinct-id pairs over a few dozen sparse, negative and int64-extreme ids: long runs of equal ids."""
+    extreme = st.sampled_from([-(2**63), 2**63 - 1, -1, 0])
+    ids = draw(st.lists(st.one_of(extreme, st.integers(-(2**63), 2**63 - 1)), min_size=2, max_size=40, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src, dst = rng.integers(0, len(ids), (2, draw(st.integers(100, 400)))).tolist()
+    return "".join(f"{ids[u]} {ids[v]}\n" for u, v in zip(src, dst) if u != v)
+
+
 def load_outcome(path, directed: bool):
     """``(graph, id map, log messages)`` of ``load_edge_list``, or its ``EdgeListError`` text; no warning."""
     with warnings.catch_warnings(record=True) as seen, captured_log() as messages:
@@ -462,7 +472,7 @@ def load_outcome(path, directed: bool):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=edge_list_texts(), directed=st.booleans())
+@given(text=st.one_of(edge_list_texts(), long_edge_list_texts()), directed=st.booleans())
 def test_property_bulk_edge_list_parse_matches_the_line_parser(text, directed):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edges.txt"

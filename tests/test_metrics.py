@@ -564,9 +564,17 @@ def graphs(draw, max_nodes=12):
 @given(g=graphs(), data=st.data())
 def test_csr_matvec_matches_scipy_product(g, data):
     n = g.num_nodes
-    x = np.array(data.draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)), dtype=np.float64)
-    assert csr_matvec(g.out_csr(), x).tobytes() == (to_sparse(g) @ x).tobytes()
+    x, y = (np.array(data.draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)), dtype=np.float64)
+            for _ in range(2))
+    first = csr_matvec(g.out_csr(), x)
+    assert first.tobytes() == (to_sparse(g) @ x).tobytes()
+    # A second product on the same CSR reuses its work buffer; the first result keeps its bytes.
+    assert csr_matvec(g.out_csr(), y).tobytes() == (to_sparse(g) @ y).tobytes()
+    assert first.tobytes() == (to_sparse(g) @ x).tobytes()
     assert csr_matvec(g.in_csr(), x).tobytes() == (ref_in_operator(g) @ x).tobytes()
+    for wrong in (x[:-1], np.append(x, 1.0)):  # a clipped gather would read a short x without an error
+        with pytest.raises(ValueError, match="expected"):
+            csr_matvec(g.out_csr(), wrong)
 
 
 @settings(max_examples=200, deadline=None)
