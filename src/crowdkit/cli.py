@@ -21,7 +21,7 @@ import click
 from . import __version__
 from .charts import CHART_KINDS, write_chart
 from .collect import export_gexf, merge_parent_directory, merge_simulations, read_snapshot, snapshot_path
-from .config import FileStructure, _structure_file, load_config, validate
+from .config import FileStructure, build_graph, load_config, validate
 from .engine import (
     HOME_ENV_VAR,
     Project,
@@ -33,7 +33,6 @@ from .errors import (
     CollectError,
     ConfigError,
     CrowdkitError,
-    EdgeListError,
     GexfError,
     GraphError,
     HookError,
@@ -51,7 +50,7 @@ def _exit_code_for(exc: Exception) -> int:
         return EXIT_RUNTIME
     if isinstance(exc, CollectError):
         return EXIT_DATA
-    if isinstance(exc, (ConfigError, GraphError, EdgeListError, GexfError)):
+    if isinstance(exc, (ConfigError, GraphError, GexfError)):
         return EXIT_USAGE
     return 1
 
@@ -125,7 +124,7 @@ def _run_options(command):
 
 
 def _load_run_inputs(config_path, scenario_name, epochs, snapshot_period):
-    """Resolve (config, base_dir, registry_factory) for run/sweep commands."""
+    """The config, and the registry_factory, base_dir and graph run/sweep pass on; reads a structure file once."""
     if snapshot_period is not None and snapshot_period > epochs:
         _usage_fail(f"--snapshot must be <= --epochs, got {snapshot_period} with --epochs {epochs}")
     scenario = SCENARIOS[scenario_name] if scenario_name else None
@@ -135,17 +134,16 @@ def _load_run_inputs(config_path, scenario_name, epochs, snapshot_period):
         config_path = fixture_path(scenario.fixture)
     config_path = Path(config_path)
     config = load_config(config_path)
-    violations = validate(config)
+    base_dir = config_path.parent
+    graph = build_graph(config, None, base_dir=base_dir) if isinstance(config.structure, FileStructure) else None
+    violations = validate(config, node_count_hint=None if graph is None else graph.num_nodes)
     if violations:
         click.echo("invalid config:", err=True)
         for violation in violations:
             click.echo(f"  - {violation}", err=True)
         sys.exit(EXIT_USAGE)
-    base_dir = config_path.parent
-    if isinstance(config.structure, FileStructure):
-        _structure_file(config.structure, base_dir)
     registry_factory = scenario.make_hooks if scenario else None
-    return config, base_dir, registry_factory
+    return config, {"registry_factory": registry_factory, "base_dir": base_dir, "graph": graph}
 
 
 def _report_batches(outcomes) -> bool:
@@ -164,7 +162,7 @@ def _report_batches(outcomes) -> bool:
 def cmd_run(config_path, scenario_name, epochs, snapshot_period, batches, master_seed, project_name, sim_name, home):
     """Run a config (optionally with scenario hooks) for one or more batches."""
     try:
-        config, base_dir, registry_factory = _load_run_inputs(config_path, scenario_name, epochs, snapshot_period)
+        config, inputs = _load_run_inputs(config_path, scenario_name, epochs, snapshot_period)
         project = Project.load_or_create(project_name, root=home)
         sim_dir = project.simulation_dir(sim_name or config.name)
         outcomes = batch_run(
@@ -174,8 +172,7 @@ def cmd_run(config_path, scenario_name, epochs, snapshot_period, batches, master
             epochs=epochs,
             snapshot_period=snapshot_period,
             master_seed=master_seed,
-            registry_factory=registry_factory,
-            base_dir=base_dir,
+            **inputs,
         )
     except CrowdkitError as exc:
         _fail(exc)
@@ -188,7 +185,7 @@ def cmd_run(config_path, scenario_name, epochs, snapshot_period, batches, master
 def cmd_sweep(config_path, scenario_name, epochs, snapshot_period, batches, master_seed, project_name, sim_name, home):
     """Expand the config's sweep section and run every variant."""
     try:
-        config, base_dir, registry_factory = _load_run_inputs(config_path, scenario_name, epochs, snapshot_period)
+        config, inputs = _load_run_inputs(config_path, scenario_name, epochs, snapshot_period)
         if not config.sweep:
             _usage_fail("no sweep section in config")
         project = Project.load_or_create(project_name, root=home)
@@ -200,8 +197,7 @@ def cmd_sweep(config_path, scenario_name, epochs, snapshot_period, batches, mast
             epochs=epochs,
             snapshot_period=snapshot_period,
             master_seed=master_seed,
-            registry_factory=registry_factory,
-            base_dir=base_dir,
+            **inputs,
         )
     except CrowdkitError as exc:
         _fail(exc)

@@ -678,16 +678,8 @@ def _resolve(path: str, base_dir) -> Path:
     return Path(base_dir) / path
 
 
-def _structure_file(structure: FileStructure, base_dir=None) -> Path:
-    """The edge-list or GEXF file a structure reads; a missing file is a ConfigError."""
-    path = _resolve(structure.path, base_dir)
-    if not path.is_file():
-        raise ConfigError(f"structure file not found: {path}", "structure.file.path")
-    return path
-
-
 def build_graph(config: ProjectConfig, rng: np.random.Generator, base_dir=None) -> Graph:
-    """Realize the structure section into a Graph (drawing from rng if random)."""
+    """Realize the structure section into a Graph (drawing from rng if random; a file draws nothing)."""
     s = config.structure
     if isinstance(s, RandomStructure):
         if s.generator == "random-regular":
@@ -695,7 +687,9 @@ def build_graph(config: ProjectConfig, rng: np.random.Generator, base_dir=None) 
         if s.generator == "barabasi-albert":
             return generate_barabasi_albert(s.count, s.m, rng)
         return generate_erdos_renyi(s.count, s.p or 0.0, rng)
-    path = _structure_file(s, base_dir)
+    path = _resolve(s.path, base_dir)
+    if not path.is_file():
+        raise ConfigError(f"structure file not found: {path}", "structure.file.path")
     if s.format == "edge-list":
         return load_edge_list(path, directed=s.directed)
     graph, _, _ = gexf_io.load_gexf(path)

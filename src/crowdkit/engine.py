@@ -63,8 +63,12 @@ from .config import (
     ProjectConfig,
     build_graph,
     build_rules,
+    expand_sweep,
     initialize_population,
     serialize_config,
+    sweep_assignments,
+    sweep_label_violations,
+    sweep_labels,
 )
 from .errors import CollectError, ConfigError, HookError
 from .graph import AttributeTable, Graph, NodeStates, write_atomic
@@ -493,7 +497,8 @@ def batch_run(
 
     A failing batch is recorded in its outcome and does not stop the others.
     ``registry_factory`` is invoked once per batch so hook closures never
-    leak state across replicas.
+    leak state across replicas. ``graph``, when given, is copied for each
+    batch in place of building the config's structure.
     """
     if batches < 1:
         raise ConfigError(f"batches must be >= 1, got {batches}")
@@ -544,10 +549,13 @@ def sweep_run(
     master_seed: int = 0,
     registry_factory=None,
     base_dir=None,
+    graph: Graph | None = None,
 ) -> list[SweepOutcome]:
-    """Expand the sweep section and batch-run each variant under its label dir."""
-    from .config import expand_sweep, sweep_assignments, sweep_label_violations, sweep_labels
+    """Expand the sweep section and batch-run each variant under its label dir.
 
+    ``graph`` is handed to ``batch_run`` for every variant whose ``structure``
+    equals the config's; a variant whose structure differs builds its own.
+    """
     if not config.sweep:
         raise ConfigError("config has no sweep section")
     violations = sweep_label_violations(config)
@@ -569,6 +577,7 @@ def sweep_run(
             sweep_index=index,
             registry_factory=registry_factory,
             base_dir=base_dir,
+            graph=graph if variant.structure == config.structure else None,
         )
         outcomes.append(
             SweepOutcome(

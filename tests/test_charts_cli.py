@@ -6,12 +6,16 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdkit import CollectError, SeriesRecorder, load_gexf, merge_labeled
+import crowdkit.cli as cli_mod
+import crowdkit.engine as engine_mod
+from crowdkit import CollectError, SeriesRecorder, batch_run, load_config, load_edge_list, load_gexf, merge_labeled
 from crowdkit.charts import (
     CHART_KINDS,
     extract_series,
@@ -19,6 +23,9 @@ from crowdkit.charts import (
     write_chart,
 )
 from crowdkit.cli import main
+from crowdkit.collect import RUN_META_FILE
+from crowdkit.config import build_graph
+from crowdkit.scenarios import SCENARIOS, fixture_path
 
 runner = CliRunner()
 
@@ -490,6 +497,141 @@ class TestSweepCommand:
         res = invoke("sweep", "--config", cfg)
         assert res.exit_code == 2
         assert "sweep" in res.output
+
+
+# ---------------------------------------------------------------------------
+# CLI: a structure file is read once per command
+# ---------------------------------------------------------------------------
+
+
+def write_edge_list(path: Path, seed: int, nodes: int = 120, edges: int = 400) -> Path:
+    """A connected random edge list: a random spanning tree, then random extra edges."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, int(rng.integers(0, i))) for i in range(1, nodes)]
+    seen = {(v, u) for u, v in pairs}
+    while len(pairs) < edges:
+        u, v = sorted(rng.integers(0, nodes, 2).tolist())
+        if u != v and (u, v) not in seen:
+            seen.add((u, v))
+            pairs.append((u, v))
+    path.write_text("".join(f"{u} {v}\n" for u, v in pairs), encoding="utf-8")
+    return path
+
+
+def write_infmax(tmp_path: Path, sweep: dict | None = None) -> Path:
+    """The infmax fixture on a 120-node, 400-edge ``edges.txt`` with 5 PageRank seeds."""
+    write_edge_list(tmp_path / "edges.txt", seed=0)
+    mapping = yaml.safe_load(fixture_path("infmax.yaml").read_text(encoding="utf-8"))
+    mapping["structure"]["file"]["path"] = "edges.txt"
+    nodetypes = mapping["definitions"]["pd-model"]["nodetypes"]
+    nodetypes["Active_Spreader"]["choose_with_metric"]["count"] = 5
+    nodetypes["Inactive"]["random-with-count"]["count"] = 115
+    mapping["definitions"]["pd-model"]["network-parameters"] = {"pressure": 0.0}
+    if sweep:
+        mapping["sweep"] = sweep
+    path = tmp_path / "infmax.yaml"
+    path.write_text(yaml.safe_dump(mapping, sort_keys=False), encoding="utf-8")
+    return path
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` but run-meta.json (which holds timings), by relative path."""
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and p.name != RUN_META_FILE
+    }
+
+
+@pytest.fixture
+def count_graph_builds(monkeypatch):
+    """Count ``build_graph`` calls made by the CLI and by the engine."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].structure)
+        return build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "build_graph", counted)
+    monkeypatch.setattr(engine_mod, "build_graph", counted)
+    return calls
+
+
+def test_run_with_the_cli_graph_writes_the_bytes_of_loading_the_file_per_batch(tmp_path, project_home):
+    cfg = write_infmax(tmp_path)
+    res = invoke("run", "--config", cfg, "--scenario", "infmax", "--epochs", 3, "--snapshot", 1, "--batches", 3)
+    assert res.exit_code == 0, res.output
+    sim_dir = Path(res.output.splitlines()[0]).parent
+    reference = batch_run(
+        load_config(cfg),
+        tmp_path / "reference",
+        batches=3,
+        epochs=3,
+        snapshot_period=1,
+        master_seed=0,
+        registry_factory=SCENARIOS["infmax"].make_hooks,
+        base_dir=cfg.parent,
+    )
+    assert all(outcome.error is None for outcome in reference)
+    written = tree_bytes(sim_dir)
+    assert written == tree_bytes(tmp_path / "reference")
+    assert len([name for name in written if "snapshots" in name]) == 3 * 4
+
+
+def test_a_structure_file_is_read_once_per_run_and_per_sweep(tmp_path, project_home, count_graph_builds):
+    cfg = write_infmax(tmp_path, sweep={"definitions.network-parameters.pressure": [0.1, 0.2]})
+    res = invoke("run", "--config", cfg, "--scenario", "infmax", "--epochs", 2, "--batches", 3)
+    assert res.exit_code == 0, res.output
+    assert len(count_graph_builds) == 1
+    res = invoke("sweep", "--config", cfg, "--scenario", "infmax", "--epochs", 2, "--batches", 2)
+    assert res.exit_code == 0, res.output
+    assert "[pressure=0.1]" in res.output and "[pressure=0.2]" in res.output
+    assert len(count_graph_builds) == 2
+
+
+STRUCTURE_FAULTS = {
+    "bad edge-list line": ("edge-list", "0 1\n1 2 # x\n", "line 2: expected 2 fields"),
+    "missing file": ("edge-list", None, "structure file not found"),
+    "malformed gexf": ("gexf", "<gexf><graph>", "malformed XML"),
+    "counts do not match": ("edge-list", "0 1\n1 2\n", "type counts sum to 120, expected node count 3"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("fault", sorted(STRUCTURE_FAULTS))
+def test_a_bad_structure_file_exits_2_before_anything_is_written(tmp_path, project_home, command, fault):
+    fmt, text, message = STRUCTURE_FAULTS[fault]
+    cfg = write_infmax(tmp_path, sweep={"definitions.network-parameters.pressure": [0.1, 0.2]})
+    mapping = yaml.safe_load(cfg.read_text(encoding="utf-8"))
+    structure = tmp_path / "structure.txt"
+    if text is not None:
+        structure.write_text(text, encoding="utf-8")
+    mapping["structure"]["file"] = {"path": structure.name, "format": fmt}
+    cfg.write_text(yaml.safe_dump(mapping, sort_keys=False), encoding="utf-8")
+    res = invoke(command, "--config", cfg, "--scenario", "infmax", "--epochs", 2, "--batches", 2)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    if fault == "counts do not match":
+        assert res.output.startswith("invalid config:\n")
+    else:
+        [line] = res.output.splitlines()
+        assert line.startswith("error: ") and str(structure) in line
+    assert not list(project_home.iterdir())
+
+
+def test_a_sweep_over_the_structure_file_runs_each_variant_on_its_own_file(tmp_path, project_home, count_graph_builds):
+    cfg = write_infmax(tmp_path, sweep={"structure.file.path": ["edges.txt", "other.txt"]})
+    write_edge_list(tmp_path / "other.txt", seed=1)
+    res = invoke("sweep", "--config", cfg, "--scenario", "infmax", "--epochs", 1, "--snapshot", 1)
+    assert res.exit_code == 0, res.output
+    # The command's read of edges.txt, and the batch of the variant whose structure differs.
+    assert [structure.path for structure in count_graph_builds] == ["edges.txt", "other.txt"]
+    links = {}
+    for name in ("edges.txt", "other.txt"):
+        snapshot = project_home / "default" / "influence-cascade" / f"path={name}" / "batch-0" / "snapshots" / "iter_0.json"
+        links[name] = sorted(map(tuple, json.loads(snapshot.read_text(encoding="utf-8"))["graph"]["links"]))
+        assert links[name] == sorted(load_edge_list(tmp_path / name).edges())
+    assert links["edges.txt"] != links["other.txt"]
 
 
 # ---------------------------------------------------------------------------
