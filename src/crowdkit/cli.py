@@ -21,7 +21,7 @@ import click
 from . import __version__
 from .charts import CHART_KINDS, write_chart
 from .collect import export_gexf, merge_parent_directory, merge_simulations, read_snapshot, snapshot_path
-from .config import FileStructure, build_graph, load_config, validate
+from .config import FileStructure, build_graph, expand_sweep, load_config, validate
 from .engine import (
     HOME_ENV_VAR,
     Project,
@@ -123,8 +123,13 @@ def _run_options(command):
     return command
 
 
-def _load_run_inputs(config_path, scenario_name, epochs, snapshot_period):
-    """The config, and the registry_factory, base_dir and graph run/sweep pass on; reads a structure file once."""
+def _load_run_inputs(config_path, scenario_name, epochs, snapshot_period, sweep=False):
+    """The config, and the keywords ``run`` passes on (registry_factory, base_dir, graph) or, with ``sweep``,
+    those ``sweep`` passes on (graphs in place of graph).
+
+    Each distinct structure file is read once, before anything is written: the config's and, for a sweep, every
+    variant's. A file that cannot be read, or type counts that do not match its nodes, exits 2 here.
+    """
     if snapshot_period is not None and snapshot_period > epochs:
         _usage_fail(f"--snapshot must be <= --epochs, got {snapshot_period} with --epochs {epochs}")
     scenario = SCENARIOS[scenario_name] if scenario_name else None
@@ -135,15 +140,29 @@ def _load_run_inputs(config_path, scenario_name, epochs, snapshot_period):
     config_path = Path(config_path)
     config = load_config(config_path)
     base_dir = config_path.parent
-    graph = build_graph(config, None, base_dir=base_dir) if isinstance(config.structure, FileStructure) else None
-    violations = validate(config, node_count_hint=None if graph is None else graph.num_nodes)
+    graphs = {}  # structure -> its graph, for each distinct structure file
+    if isinstance(config.structure, FileStructure):  # a file draws nothing from the RNG
+        graphs[config.structure] = build_graph(config, None, base_dir=base_dir)
+    graph = graphs.get(config.structure)
+    _exit_on_violations(validate(config, node_count_hint=None if graph is None else graph.num_nodes))
+    inputs = {"registry_factory": scenario.make_hooks if scenario else None, "base_dir": base_dir}
+    if not sweep:
+        return config, {**inputs, "graph": graph}
+    if not config.sweep:
+        _usage_fail("no sweep section in config")
+    for variant in expand_sweep(config):
+        if isinstance(variant.structure, FileStructure) and variant.structure not in graphs:
+            built = graphs[variant.structure] = build_graph(variant, None, base_dir=base_dir)
+            _exit_on_violations(validate(variant, node_count_hint=built.num_nodes))
+    return config, {**inputs, "graphs": graphs}
+
+
+def _exit_on_violations(violations: list[str]) -> None:
     if violations:
         click.echo("invalid config:", err=True)
         for violation in violations:
             click.echo(f"  - {violation}", err=True)
         sys.exit(EXIT_USAGE)
-    registry_factory = scenario.make_hooks if scenario else None
-    return config, {"registry_factory": registry_factory, "base_dir": base_dir, "graph": graph}
 
 
 def _report_batches(outcomes) -> bool:
@@ -185,9 +204,7 @@ def cmd_run(config_path, scenario_name, epochs, snapshot_period, batches, master
 def cmd_sweep(config_path, scenario_name, epochs, snapshot_period, batches, master_seed, project_name, sim_name, home):
     """Expand the config's sweep section and run every variant."""
     try:
-        config, inputs = _load_run_inputs(config_path, scenario_name, epochs, snapshot_period)
-        if not config.sweep:
-            _usage_fail("no sweep section in config")
+        config, inputs = _load_run_inputs(config_path, scenario_name, epochs, snapshot_period, sweep=True)
         project = Project.load_or_create(project_name, root=home)
         sim_dir = project.simulation_dir(sim_name or config.name)
         sweep_outcomes = sweep_run(

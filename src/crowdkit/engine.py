@@ -61,6 +61,7 @@ from .collect import (
 from .config import (
     MODEL_DIFFUSION,
     ProjectConfig,
+    Structure,
     build_graph,
     build_rules,
     expand_sweep,
@@ -549,12 +550,13 @@ def sweep_run(
     master_seed: int = 0,
     registry_factory=None,
     base_dir=None,
-    graph: Graph | None = None,
+    graphs: Mapping[Structure, Graph] | None = None,
 ) -> list[SweepOutcome]:
     """Expand the sweep section and batch-run each variant under its label dir.
 
-    ``graph`` is handed to ``batch_run`` for every variant whose ``structure``
-    equals the config's; a variant whose structure differs builds its own.
+    ``graphs`` maps structures to graphs already built from them: a variant
+    whose ``structure`` is a key hands its graph to ``batch_run``; any other
+    variant builds its own in each batch.
     """
     if not config.sweep:
         raise ConfigError("config has no sweep section")
@@ -577,7 +579,7 @@ def sweep_run(
             sweep_index=index,
             registry_factory=registry_factory,
             base_dir=base_dir,
-            graph=graph if variant.structure == config.structure else None,
+            graph=(graphs or {}).get(variant.structure),
         )
         outcomes.append(
             SweepOutcome(

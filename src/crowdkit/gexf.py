@@ -18,7 +18,6 @@ from the column arrays.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 
 import numpy as np
 
@@ -140,6 +139,8 @@ def load_gexf(path) -> tuple[Graph, dict[int, str], AttributeTable]:
     files this module wrote); of several ``<nodes>`` (or ``<edges>``) blocks the
     last is read. ``states`` is empty when no node carries ``node_type``.
     """
+    import xml.etree.ElementTree as ET  # only reading needs the XML parser; a run that writes GEXF never loads it
+
     try:
         root = ET.parse(path).getroot()
     except ET.ParseError as exc:

@@ -10,7 +10,12 @@ Each CSR is built from the sorted pair codes ``u << 32 | v`` of its entries
 (so ids lie below 2**31), in bulk by ``Graph.from_edges`` or a generator; copies
 share the arrays. ``add_edge`` and ``remove_edge`` record each edit in a dict
 keyed by pair code, merged into the CSR's codes in one pass on the next read.
-``csr_matvec`` gathers into a work buffer the CSR keeps (not thread-safe).
+``_code_csr`` finds each row's start by binary search of the codes' source
+words, read through an int32 view of the codes (``_halves``), so building a
+CSR holds no entry-sized temporary beyond its indices. The random-regular
+generator writes its codes' words in place and, as each of its rows holds
+``degree`` entries, takes ``indptr`` from an ``arange``.
+``csr_matvec`` gathers into a work buffer that an iterating caller owns.
 ``load_edge_list`` has ``np.loadtxt`` read the file from its path, renumbers
 ids in first-seen order from one ``argsort``, and names the file on errors.
 
@@ -97,18 +102,27 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _halves(codes: np.ndarray) -> np.ndarray:
+    """Pair codes of non-negative ids as an ``(entries, 2)`` int32 view: column 0 their targets, 1 their sources."""
+    halves = codes.view(np.int32).reshape(-1, 2)
+    return halves if np.little_endian else halves[:, ::-1]
+
+
 class _CSR(tuple):
-    """Read-only CSR ``(indptr, indices)``; ``rows`` (each entry's row id), ``codes`` (its pair code, sorted) and
-    ``gathered`` (``csr_matvec``'s work buffer, one float per entry) are built on first use; not thread-safe."""
+    """Read-only CSR ``(indptr, indices)``; ``rows`` (each entry's row id) and ``codes`` (its pair code, sorted)
+    are built on first use; not thread-safe."""
 
     rows = cached_property(lambda self: _frozen(np.repeat(np.arange(self[0].size - 1), np.diff(self[0]))))
     codes = cached_property(lambda self: _frozen(_pair_codes(self.rows, self[1])))
-    gathered = cached_property(lambda self: np.empty(self[1].size))
 
 
 def _code_csr(n: int, codes: np.ndarray) -> _CSR:
-    """Read-only CSR ``(indptr, indices)`` of sorted, distinct pair codes with ids in ``[0, n)``."""
-    indptr = np.cumsum(np.bincount((codes >> 32) + 1, minlength=n + 1))  # bin u + 1 counts row u
+    """Read-only CSR ``(indptr, indices)`` of sorted, distinct pair codes with ids in ``[0, n)``.
+
+    Each row's start is found by a binary search of the codes' source words, read in place, so beside
+    ``codes`` the build holds only its output and one int32 id per node.
+    """
+    indptr = _halves(codes)[:, 1].searchsorted(np.arange(n + 1, dtype=np.int32))
     return _CSR((_frozen(indptr), _frozen(codes.astype(np.int32))))  # indices: the codes' low 32 bits
 
 
@@ -116,13 +130,14 @@ def _row(csr: tuple[np.ndarray, np.ndarray], v: int) -> np.ndarray:
     return csr[1][csr[0][v] : csr[0][v + 1]]
 
 
-def csr_matvec(csr: _CSR, x: np.ndarray) -> np.ndarray:
+def csr_matvec(csr: _CSR, x: np.ndarray, gathered: np.ndarray | None = None) -> np.ndarray:
     """``A @ x`` for the matrix of ones at the entries of a graph's CSR, summing each row in CSR order
     from 0.0 as scipy does: bit-identical to scipy's ``csr_matrix`` product. ``x`` (float64, one per node, else
-    ``ValueError``) is gathered into the CSR's ``gathered`` buffer, so a product allocates only its result."""
+    ``ValueError``) is gathered into ``gathered``, a float64 work buffer of one slot per entry that an
+    iterating caller owns and reuses, so a product allocates only its result; a one-off product passes None."""
     if x.shape != (csr[0].size - 1,):
         raise ValueError(f"x has shape {x.shape}, expected ({csr[0].size - 1},)")
-    return np.bincount(csr.rows, weights=x.take(csr[1], out=csr.gathered, mode="clip"), minlength=x.size)
+    return np.bincount(csr.rows, weights=x.take(csr[1], out=gathered, mode="clip"), minlength=x.size)
 
 
 def _node_ids(values) -> np.ndarray:
@@ -133,6 +148,14 @@ def _node_ids(values) -> np.ndarray:
     return ids.astype(np.int64)
 
 
+def _node_count(num_nodes: int) -> int:
+    """``num_nodes``, or ``GraphError`` outside ``[0, 2**31)``: pair codes hold ids below 2**31. Checked before
+    anything is allocated."""
+    if not 0 <= num_nodes < 2**31:
+        raise GraphError(f"num_nodes must be in [0, 2**31), got {num_nodes}")
+    return num_nodes
+
+
 class Graph:
     """Simple graph over dense integer node ids, stored as sorted CSR arrays."""
 
@@ -140,15 +163,13 @@ class Graph:
     # _pending: the edits since, pair code -> whether u->v is now an edge (both orientations when undirected).
     __slots__ = ("directed", "num_nodes", "_num_edges", "version", "_out", "_in", "_pending")
 
-    def __init__(self, num_nodes: int, directed: bool = False):
-        if not 0 <= num_nodes < 2**31:  # pair codes hold ids below 2**31; checked before anything is allocated
-            raise GraphError(f"num_nodes must be in [0, 2**31), got {num_nodes}")
+    def __init__(self, num_nodes: int, directed: bool = False, *, _out: tuple[_CSR, int] | None = None):
+        """A graph with no edges; a builder in this module passes ``_out``, its out-CSR and edge count, instead."""
         self.directed = directed
-        self.num_nodes = num_nodes
-        self._num_edges = 0
+        self.num_nodes = _node_count(num_nodes)
         # Bumped on every edit that changes the graph; caches key on it.
         self.version = 0
-        self._out = _code_csr(num_nodes, np.empty(0, dtype=np.int64))
+        self._out, self._num_edges = _out or (_code_csr(num_nodes, np.empty(0, dtype=np.int64)), 0)
         self._in, self._pending = None, {}
 
     @classmethod
@@ -157,21 +178,20 @@ class Graph:
 
         Repeats (and reversed pairs when undirected) collapse; the first bad pair raises ``add_edge``'s error.
         """
-        g = cls(num_nodes, directed)
+        n = _node_count(num_nodes)
         src, dst = _node_ids(src), _node_ids(dst)
         if src.shape != dst.shape:
             raise GraphError(f"{src.size} edge sources but {dst.size} targets")
-        n, pairs = num_nodes, src.size
         bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst)
         if bad.any():  # add_edge raises its error for the first bad pair
-            g.add_edge(src[bad.argmax()].item(), dst[bad.argmax()].item())
+            cls(n, directed).add_edge(src[bad.argmax()].item(), dst[bad.argmax()].item())
         codes = _pair_codes(src, dst) if directed else np.concatenate((_pair_codes(src, dst), _pair_codes(dst, src)))
         codes.sort()  # then drop repeats: many times faster than np.unique here
         distinct = np.ones(codes.size, dtype=bool)
         np.not_equal(codes[1:], codes[:-1], out=distinct[1:])
         codes = codes[distinct]
-        g._out, g._num_edges = _code_csr(n, codes), codes.size if directed else codes.size // 2
-        return g, pairs - g._num_edges
+        edges = codes.size if directed else codes.size // 2
+        return cls(n, directed, _out=(_code_csr(n, codes), edges)), src.size - edges
 
     @property
     def num_edges(self) -> int:
@@ -280,8 +300,8 @@ class Graph:
 
     def copy(self) -> "Graph":
         """An independent graph that shares this graph's read-only arrays."""
-        g = Graph(self.num_nodes, self.directed)
-        g._out, g._in, g._num_edges = self.out_csr(), self._in, self._num_edges
+        g = Graph(self.num_nodes, self.directed, _out=(self.out_csr(), self._num_edges))
+        g._in = self._in
         return g
 
     def __eq__(self, other: object) -> bool:
@@ -673,7 +693,10 @@ class AttributeTable:
 def generate_random_regular(num_nodes: int, degree: int, rng: np.random.Generator) -> Graph:
     """Random d-regular graph via stub pairing with leftover repair.
 
-    Requires num_nodes * degree even and degree < num_nodes.
+    Requires num_nodes * degree even and degree < num_nodes. Memory: a pairing pass holds at most its int32
+    stubs, its pair codes and one sorted copy of them; the CSR step writes every entry's code into one array
+    (beside the edges' codes, then dropped), sorts it in place and holds it only until the int32 indices are
+    copied out. Every row holds ``degree`` entries, so ``indptr`` is an ``arange`` made last.
     """
     if degree < 0 or num_nodes < 0:
         raise GraphError("num_nodes and degree must be non-negative")
@@ -681,17 +704,21 @@ def generate_random_regular(num_nodes: int, degree: int, rng: np.random.Generato
         raise GraphError(f"no {degree}-regular graph on {num_nodes} nodes: odd stub count")
     if degree >= num_nodes and degree > 0:
         raise GraphError(f"degree {degree} must be < num_nodes {num_nodes}")
-    graph = Graph(num_nodes)
-    if degree == 0 or num_nodes == 0:
-        return graph
+    if degree == 0 or _node_count(num_nodes) == 0:
+        return Graph(num_nodes)
 
     for _attempt in range(100):
-        codes = _try_stub_pairing(num_nodes, degree, rng)
-        if codes is not None:  # with each edge's reversed code, sorted in place: the undirected CSR's codes
-            codes = np.concatenate((codes, (codes & 0xFFFFFFFF) << 32 | codes >> 32))
+        edges = _try_stub_pairing(num_nodes, degree, rng)
+        if edges is not None:  # with each edge's reversed code (its words swapped), sorted: the CSR's codes
+            codes = np.empty(2 * edges.size, dtype=np.int64)
+            codes[: edges.size] = edges
+            _halves(codes[edges.size :])[:] = _halves(edges)[:, ::-1]
+            edges = None
             codes.sort()
-            graph._out, graph._num_edges = _code_csr(num_nodes, codes), codes.size // 2
-            return graph
+            indices = codes.astype(np.int32)  # the codes' low 32 bits
+            codes = None
+            csr = _CSR((_frozen(np.arange(0, indices.size + 1, degree)), _frozen(indices)))
+            return Graph(num_nodes, _out=(csr, indices.size // 2))
     raise GraphError(f"could not realize a {degree}-regular graph on {num_nodes} nodes")
 
 
@@ -700,25 +727,41 @@ def _try_stub_pairing(n: int, d: int, rng: np.random.Generator) -> np.ndarray | 
 
     A pass keeps each shuffled stub pair that is no self-loop, taken edge or repeat within it. The draws
     depend only on the stub count and code order is ``(u, v)`` order, so the result is the scalar pairing's.
+    Memory: the int64 stubs live only through the shuffle; a pass writes its pair codes' words in place from
+    the int32 stubs, finds repeats from one sorted copy of the codes, and looks up only the pairs that share a
+    source with a repeat, through a node-sized table.
     """
     taken = np.empty(0, dtype=np.int64)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     while stubs.size:
         rng.shuffle(stubs)  # the draws do not depend on the item size, and 8-byte items swap fastest
-        stubs = stubs.astype(np.int32)  # the pass's arrays are as small as with int32 stubs
+        stubs = stubs.astype(np.int32)
         a, b = stubs[0::2], stubs[1::2]
-        keys = _pair_codes(np.minimum(a, b), np.maximum(a, b))
-        ok = (a != b) & (taken.take(taken.searchsorted(keys), mode="clip") != keys if taken.size else True)
+        keys = np.empty(a.size, dtype=np.int64)
+        np.minimum(a, b, out=_halves(keys)[:, 1])
+        np.maximum(a, b, out=_halves(keys)[:, 0])
+        ok = a != b
+        if taken.size:
+            ok &= taken.take(taken.searchsorted(keys), mode="clip") != keys
         repeats = np.sort(keys)  # then only the repeated keys, so the full sorted copy is freed
         repeats = repeats[1:][repeats[1:] == repeats[:-1]]
         if repeats.size:  # a pair repeated within the pass: only its first copy may be kept
-            where = np.flatnonzero(repeats.take(repeats.searchsorted(keys), mode="clip") == keys)
-            ok[np.setdiff1d(where, where[np.unique(keys[where], return_index=True)[1]])] = False
+            sources = np.zeros(n, dtype=bool)
+            sources[_halves(repeats)[:, 1]] = True
+            where = np.flatnonzero(sources[_halves(keys)[:, 1]])
+            where = where[repeats.take(repeats.searchsorted(keys[where]), mode="clip") == keys[where]]
+            later = np.ones(where.size, dtype=bool)
+            later[np.unique(keys[where], return_index=True)[1]] = False
+            ok[where[later]] = False
         if not ok.any():
             return None  # stuck; caller restarts from scratch
-        taken = np.concatenate((taken, np.sort(keys[ok])))  # disjoint sorted runs: the stable sort merges them
-        taken.sort(kind="stable")
         stubs = stubs.reshape(-1, 2)[~ok].ravel().astype(np.int64)
+        keys = keys[ok]
+        keys.sort()
+        if taken.size:  # disjoint sorted runs: the stable sort merges them
+            keys = np.concatenate((taken, keys))
+            keys.sort(kind="stable")
+        taken = keys
     return taken
 
 

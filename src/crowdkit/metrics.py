@@ -3,9 +3,9 @@
 All metrics return a full ``{node: score}`` map with finite float scores.
 Ranking ties break deterministically by ascending node id. The power
 iterations sum over the graph's own in-CSR rows with ``csr_matvec``, whose
-gather reuses the CSR's work buffer (so not thread-safe); closeness and
-betweenness walk its out-CSR rows breadth first, one depth at a time for a
-run of sources at once.
+gather reuses one work buffer that the iteration owns, so it is freed on
+return; closeness and betweenness walk its out-CSR rows breadth first, one
+depth at a time for a run of sources at once.
 """
 
 from __future__ import annotations
@@ -47,11 +47,12 @@ def pagerank(graph: Graph, params: dict | None = None) -> dict[int, float]:
     dangling = out_deg == 0
     inv_out = np.where(dangling, 0.0, 1.0 / np.maximum(out_deg, 1))
     in_rows = graph.in_csr()
+    gathered = np.empty(in_rows[1].size)
 
     x = np.full(n, 1.0 / n)
     base = (1.0 - damping) / n
     for _ in range(max_iter):
-        nxt = base + damping * csr_matvec(in_rows, x * inv_out)
+        nxt = base + damping * csr_matvec(in_rows, x * inv_out, gathered)
         nxt += damping * x[dangling].sum() / n
         if np.abs(nxt - x).sum() < tol:
             return {v: float(nxt[v]) for v in range(n)}
@@ -149,9 +150,10 @@ def eigenvector_centrality(graph: Graph, params: dict | None = None) -> dict[int
     tol = float(params.get("tol", EIGEN_TOL))
     max_iter = int(params.get("max_iter", EIGEN_MAX_ITER))
     in_rows = graph.in_csr()
+    gathered = np.empty(in_rows[1].size)
     x = np.full(n, 1.0 / np.sqrt(n))
     for _ in range(max_iter):
-        nxt = csr_matvec(in_rows, x) + x
+        nxt = csr_matvec(in_rows, x, gathered) + x
         norm = np.linalg.norm(nxt)
         if norm == 0.0:
             return dict.fromkeys(range(n), 0.0)
@@ -175,9 +177,10 @@ def katz_centrality(graph: Graph, params: dict | None = None) -> dict[int, float
     tol = float(params.get("tol", EIGEN_TOL))
     max_iter = int(params.get("max_iter", EIGEN_MAX_ITER))
     in_rows = graph.in_csr()
+    gathered = np.empty(in_rows[1].size)
     x = np.full(n, beta)
     for _ in range(max_iter):
-        nxt = alpha * csr_matvec(in_rows, x) + beta
+        nxt = alpha * csr_matvec(in_rows, x, gathered) + beta
         if not np.all(np.isfinite(nxt)) or np.abs(nxt).max() > _DIVERGENCE_LIMIT:
             raise MetricError("katz centrality diverges: alpha >= 1 / spectral radius")
         if np.abs(nxt - x).max() < tol:

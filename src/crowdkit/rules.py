@@ -12,9 +12,10 @@ Compartment kinds:
 
 * ``NodeStochastic`` — eligible when the triggering status is absent or at
   least one in-neighbor (neighbor, when undirected) holds it in the frozen
-  view; fires with probability ``ratio``. A pass marks the out-neighbors of
-  a status's holders in one sweep of the out-CSR, shared by every rule that
-  names it, so a directed graph never builds its in-CSR for a trigger.
+  view; fires with probability ``ratio``. A pass first marks, for each
+  triggering status, the out-neighbors of its holders from the holders'
+  out-rows alone (as ``ic_step`` reads the spreaders'), shared by every rule
+  that names it, so a directed graph never builds its in-CSR for a trigger.
 * ``CountDown`` — a per-node counter starts at ``iteration_count`` on the
   first evaluation after the node enters the rule's source type and is
   decremented on every evaluation, firing when it reaches zero. A node that
@@ -29,6 +30,11 @@ categorical) rule that a node reaches while eligible, in ascending node id and
 then declaration order, and none after the rule that fired. A pass takes them
 with one ``rng.random`` call, rewinding the generator when nodes fired before
 using every draw they might have needed.
+
+Memory: a pass holds node ids and member positions as int32, counts each
+node's draws and turns the counts into its first draw's index in one array,
+makes the rewind's shift only when a draw goes unused, and builds the
+counters it keeps after the draws are decided.
 
 Count-down clearing: leaving the source type by any means clears the counter.
 A rule move clears the node's counters of the type it left, and a pass drops
@@ -102,18 +108,25 @@ class CountdownLedger:
         return arr
 
 
-def _drawing_rule(comp, members, state, graph, attrs, ledger, swept) -> tuple[np.ndarray, float]:
+def _out_neighbors(graph: Graph, holders: np.ndarray) -> np.ndarray:
+    """A node mask of every out-neighbor (neighbor, when undirected) of ``holders``, read from their out-rows."""
+    indptr, indices = graph.out_csr()
+    starts = indptr[holders]
+    lengths = indptr[holders + 1] - starts
+    entries = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)  # the rows' entries, row after row
+    entries += np.arange(entries.size)
+    hit = np.zeros(graph.num_nodes, dtype=bool)
+    hit[indices[entries]] = True
+    return hit
+
+
+def _drawing_rule(comp, members, attrs, ledger, marked) -> tuple[np.ndarray, float]:
     """Which ``members`` may draw for a stochastic or categorical compartment, and its probability.
-    ``swept``: this pass's trigger masks by status, each made on first use by one out-CSR sweep."""
+    ``marked``: this pass's trigger masks by status (see ``_out_neighbors``)."""
     if type(comp) is NodeStochastic:
         if comp.triggering_status is None:
             return np.ones(members.size, dtype=bool), comp.ratio
-        hit = swept.get(comp.triggering_status)
-        if hit is None:  # mark every out-neighbor (neighbor, when undirected) of a node holding the trigger
-            indptr, indices = graph.out_csr()
-            hit = swept[comp.triggering_status] = np.zeros(graph.num_nodes, dtype=bool)
-            hit[indices[np.repeat(state.mask(comp.triggering_status), np.diff(indptr))]] = True
-        return hit[members], comp.ratio
+        return marked[comp.triggering_status][members], comp.ratio
     if type(comp) is NodeCategorical:
         column = attrs.node.get(comp.attribute)
         values = np.full(members.size, None) if column is None else column.take(members, None)
@@ -130,11 +143,12 @@ def _drawing_rule(comp, members, state, graph, attrs, ledger, swept) -> tuple[np
 def _walk(group, size, draws, passes, counters) -> tuple[dict, dict[int, np.ndarray]]:
     """Walk a source type's rules in declaration order over its ``size`` members.
 
-    ``draws[j]``: drawing rule j's (eligible mask, probability); ``passes[j]``:
-    the positions of members whose draw for it succeeds (``None``: every draw
-    fails). Updates ``counters`` (name -> member counters) where a count-down
-    is reached. Returns the members each rule moves (a mask or positions) and,
-    for ``passes`` None, the drawing members' positions per drawing rule.
+    ``draws[j]``: drawing rule j's (eligible mask, probability), read only
+    when ``passes`` is None; ``passes[j]``: the positions of members whose
+    draw for it succeeds (``None``: every draw fails). Updates ``counters``
+    (name -> member counters) where a count-down is reached. Returns the
+    members each rule moves (a mask or positions) and, for ``passes`` None,
+    the drawing members' positions per drawing rule, as int32.
     """
     alive = np.ones(size, dtype=bool)
     moved, drawn = {}, {}
@@ -146,7 +160,7 @@ def _walk(group, size, draws, passes, counters) -> tuple[dict, dict[int, np.ndar
             fires = alive & (left <= 0)
             counters[comp.name] = np.where(alive, np.where(fires, 0, left), current)
         elif passes is None:
-            drawn[j] = np.flatnonzero(alive & draws[j][0])
+            drawn[j] = np.flatnonzero(alive & draws[j][0]).astype(np.int32)
             continue
         else:
             fires = passes[j][alive[passes[j]]]
@@ -177,17 +191,21 @@ def apply_rules(
         groups.setdefault(rule.from_type, []).append(rule)
     if not isinstance(state, NodeStates):
         state = NodeStates.from_mapping(state, n, dict.fromkeys([*state.values(), *(r.to_type for r in rules)]))
-    # Counters survive the pass only for nodes in a source type of their name.
-    kept = {r.compartment.name: np.zeros(n, dtype=np.int32) for r in rules if type(r.compartment) is CountDown}
-
+    triggers = (r.compartment.triggering_status for r in rules if type(r.compartment) is NodeStochastic)
+    marked = {
+        status: _out_neighbors(graph, np.flatnonzero(state.mask(status)).astype(np.int32))
+        for status in dict.fromkeys(triggers)
+        if status is not None
+    }
     # Every draw a node could need: one per eligible drawing rule it reaches
-    # when all of its earlier draws fail.
-    plans, swept = [], {}
-    slots = np.zeros(n, dtype=np.int32)
+    # when all of its earlier draws fail. start[v + 1] counts node v's, then
+    # an in-place cumsum makes start[v] the index of its first draw.
+    plans = []
+    start = np.zeros(n + 1, dtype=np.int32)
     for from_type, group in groups.items():
-        members = np.flatnonzero(state.mask(from_type))
+        members = np.flatnonzero(state.mask(from_type)).astype(np.int32)
         draws = {
-            j: _drawing_rule(rule.compartment, members, state, graph, attrs, ledger, swept)
+            j: _drawing_rule(rule.compartment, members, attrs, ledger, marked)
             for j, rule in enumerate(group)
             if type(rule.compartment) is not CountDown
         }
@@ -198,21 +216,21 @@ def apply_rules(
         }
         _, drawn = _walk(group, members.size, draws, None, dict(counters))
         for at in drawn.values():
-            slots[members[at]] += 1
-        plans.append((group, members, draws, counters, drawn))
+            start[members[at] + 1] += 1
+        plans.append((group, members, {j: chance for j, (_, chance) in draws.items()}, counters, drawn))
+    del marked
 
-    start = np.cumsum(slots, dtype=np.int32) - slots
+    np.cumsum(start, out=start)
     saved = rng.bit_generator.state
-    values = rng.random(int(slots.sum()))
+    values = rng.random(int(start[n]))
     # A node that fires before its last possible draw leaves the rest unused,
     # so every later node's draws start that much earlier.
     pending = {}  # node -> probability of each draw it may take; a node's only draw is never left unused
-    for _, members, draws, _, drawn in plans:
+    for _, members, chances, _, drawn in plans:
         for j, at in drawn.items() if len(drawn) > 1 else ():
             for node in members[at].tolist():
-                pending.setdefault(node, []).append(draws[j][1])
-    unused = np.zeros(n, dtype=np.int32)
-    skipped = 0
+                pending.setdefault(node, []).append(chances[j])
+    skipped, unused = 0, {}  # node -> the draws it leaves unused
     for node, probabilities in sorted(pending.items()):
         hits = np.flatnonzero(values[start[node] - skipped :][: len(probabilities)] < probabilities)
         unused[node] = len(probabilities) - 1 - hits[0] if hits.size else 0
@@ -222,21 +240,26 @@ def apply_rules(
         # buffered 32-bit half-word left by an earlier bounded draw.
         rng.bit_generator.state = saved
         rng.random(values.size - skipped)
-        start -= np.cumsum(unused, dtype=np.int32) - unused
+        shift = np.zeros(n + 1, dtype=np.int32)
+        shift[[node + 1 for node in unused]] = list(unused.values())
+        start -= np.cumsum(shift, out=shift)
 
     moves = NodeStates(state.types, n)
-    for group, members, draws, counters, drawn in plans:
+    kept = {}  # counters survive the pass only for nodes in a source type of their name
+    for group, members, chances, counters, drawn in plans:
         passes = {}
         for j, at in drawn.items():
             nodes = members[at]
-            passes[j] = at[values[start[nodes]] < draws[j][1]]
+            passes[j] = at[values[start[nodes]] < chances[j]]
             start[nodes] += 1  # the node's next draw
-        moved, _ = _walk(group, members.size, draws, passes, counters)
+        moved, _ = _walk(group, members.size, None, passes, counters)
         for j, fires in moved.items():
             moves.codes[members[fires]] = state.code_of[group[j].to_type]
             for left in counters.values():
                 left[fires] = 0
         for name, left in counters.items():
+            if name not in kept:
+                kept[name] = np.zeros(n, dtype=np.int32)
             kept[name][members] = left
     ledger._counters.update(kept)
     return moves

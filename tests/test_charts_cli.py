@@ -634,6 +634,17 @@ def test_a_sweep_over_the_structure_file_runs_each_variant_on_its_own_file(tmp_p
     assert links["edges.txt"] != links["other.txt"]
 
 
+def test_a_bad_file_in_a_structure_sweep_exits_2_before_anything_is_written(tmp_path, project_home):
+    cfg = write_infmax(tmp_path, sweep={"structure.file.path": ["good.txt", "bad.txt"]})
+    write_edge_list(tmp_path / "good.txt", seed=1)
+    (tmp_path / "bad.txt").write_text("0 1\n1 2 # x\n", encoding="utf-8")
+    res = invoke("sweep", "--config", cfg, "--scenario", "infmax", "--epochs", 1)
+    assert res.exit_code == 2, res.output
+    [line] = res.output.splitlines()
+    assert line.startswith("error: ") and str(tmp_path / "bad.txt") in line and "line 2: expected 2 fields" in line
+    assert not list(project_home.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # CLI: merge
 # ---------------------------------------------------------------------------

@@ -566,15 +566,16 @@ def test_csr_matvec_matches_scipy_product(g, data):
     n = g.num_nodes
     x, y = (np.array(data.draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)), dtype=np.float64)
             for _ in range(2))
-    first = csr_matvec(g.out_csr(), x)
+    gathered = np.empty(g.out_csr()[1].size)
+    first = csr_matvec(g.out_csr(), x, gathered)
     assert first.tobytes() == (to_sparse(g) @ x).tobytes()
-    # A second product on the same CSR reuses its work buffer; the first result keeps its bytes.
-    assert csr_matvec(g.out_csr(), y).tobytes() == (to_sparse(g) @ y).tobytes()
+    # A second product through the same work buffer; the first result keeps its bytes.
+    assert csr_matvec(g.out_csr(), y, gathered).tobytes() == (to_sparse(g) @ y).tobytes()
     assert first.tobytes() == (to_sparse(g) @ x).tobytes()
-    assert csr_matvec(g.in_csr(), x).tobytes() == (ref_in_operator(g) @ x).tobytes()
+    assert csr_matvec(g.in_csr(), x).tobytes() == (ref_in_operator(g) @ x).tobytes()  # into a fresh buffer
     for wrong in (x[:-1], np.append(x, 1.0)):  # a clipped gather would read a short x without an error
         with pytest.raises(ValueError, match="expected"):
-            csr_matvec(g.out_csr(), wrong)
+            csr_matvec(g.out_csr(), wrong, gathered)
 
 
 @settings(max_examples=200, deadline=None)

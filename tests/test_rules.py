@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +21,11 @@ from crowdkit import (
     NodeStochastic,
     Rule,
     apply_rules,
+    fixture_path,
+    parse_config,
 )
+from crowdkit.config import build_graph, build_rules, initialize_population
+from crowdkit.engine import derive_seed
 
 
 def make_rng(seed: int = 0) -> np.random.Generator:
@@ -491,3 +497,28 @@ def test_property_array_pass_matches_scalar_reference(case, seed):
             if u != v:
                 for graph in (g, ref_g):
                     (graph.add_edge if add else graph.remove_edge)(u, v)
+
+
+def test_sir_pass_at_100k_stays_small():
+    """Ten rule passes of the SIR fixture at 100k nodes (the sir-100k-mem run) each peak at no more than
+    2.5 MiB of numpy memory above what is live when the pass starts, its result included."""
+    mapping = yaml.safe_load(fixture_path("sir.yaml").read_text(encoding="utf-8"))
+    mapping["structure"]["random"]["count"] = 100_000
+    config = parse_config(mapping)
+    rng = make_rng(derive_seed(0))
+    graph = build_graph(config, rng)
+    states, attrs, _ = initialize_population(graph, config, rng)
+    rules, ledger = build_rules(config.definitions), CountdownLedger()
+    above_live = []
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            moves = apply_rules(states, graph, attrs, rules, ledger, rng)
+            above_live.append(tracemalloc.get_traced_memory()[1] - live)
+            states.update(moves)
+    finally:
+        tracemalloc.stop()
+    assert states.count("Recovered") > 0  # the passes moved nodes through both rules
+    assert max(above_live) <= 2.5 * 2**20, [f"{b / 2**20:.2f}" for b in above_live]

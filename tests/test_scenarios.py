@@ -885,9 +885,10 @@ for scenario, config in (("infmax", parse_config((base / "infmax.yaml").read_tex
                          ("trust", load_config(crowdkit.fixture_path("trust.yaml")))):
     registry, setup = SCENARIOS[scenario].make_hooks()
     simulate(config, epochs=3, registry=registry, setup=setup, base_dir=base)
-# scipy, and what xml.sax.saxutils would pull in, load only on the paths that need them.
-print(sorted(name for name in sys.modules
-             if name.split(".")[0] == "scipy" or name in ("xml.sax.saxutils", "urllib.request", "http.client")))
+# scipy, what xml.sax.saxutils would pull in, and the XML parser GEXF reading needs load only on the paths
+# that need them.
+absent = ("xml.sax.saxutils", "urllib.request", "http.client", "xml.etree.ElementTree", "pyexpat")
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy" or name in absent))
 """
 
 
