@@ -12,6 +12,7 @@ export. Exit codes are a stable contract for scripting:
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -60,11 +61,6 @@ def _fail(exc: Exception) -> None:
     sys.exit(_exit_code_for(exc))
 
 
-def _usage_fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_USAGE)
-
-
 @click.group()
 @click.version_option(version=__version__)
 def main():
@@ -105,25 +101,7 @@ def project_list(home):
         click.echo(name)
 
 
-def _run_options(command):
-    """The options ``run`` and ``sweep`` share, declared once."""
-    options = [
-        click.option("--config", "config_path", type=click.Path(path_type=Path), default=None, help="Config YAML path."),
-        click.option("--scenario", "scenario_name", type=click.Choice(sorted(SCENARIOS)), default=None, help="Attach a built-in scenario's hooks (and use its fixture when --config is omitted)."),
-        click.option("--epochs", type=click.IntRange(min=1), default=50, show_default=True, help="Number of iterations."),
-        click.option("--snapshot", "snapshot_period", type=click.IntRange(min=1), default=None, help="Snapshot every N iterations."),
-        click.option("--batches", type=click.IntRange(min=1), default=1, show_default=True, help="Independent replicas."),
-        click.option("--seed", "master_seed", type=int, default=0, show_default=True, help="Master seed."),
-        click.option("--project", "project_name", default="default", show_default=True, help="Project name."),
-        click.option("--name", "sim_name", default=None, help="Simulation directory name (default: config name)."),
-        _home_option,
-    ]
-    for option in reversed(options):
-        command = option(command)
-    return command
-
-
-def _load_run_inputs(config_path, scenario_name, epochs, snapshot_period, sweep=False):
+def _load_run_inputs(config_path, scenario_name, epochs, snapshot_period, sweep):
     """The config, and the keywords ``run`` passes on (registry_factory, base_dir, graph) or, with ``sweep``,
     those ``sweep`` passes on (graphs in place of graph).
 
@@ -131,11 +109,11 @@ def _load_run_inputs(config_path, scenario_name, epochs, snapshot_period, sweep=
     variant's. A file that cannot be read, or type counts that do not match its nodes, exits 2 here.
     """
     if snapshot_period is not None and snapshot_period > epochs:
-        _usage_fail(f"--snapshot must be <= --epochs, got {snapshot_period} with --epochs {epochs}")
+        raise ConfigError(f"--snapshot must be <= --epochs, got {snapshot_period} with --epochs {epochs}")
     scenario = SCENARIOS[scenario_name] if scenario_name else None
     if config_path is None:
         if scenario is None:
-            _usage_fail("provide --config PATH and/or --scenario NAME")
+            raise ConfigError("provide --config PATH and/or --scenario NAME")
         config_path = fixture_path(scenario.fixture)
     config_path = Path(config_path)
     config = load_config(config_path)
@@ -149,7 +127,7 @@ def _load_run_inputs(config_path, scenario_name, epochs, snapshot_period, sweep=
     if not sweep:
         return config, {**inputs, "graph": graph}
     if not config.sweep:
-        _usage_fail("no sweep section in config")
+        raise ConfigError("no sweep section in config")
     for variant in expand_sweep(config):
         if isinstance(variant.structure, FileStructure) and variant.structure not in graphs:
             built = graphs[variant.structure] = build_graph(variant, None, base_dir=base_dir)
@@ -165,26 +143,14 @@ def _exit_on_violations(violations: list[str]) -> None:
         sys.exit(EXIT_USAGE)
 
 
-def _report_batches(outcomes) -> bool:
-    ok = True
-    for outcome in outcomes:
-        if outcome.error is None:
-            click.echo(str(outcome.run_dir))
-        else:
-            ok = False
-            click.echo(f"batch {outcome.batch_index} FAILED: {outcome.error}", err=True)
-    return ok
-
-
-@main.command("run")
-@_run_options
-def cmd_run(config_path, scenario_name, epochs, snapshot_period, batches, master_seed, project_name, sim_name, home):
-    """Run a config (optionally with scenario hooks) for one or more batches."""
+def _run_command(sweep, config_path, scenario_name, epochs, snapshot_period, batches, master_seed, project_name, sim_name,
+                 home):
+    """The ``run`` command, or with ``sweep`` the ``sweep`` command: each run directory on stdout (each variant's
+    after its ``[label]``), each failed batch on stderr, and exit 3 when any failed."""
     try:
-        config, inputs = _load_run_inputs(config_path, scenario_name, epochs, snapshot_period)
-        project = Project.load_or_create(project_name, root=home)
-        sim_dir = project.simulation_dir(sim_name or config.name)
-        outcomes = batch_run(
+        config, inputs = _load_run_inputs(config_path, scenario_name, epochs, snapshot_period, sweep)
+        sim_dir = Project.load_or_create(project_name, root=home).simulation_dir(sim_name or config.name)
+        outcomes = (sweep_run if sweep else batch_run)(
             config,
             sim_dir,
             batches=batches,
@@ -195,35 +161,40 @@ def cmd_run(config_path, scenario_name, epochs, snapshot_period, batches, master
         )
     except CrowdkitError as exc:
         _fail(exc)
-    if not _report_batches(outcomes):
+    failed = False
+    for label, batch_outcomes in [(v.label, v.batch_outcomes) for v in outcomes] if sweep else [(None, outcomes)]:
+        if sweep:
+            click.echo(f"[{label}]")
+        for outcome in batch_outcomes:
+            if outcome.error is None:
+                click.echo(str(outcome.run_dir))
+            else:
+                failed = True
+                click.echo(f"batch {outcome.batch_index} FAILED: {outcome.error}", err=True)
+    if failed:
         sys.exit(EXIT_RUNTIME)
 
 
-@main.command("sweep")
-@_run_options
-def cmd_sweep(config_path, scenario_name, epochs, snapshot_period, batches, master_seed, project_name, sim_name, home):
-    """Expand the config's sweep section and run every variant."""
-    try:
-        config, inputs = _load_run_inputs(config_path, scenario_name, epochs, snapshot_period, sweep=True)
-        project = Project.load_or_create(project_name, root=home)
-        sim_dir = project.simulation_dir(sim_name or config.name)
-        sweep_outcomes = sweep_run(
-            config,
-            sim_dir,
-            batches=batches,
-            epochs=epochs,
-            snapshot_period=snapshot_period,
-            master_seed=master_seed,
-            **inputs,
-        )
-    except CrowdkitError as exc:
-        _fail(exc)
-    ok = True
-    for sweep_outcome in sweep_outcomes:
-        click.echo(f"[{sweep_outcome.label}]")
-        ok = _report_batches(sweep_outcome.batch_outcomes) and ok
-    if not ok:
-        sys.exit(EXIT_RUNTIME)
+def _register(name: str, sweep: bool, summary: str) -> None:
+    """Register ``_run_command`` with ``sweep`` as the command ``name``, under the options both commands share."""
+    command = functools.partial(_run_command, sweep)
+    for option in reversed([
+        click.option("--config", "config_path", type=click.Path(path_type=Path), default=None, help="Config YAML path."),
+        click.option("--scenario", "scenario_name", type=click.Choice(sorted(SCENARIOS)), default=None, help="Attach a built-in scenario's hooks (and use its fixture when --config is omitted)."),
+        click.option("--epochs", type=click.IntRange(min=1), default=50, show_default=True, help="Number of iterations."),
+        click.option("--snapshot", "snapshot_period", type=click.IntRange(min=1), default=None, help="Snapshot every N iterations."),
+        click.option("--batches", type=click.IntRange(min=1), default=1, show_default=True, help="Independent replicas."),
+        click.option("--seed", "master_seed", type=int, default=0, show_default=True, help="Master seed."),
+        click.option("--project", "project_name", default="default", show_default=True, help="Project name."),
+        click.option("--name", "sim_name", default=None, help="Simulation directory name (default: config name)."),
+        _home_option,
+    ]):
+        command = option(command)
+    main.command(name, help=summary)(command)
+
+
+_register("run", False, "Run a config (optionally with scenario hooks) for one or more batches.")
+_register("sweep", True, "Expand the config's sweep section and run every variant.")
 
 
 def _default_label(run_dir: Path) -> str:
@@ -245,20 +216,20 @@ def cmd_merge(mode, dirs, collector_name, out_path, labels_csv, as_json):
     try:
         if mode == "mean":
             if len(dirs) != 1:
-                _usage_fail("mean mode takes exactly one parent directory")
+                raise ConfigError("mean mode takes exactly one parent directory")
             written = merge_parent_directory(dirs[0], collector_name)
         else:
             if not dirs:
-                _usage_fail("labeled mode needs at least one run directory")
+                raise ConfigError("labeled mode needs at least one run directory")
             if collector_name is None:
-                _usage_fail("labeled mode requires --name")
+                raise ConfigError("labeled mode requires --name")
             labels = (
                 [label.strip() for label in labels_csv.split(",")]
                 if labels_csv
                 else [_default_label(Path(d)) for d in dirs]
             )
             if len(labels) != len(dirs):
-                _usage_fail(f"{len(labels)} labels for {len(dirs)} directories")
+                raise ConfigError(f"{len(labels)} labels for {len(dirs)} directories")
             if out_path is None:
                 out_path = Path(f"{collector_name}-labeled.json")
             written = [merge_simulations(list(dirs), labels, collector_name, out_path)]
@@ -340,7 +311,7 @@ def cmd_export(run_dir, iteration, fmt, out_path):
     """Export a snapshot as GEXF."""
     try:
         if fmt != "gexf":
-            _usage_fail(f"unknown export format {fmt!r} (valid: gexf)")
+            raise ConfigError(f"unknown export format {fmt!r} (valid: gexf)")
         path = _snapshot_path(Path(run_dir), iteration)
         if out_path is None:
             out_path = Path(run_dir) / f"export-iter_{iteration}.gexf"

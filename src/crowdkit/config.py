@@ -692,8 +692,7 @@ def build_graph(config: ProjectConfig, rng: np.random.Generator, base_dir=None) 
         raise ConfigError(f"structure file not found: {path}", "structure.file.path")
     if s.format == "edge-list":
         return load_edge_list(path, directed=s.directed)
-    graph, _, _ = gexf_io.load_gexf(path)
-    return graph
+    return gexf_io.read_gexf(path)[0]  # the topology alone: no attribute column is built
 
 
 def _read_node_id_file(path: Path) -> list[int]:

@@ -1,4 +1,4 @@
-"""GEXF 1.2 documents: ``gexf_document`` renders one, ``load_gexf`` reads one.
+"""GEXF 1.2 documents: ``gexf_document`` renders one, ``load_gexf`` reads one (``read_gexf`` without columns).
 
 ``collect.write_gexf`` writes one to disk atomically; ``load_gexf`` reads tags by local name, in any namespace or none.
 
@@ -132,8 +132,8 @@ def gexf_document(graph: Graph, states: dict[int, str] | None = None, attrs: Att
     return "".join(out)
 
 
-def load_gexf(path) -> tuple[Graph, dict[int, str], AttributeTable]:
-    """Read a GEXF 1.2 file into (graph, states, attributes).
+def read_gexf(path) -> tuple[Graph, dict[int, str], dict[str, dict], dict[str, dict]]:
+    """``load_gexf``'s reading, with the node and edge attributes as ``{key: {id or pair: value}}``: no column is built.
 
     Node ids are remapped to dense 0-based ids in document order (identity for
     files this module wrote); of several ``<nodes>`` (or ``<edges>``) blocks the
@@ -208,10 +208,17 @@ def load_gexf(path) -> tuple[Graph, dict[int, str], AttributeTable]:
         for key, value in attvalues(edge, "edge"):
             base = key.removesuffix(_REVERSE_SUFFIX)
             edge_columns.setdefault(base, {})[(u, v) if base == key else (v, u)] = value
+    graph = Graph.from_edges(len(id_map), src, dst, graph_el.get("defaultedgetype") == "directed")[0]
+    return graph, states, node_columns, edge_columns
+
+
+def load_gexf(path) -> tuple[Graph, dict[int, str], AttributeTable]:
+    """Read a GEXF 1.2 file into (graph, states, attributes), as ``read_gexf`` reads it."""
+    graph, states, node_columns, edge_columns = read_gexf(path)
     attrs = AttributeTable()
     try:
         attrs.node.update(node_columns)  # each column built at once from its values
         attrs.edge.update(edge_columns)
     except GraphError as exc:  # e.g. an edge column whose reverse values hold another kind
         raise GexfError(f"{path}: {exc}") from exc
-    return Graph.from_edges(len(id_map), src, dst, graph_el.get("defaultedgetype") == "directed")[0], states, attrs
+    return graph, states, attrs

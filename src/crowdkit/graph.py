@@ -466,6 +466,8 @@ class AttributeColumn(MutableMapping):
             codes = _split_codes(keys)
             keys = keys if codes is not None else np.column_stack(keys) if len(keys[0]) else ()
         values, self.kind = _typed(name, values)
+        if keys is None and not edge:  # default node ids are their own sorted codes; an edge column's raise below
+            codes = np.arange(values.size)
         self._set(self._codes(np.arange(values.size) if keys is None else keys) if codes is None else codes, values)
 
     def _set(self, codes: np.ndarray, values: np.ndarray) -> None:

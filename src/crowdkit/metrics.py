@@ -1,11 +1,12 @@
 """Node centrality metrics and top-k selection.
 
 All metrics return a full ``{node: score}`` map with finite float scores.
-Ranking ties break deterministically by ascending node id. The power
-iterations sum over the graph's own in-CSR rows with ``csr_matvec``, whose
-gather reuses one work buffer that the iteration owns, so it is freed on
-return; closeness and betweenness walk its out-CSR rows breadth first, one
-depth at a time for a run of sources at once.
+Ranking ties break deterministically by ascending node id. PageRank,
+eigenvector and Katz centrality are each one step and one distance run by
+the one power loop ``_power``, which sums over the graph's own in-CSR rows
+with ``csr_matvec``, whose gather reuses one work buffer that the loop owns,
+so it is freed on return; closeness and betweenness walk its out-CSR rows
+breadth first, one depth at a time for a run of sources at once.
 """
 
 from __future__ import annotations
@@ -35,29 +36,35 @@ def _require_nodes(graph: Graph) -> int:
     return n
 
 
+def _power(graph: Graph, params: dict, name: str, x: np.ndarray, tol: float, max_iter: int, step, distance):
+    """Iterate ``x = step(matvec, x)`` until ``distance(next - x) < tol``; the scores as ``{node: score}``.
+
+    ``matvec(v)`` sums ``v`` over the graph's in-CSR rows through one gather buffer, freed on return. Params
+    ``tol`` and ``max_iter`` override the defaults given; no convergence within ``max_iter`` steps raises.
+    """
+    tol, max_iter = float(params.get("tol", tol)), int(params.get("max_iter", max_iter))
+    in_rows = graph.in_csr()
+    gathered = np.empty(in_rows[1].size)
+    for _ in range(max_iter):
+        nxt = step(lambda v: csr_matvec(in_rows, v, gathered), x)
+        if distance(nxt - x) < tol:
+            return dict(enumerate(nxt.tolist()))
+        x = nxt
+    raise MetricError(f"{name} did not converge within {max_iter} iterations")
+
+
 def pagerank(graph: Graph, params: dict | None = None) -> dict[int, float]:
     """Power-iteration PageRank. Scores sum to 1; dangling mass is spread uniformly."""
     n = _require_nodes(graph)
     params = params or {}
     damping = float(params.get("damping", PAGERANK_DAMPING))
-    tol = float(params.get("tol", PAGERANK_TOL))
-    max_iter = int(params.get("max_iter", PAGERANK_MAX_ITER))
-
     out_deg = np.diff(graph.out_csr()[0])
     dangling = out_deg == 0
     inv_out = np.where(dangling, 0.0, 1.0 / np.maximum(out_deg, 1))
-    in_rows = graph.in_csr()
-    gathered = np.empty(in_rows[1].size)
-
-    x = np.full(n, 1.0 / n)
     base = (1.0 - damping) / n
-    for _ in range(max_iter):
-        nxt = base + damping * csr_matvec(in_rows, x * inv_out, gathered)
-        nxt += damping * x[dangling].sum() / n
-        if np.abs(nxt - x).sum() < tol:
-            return {v: float(nxt[v]) for v in range(n)}
-        x = nxt
-    raise MetricError(f"pagerank did not converge within {max_iter} iterations")
+    return _power(graph, params, "pagerank", np.full(n, 1.0 / n), PAGERANK_TOL, PAGERANK_MAX_ITER,
+                  lambda matvec, x: base + damping * matvec(x * inv_out) + damping * x[dangling].sum() / n,
+                  lambda diff: np.abs(diff).sum())
 
 
 def degree_centrality(graph: Graph, params: dict | None = None) -> dict[int, float]:
@@ -143,25 +150,16 @@ def eigenvector_centrality(graph: Graph, params: dict | None = None) -> dict[int
     """Power iteration on A + I with L2 normalization.
 
     The identity shift keeps the iteration convergent on bipartite structures
-    and leaves the eigenvectors unchanged.
+    and leaves the eigenvectors unchanged. ``(A + I) x`` of a positive ``x`` is never zero.
     """
     n = _require_nodes(graph)
-    params = params or {}
-    tol = float(params.get("tol", EIGEN_TOL))
-    max_iter = int(params.get("max_iter", EIGEN_MAX_ITER))
-    in_rows = graph.in_csr()
-    gathered = np.empty(in_rows[1].size)
+
+    def step(matvec, x):
+        nxt = matvec(x) + x
+        return nxt / np.linalg.norm(nxt)
+
     x = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(max_iter):
-        nxt = csr_matvec(in_rows, x, gathered) + x
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            return dict.fromkeys(range(n), 0.0)
-        nxt /= norm
-        if np.linalg.norm(nxt - x) < tol:
-            return {v: float(nxt[v]) for v in range(n)}
-        x = nxt
-    raise MetricError(f"eigenvector centrality did not converge within {max_iter} iterations")
+    return _power(graph, params or {}, "eigenvector centrality", x, EIGEN_TOL, EIGEN_MAX_ITER, step, np.linalg.norm)
 
 
 def katz_centrality(graph: Graph, params: dict | None = None) -> dict[int, float]:
@@ -174,19 +172,15 @@ def katz_centrality(graph: Graph, params: dict | None = None) -> dict[int, float
     params = params or {}
     alpha = float(params.get("alpha", KATZ_ALPHA))
     beta = float(params.get("beta", KATZ_BETA))
-    tol = float(params.get("tol", EIGEN_TOL))
-    max_iter = int(params.get("max_iter", EIGEN_MAX_ITER))
-    in_rows = graph.in_csr()
-    gathered = np.empty(in_rows[1].size)
-    x = np.full(n, beta)
-    for _ in range(max_iter):
-        nxt = alpha * csr_matvec(in_rows, x, gathered) + beta
+
+    def step(matvec, x):
+        nxt = alpha * matvec(x) + beta
         if not np.all(np.isfinite(nxt)) or np.abs(nxt).max() > _DIVERGENCE_LIMIT:
             raise MetricError("katz centrality diverges: alpha >= 1 / spectral radius")
-        if np.abs(nxt - x).max() < tol:
-            return {v: float(nxt[v]) for v in range(n)}
-        x = nxt
-    raise MetricError(f"katz centrality did not converge within {max_iter} iterations")
+        return nxt
+
+    return _power(graph, params, "katz centrality", np.full(n, beta), EIGEN_TOL, EIGEN_MAX_ITER, step,
+                  lambda diff: np.abs(diff).max())
 
 
 METRICS: dict[str, Callable[[Graph, dict | None], dict[int, float]]] = {

@@ -492,6 +492,20 @@ class TestSweepCommand:
             assert (variant / "batch-0").is_dir()
             assert (variant / "batch-1").is_dir()
 
+    def test_failed_batches_are_reported_and_later_variants_still_run(self, tmp_path, project_home):
+        # stay-home hooks on a sweep config with no location attribute: every batch of every variant fails
+        cfg = write_tiny(tmp_path, sweep=True)
+        res = invoke("sweep", "--config", cfg, "--scenario", "stayhome", "--epochs", 2, "--batches", 2)
+        assert res.exit_code == 3, res.output
+        want = []
+        for label in ("pressure=0.1", "pressure=0.2", "pressure=0.3"):
+            want += [f"[{label}]"] + [f"batch {k} FAILED: HookError: hook new_case_fraction (" for k in (0, 1)]
+            for k in (0, 1):
+                meta = json.loads((project_home / "default" / "tiny" / label / f"batch-{k}" / RUN_META_FILE).read_text())
+                assert "has no 'location' attribute" in meta["error"]
+        lines = res.output.splitlines()
+        assert len(lines) == len(want) and all(line.startswith(start) for line, start in zip(lines, want)), lines
+
     def test_sweep_without_section_is_usage_error(self, tmp_path, project_home):
         cfg = write_tiny(tmp_path)
         res = invoke("sweep", "--config", cfg)

@@ -20,9 +20,12 @@ from crowdkit import (
     Graph,
     GraphError,
     NodeStates,
+    build_graph,
     generate_random_regular,
     load_gexf,
+    parse_config,
     read_snapshot,
+    simulate,
     write_gexf,
     write_snapshot,
 )
@@ -687,6 +690,22 @@ def test_every_reader_refusal_names_its_fault(tmp_path, case):
     document, text = READER_REFUSALS[case]
     path = tmp_path / "bad.gexf"
     path.write_text(document)
+    with pytest.raises(GexfError, match=re.escape(text.format(path=path))):
+        load_gexf(path)
+
+
+def test_a_structure_file_is_read_for_its_topology_alone(tmp_path):
+    # A sound topology whose edge column load_gexf refuses: "x" is declared long, "x__reverse" double.
+    document, text = READER_REFUSALS["mixed column kinds"]
+    path = tmp_path / "net.gexf"
+    path.write_text(document)
+    config = parse_config(
+        "name: net\nstructure:\n  file:\n    path: net.gexf\n    format: gexf\n"
+        "definitions:\n  pd-model:\n    name: custom\n    nodetypes:\n      A:\n        random-with-count:\n"
+        "          count: 2\n")
+    assert build_graph(config, None, base_dir=tmp_path) == Graph.from_edges(2, [0], [1])[0]
+    result = simulate(config, epochs=2, base_dir=tmp_path)
+    assert result.states.counts() == {"A": 2}
     with pytest.raises(GexfError, match=re.escape(text.format(path=path))):
         load_gexf(path)
 

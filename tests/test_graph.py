@@ -527,6 +527,13 @@ class TestAttributeTable:
         with pytest.raises(GraphError):
             attrs.set_node_column("score", {2: "text"})
 
+    def test_values_without_keys_sit_at_node_ids_and_have_no_edge_pairs(self):
+        column = graph_mod.AttributeColumn("age", np.array([3.0, 1.0, 2.0]))
+        assert column == {0: 3.0, 1: 1.0, 2: 2.0} and column.ids().tolist() == [0, 1, 2]
+        with pytest.raises(GraphError, match=r"attribute 'w': .* is not a pair of integer node ids"):
+            graph_mod.AttributeColumn("w", [1.5, 2.5], edge=True)
+        assert graph_mod.AttributeColumn("w", [], edge=True) == {}
+
     def test_copy_and_equality(self):
         attrs = AttributeTable()
         attrs.set_node(0, "age", 30.0)
