@@ -7,7 +7,9 @@ document whose every series a run could have written (``check_collector``),
 else ``CollectError``. This module only flattens and draws: map-valued series
 fan out into one plotted series per key; labelled documents plot one series
 per label. Kinds: line, bar, area, scatter. An input with no entries still
-renders axes (and no marks).
+renders axes (and no marks). The value axis always includes 0, so bars and
+areas rise or hang from a baseline inside the plot. Every element below the
+``<svg>`` root is written by the one element writer ``_tag``.
 """
 
 from __future__ import annotations
@@ -110,16 +112,10 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return ticks or [lo]
 
 
-class _Scale:
-    def __init__(self, lo: float, hi: float, out_lo: float, out_hi: float):
-        if hi <= lo:
-            hi = lo + 1.0
-        self.lo, self.hi = lo, hi
-        self.out_lo, self.out_hi = out_lo, out_hi
-
-    def __call__(self, v: float) -> float:
-        frac = (v - self.lo) / (self.hi - self.lo)
-        return self.out_lo + frac * (self.out_hi - self.out_lo)
+def _scale(lo: float, hi: float, out_lo: float, out_hi: float):
+    if hi <= lo:
+        hi = lo + 1.0
+    return lambda v: out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +123,25 @@ class _Scale:
 # ---------------------------------------------------------------------------
 
 
+def _tag(name: str, text: str | None = None, **attrs) -> str:
+    """One SVG element on its own line: numbers go through ``_fmt``, strings as they are, ``_`` in a name as ``-``."""
+    head = name + "".join(f' {k.replace("_", "-")}="{v if isinstance(v, str) else _fmt(v)}"' for k, v in attrs.items())
+    return f"<{head}/>\n" if text is None else f"<{head}>{_escape(text)}</{name}>\n"
+
+
 def render_chart(series: list[tuple[str, list[tuple[float, float]]]], kind: str, title: str = "") -> str:
-    """Render series to a complete SVG document string."""
+    """Render series to a complete SVG document string; the value axis always includes 0."""
     if kind not in CHART_KINDS:
         raise CollectError(f"unknown chart kind {kind!r} (valid: {', '.join(CHART_KINDS)})")
-    plot_left = MARGIN_LEFT
-    plot_right = WIDTH - MARGIN_RIGHT
-    plot_top = MARGIN_TOP
-    plot_bottom = HEIGHT - MARGIN_BOTTOM
+    left = MARGIN_LEFT
+    right = WIDTH - MARGIN_RIGHT
+    top = MARGIN_TOP
+    bottom = HEIGHT - MARGIN_BOTTOM
 
     xs = [x for _, points in series for x, _ in points]
     ys = [y for _, points in series for _, y in points]
     x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
-    y_lo, y_hi = (min(ys + [0.0]), max(ys)) if ys else (0.0, 1.0)
+    y_lo, y_hi = min(ys + [0.0]), max(ys + [0.0])
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
     pad = (y_hi - y_lo) * 0.05
@@ -147,100 +149,55 @@ def render_chart(series: list[tuple[str, list[tuple[float, float]]]], kind: str,
     if y_lo < 0:
         y_lo -= pad
 
-    sx = _Scale(x_lo, x_hi, plot_left, plot_right)
-    sy = _Scale(y_lo, y_hi, plot_bottom, plot_top)
+    sx = _scale(x_lo, x_hi, left, right)
+    sy = _scale(y_lo, y_hi, bottom, top)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="Helvetica, Arial, sans-serif">\n',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>\n',
+        _tag("rect", width=WIDTH, height=HEIGHT, fill="#ffffff"),
     ]
     if title:
-        out.append(
-            f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" font-size="16" '
-            f'fill="{TEXT_COLOR}">{_escape(title)}</text>\n'
-        )
+        out.append(_tag("text", title, x=WIDTH // 2, y=24, text_anchor="middle", font_size=16, fill=TEXT_COLOR))
 
     for t in _ticks(y_lo, y_hi):
         y = sy(t)
-        out.append(
-            f'<line x1="{plot_left}" y1="{_fmt(y)}" x2="{plot_right}" y2="{_fmt(y)}" '
-            f'stroke="{GRID_COLOR}" stroke-width="1"/>\n'
-        )
-        out.append(
-            f'<text x="{plot_left - 8}" y="{_fmt(y + 4)}" text-anchor="end" font-size="11" '
-            f'fill="{TEXT_COLOR}">{_fmt(t)}</text>\n'
-        )
+        out.append(_tag("line", x1=left, y1=y, x2=right, y2=y, stroke=GRID_COLOR, stroke_width=1))
+        out.append(_tag("text", _fmt(t), x=left - 8, y=y + 4, text_anchor="end", font_size=11, fill=TEXT_COLOR))
     for t in _ticks(x_lo, x_hi):
         x = sx(t)
-        out.append(
-            f'<line x1="{_fmt(x)}" y1="{plot_bottom}" x2="{_fmt(x)}" y2="{plot_bottom + 5}" '
-            f'stroke="{AXIS_COLOR}" stroke-width="1"/>\n'
-        )
-        out.append(
-            f'<text x="{_fmt(x)}" y="{plot_bottom + 20}" text-anchor="middle" font-size="11" '
-            f'fill="{TEXT_COLOR}">{_fmt(t)}</text>\n'
-        )
-    out.append(
-        f'<line x1="{plot_left}" y1="{plot_bottom}" x2="{plot_right}" y2="{plot_bottom}" '
-        f'stroke="{AXIS_COLOR}" stroke-width="1.5"/>\n'
-    )
-    out.append(
-        f'<line x1="{plot_left}" y1="{plot_top}" x2="{plot_left}" y2="{plot_bottom}" '
-        f'stroke="{AXIS_COLOR}" stroke-width="1.5"/>\n'
-    )
-    out.append(
-        f'<text x="{(plot_left + plot_right) // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-size="12" fill="{TEXT_COLOR}">iteration</text>\n'
-    )
+        out.append(_tag("line", x1=x, y1=bottom, x2=x, y2=bottom + 5, stroke=AXIS_COLOR, stroke_width=1))
+        out.append(_tag("text", _fmt(t), x=x, y=bottom + 20, text_anchor="middle", font_size=11, fill=TEXT_COLOR))
+    out.append(_tag("line", x1=left, y1=bottom, x2=right, y2=bottom, stroke=AXIS_COLOR, stroke_width=1.5))
+    out.append(_tag("line", x1=left, y1=top, x2=left, y2=bottom, stroke=AXIS_COLOR, stroke_width=1.5))
+    out.append(_tag("text", "iteration", x=(left + right) // 2, y=HEIGHT - 12, text_anchor="middle", font_size=12,
+                    fill=TEXT_COLOR))
 
-    baseline = sy(max(0.0, y_lo))
+    baseline = sy(0.0)
     n_series = max(len(series), 1)
-    for idx, (label, points) in enumerate(series):
+    for idx, (_, points) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         if not points:
             continue
+        coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in points)
         if kind == "line":
-            coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in points)
-            out.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>\n'
-            )
+            out.append(_tag("polyline", points=coords, fill="none", stroke=color, stroke_width=2))
         elif kind == "area":
-            coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in points)
-            first_x = _fmt(sx(points[0][0]))
-            last_x = _fmt(sx(points[-1][0]))
-            out.append(
-                f'<polygon points="{first_x},{_fmt(baseline)} {coords} {last_x},{_fmt(baseline)}" '
-                f'fill="{color}" fill-opacity="0.35" stroke="{color}" stroke-width="1.5"/>\n'
-            )
+            first, last = (f"{_fmt(sx(points[i][0]))},{_fmt(baseline)}" for i in (0, -1))
+            out.append(_tag("polygon", points=f"{first} {coords} {last}", fill=color, fill_opacity=0.35,
+                            stroke=color, stroke_width=1.5))
         elif kind == "scatter":
-            for x, y in points:
-                out.append(
-                    f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" fill="{color}"/>\n'
-                )
+            out += [_tag("circle", cx=sx(x), cy=sy(y), r=3, fill=color) for x, y in points]
         else:  # bar
-            slot = (plot_right - plot_left) / max(len(points), 1)
-            bar_w = max(slot / (n_series + 1), 0.5)
+            bar_w = max((right - left) / len(points) / (n_series + 1), 0.5)
             for x, y in points:
-                cx = sx(x) - (n_series * bar_w) / 2 + idx * bar_w
-                top = sy(y)
-                lo = min(top, baseline)
-                height = abs(baseline - top)
-                out.append(
-                    f'<rect x="{_fmt(cx)}" y="{_fmt(lo)}" width="{_fmt(bar_w)}" '
-                    f'height="{_fmt(height)}" fill="{color}"/>\n'
-                )
+                out.append(_tag("rect", x=sx(x) - (n_series * bar_w) / 2 + idx * bar_w, y=min(sy(y), baseline),
+                                width=bar_w, height=abs(baseline - sy(y)), fill=color))
 
-    legend_x = plot_right - 150
-    legend_y = plot_top + 4
     for idx, (label, _) in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
-        y = legend_y + idx * 18
-        out.append(f'<rect x="{legend_x}" y="{y}" width="12" height="12" fill="{color}"/>\n')
-        out.append(
-            f'<text x="{legend_x + 18}" y="{y + 10}" font-size="12" '
-            f'fill="{TEXT_COLOR}">{_escape(label)}</text>\n'
-        )
+        y = top + 4 + idx * 18
+        out.append(_tag("rect", x=right - 150, y=y, width=12, height=12, fill=PALETTE[idx % len(PALETTE)]))
+        out.append(_tag("text", label, x=right - 150 + 18, y=y + 10, font_size=12, fill=TEXT_COLOR))
     out.append("</svg>\n")
     return "".join(out)
 

@@ -115,6 +115,13 @@ class _CSR(tuple):
     rows = cached_property(lambda self: _frozen(np.repeat(np.arange(self[0].size - 1), np.diff(self[0]))))
     codes = cached_property(lambda self: _frozen(_pair_codes(self.rows, self[1])))
 
+    def entries(self, rows: np.ndarray) -> np.ndarray:
+        """The positions of ``rows``' entries, row after row (int64)."""
+        lengths = self[0][rows + 1] - self[0][rows]
+        entries = np.repeat(self[0][rows] - np.cumsum(lengths) + lengths, lengths)
+        entries += np.arange(entries.size)
+        return entries
+
 
 def _code_csr(n: int, codes: np.ndarray) -> _CSR:
     """Read-only CSR ``(indptr, indices)`` of sorted, distinct pair codes with ids in ``[0, n)``.

@@ -1,6 +1,8 @@
 """Node centrality metrics and top-k selection.
 
-All metrics return a full ``{node: score}`` map with finite float scores.
+All metrics return a full ``{node: score}`` map with finite float scores,
+listing the nodes in ascending id order (``top_k_by_metric`` reads the
+values in that order).
 Ranking ties break deterministically by ascending node id. PageRank,
 eigenvector and Katz centrality are each one step and one distance run by
 the one power loop ``_power``, which sums over the graph's own in-CSR rows
@@ -16,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MetricError
-from .graph import Graph, csr_matvec
+from .graph import Graph, _CSR, csr_matvec
 
 PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-9
@@ -74,7 +76,7 @@ def degree_centrality(graph: Graph, params: dict | None = None) -> dict[int, flo
     return dict(enumerate((degree * (1.0 / max(n - 1, 1))).tolist()))
 
 
-def _walks(out: tuple[np.ndarray, np.ndarray]):
+def _walks(out: _CSR):
     """The BFS over CSR rows ``out`` from every node, for runs of sources at once: yields ``(roots, levels)``.
 
     A run's arrays hold about ``_BATCH_ENTRIES`` entries: codes ``b * n + v``, node ``v`` as seen from the run's
@@ -91,10 +93,9 @@ def _walks(out: tuple[np.ndarray, np.ndarray]):
         seen[roots] = True
         while True:
             rows = nodes % n
-            starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
+            counts = indptr[rows + 1] - indptr[rows]
             src = np.repeat(nodes, counts)  # the rows of ``nodes``, in their order
-            gather = np.arange(src.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-            dst = indices[gather] + np.repeat(nodes - rows, counts)
+            dst = indices[out.entries(rows)] + np.repeat(nodes - rows, counts)
             new = ~seen[dst]
             src, dst = src[new], dst[new]
             if not dst.size:
@@ -208,4 +209,4 @@ def top_k_by_metric(graph: Graph, metric: str, k: int, params: dict | None = Non
     if not 1 <= k <= n:
         raise MetricError(f"k must be in [1, {n}], got {k}")
     scores = centrality(graph, metric, params)
-    return np.argsort(-np.array([scores[v] for v in range(n)]), kind="stable")[:k].tolist()
+    return np.argsort(-np.fromiter(scores.values(), np.float64, n), kind="stable")[:k].tolist()

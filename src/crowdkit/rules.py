@@ -110,13 +110,10 @@ class CountdownLedger:
 
 def _out_neighbors(graph: Graph, holders: np.ndarray) -> np.ndarray:
     """A node mask of every out-neighbor (neighbor, when undirected) of ``holders``, read from their out-rows."""
-    indptr, indices = graph.out_csr()
-    starts = indptr[holders]
-    lengths = indptr[holders + 1] - starts
-    entries = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)  # the rows' entries, row after row
-    entries += np.arange(entries.size)
+    out = graph.out_csr()
+    entries = out.entries(holders)  # taken before ``hit`` is allocated, so its row-bound temporaries are freed first
     hit = np.zeros(graph.num_nodes, dtype=bool)
-    hit[indices[entries]] = True
+    hit[out[1][entries]] = True
     return hit
 
 

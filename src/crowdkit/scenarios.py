@@ -115,12 +115,10 @@ def ic_step(ctx: SimContext, per_edge: bool = False) -> None:
     states = ctx.states
     order = ctx.rng.permutation(ctx.graph.num_nodes)
     spreading = states.mask(IC_SPREADER)
-    indptr, indices = ctx.graph.out_csr()
-    sources = np.flatnonzero(spreading)
-    lengths = indptr[sources + 1] - indptr[sources]  # the spreaders' out-rows, expanded in (source, target) order
-    entries = np.repeat(indptr[sources] - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-    into_inactive = states.mask(IC_INACTIVE)[indices[entries]]
-    sources, rows = np.repeat(sources, lengths)[into_inactive], indices[entries[into_inactive]]
+    out = ctx.graph.out_csr()
+    entries = out.entries(np.flatnonzero(spreading))  # the spreaders' out-rows, in (source, target) order
+    entries = entries[states.mask(IC_INACTIVE)[out[1][entries]]]
+    sources, rows = out.rows[entries], out[1][entries]
     column = ctx.attrs.edge.get(INFLUENCE_PROB_KEY)  # read live: an edit counts from the next step
     probs = np.zeros(rows.size) if column is None else column.take((sources, rows), 0.0)
     if not per_edge:  # one draw per node, against its largest probability (NaN-skipping, as `>` is)

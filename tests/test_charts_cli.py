@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,12 @@ import crowdkit.engine as engine_mod
 from crowdkit import CollectError, SeriesRecorder, batch_run, load_config, load_edge_list, load_gexf, merge_labeled
 from crowdkit.charts import (
     CHART_KINDS,
+    HEIGHT,
+    MARGIN_BOTTOM,
+    MARGIN_TOP,
     extract_series,
     render_chart,
+    render_html,
     write_chart,
 )
 from crowdkit.cli import main
@@ -296,6 +302,42 @@ class TestRenderChart:
     def test_title_escaped(self):
         svg = render_chart([("s", [(0.0, 1.0)])], "line", title="a < b & c")
         assert "a &lt; b &amp; c" in svg
+
+    @pytest.mark.parametrize("kind", ["bar", "area"])
+    def test_all_negative_values_draw_their_marks_inside_the_plot(self, kind):
+        svg = render_chart([("s", [(0.0, -5.0), (1.0, -3.0), (2.0, -4.0)])], kind)
+        bars = re.findall(r'<rect x="[^"]*" y="([^"]*)" width="[^"]*" height="([^"]*)"', svg)
+        ys = [float(y) + dy for y, height in bars for dy in (0.0, float(height))]
+        ys += [float(point.split(",")[1]) for points in re.findall(r'<polygon points="([^"]*)"', svg)
+               for point in points.split()]
+        assert len(ys) > 2 and all(MARGIN_TOP <= y <= HEIGHT - MARGIN_BOTTOM for y in ys), ys
+
+    # One input per layout path: fractional values, an empty series, a single point, a palette that wraps, a
+    # value that _fmt writes with %.6g, a value range that crosses 0 and a title that needs escaping.
+    DIGEST_CASES = [
+        ([("a", [(0.0, 0.25), (1.0, 0.5), (2.0, 0.125)]), ("b", [(0.0, 1 / 3), (1.5, 2 / 3), (3.0, 0.1)])], ""),
+        ([("ghost", [])], ""),
+        ([("one", [(4.0, 7.0)])], "single"),
+        ([(f"s{i}", [(0.0, float(i)), (1.0, i + 0.5)]) for i in range(12)], "twelve"),
+        ([("big", [(0.0, 1.0), (1.0, 1e16)])], ""),
+        ([("mixed", [(0.0, -2.5), (1.0, 3.0), (2.0, -0.75), (3.0, 1.25)])], "mixed"),
+        ([("t", [(0.0, 1.0), (1.0, 2.0)])], "t < & >"),
+    ]
+    DIGESTS = {
+        "line": "66d722f10b59a4b45275b29283f6f5babd0739b49933cad36cfebd89cb1c8325",
+        "bar": "165d5d175212e080610e8b80d7b748be0b1445fc26a1caaf18b0a6b97143e610",
+        "area": "553312f6f603855b2ec7f181c40b802fe839a6b2377c69e2e7d9304e588b4fbc",
+        "scatter": "de991dea2796d451c13d1e09c1545acf256a264a5d4aaa19877d389af484ce1c",
+    }
+
+    @pytest.mark.parametrize("kind", CHART_KINDS)
+    def test_chart_bytes_match_stored_digests(self, kind):
+        digest = hashlib.sha256()
+        for series, title in self.DIGEST_CASES:
+            svg = render_chart(series, kind, title=title)
+            digest.update(svg.encode("utf-8"))
+            digest.update(render_html(svg, title).encode("utf-8"))
+        assert digest.hexdigest() == self.DIGESTS[kind]
 
 
 class TestWriteChart:

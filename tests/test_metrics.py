@@ -19,6 +19,7 @@ from crowdkit import (
     centrality,
     generate_barabasi_albert,
     generate_erdos_renyi,
+    generate_random_regular,
     top_k_by_metric,
 )
 from crowdkit import metrics
@@ -587,6 +588,16 @@ def test_metrics_and_ranking_match_scipy_references(g, data):
         assert bits(outcome(centrality, g, metric)) == bits(want)
         if not isinstance(want, str):
             assert top_k_by_metric(g, metric, k) == ref_top_k(want, k)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_every_metric_lists_the_nodes_in_ascending_id_order(metric):
+    g = generate_random_regular(300, 4, make_rng(3))
+    scores = centrality(g, metric)
+    assert list(scores) == list(range(300))
+    by_id = np.array([scores[v] for v in range(300)])
+    assert np.fromiter(scores.values(), np.float64, 300).tobytes() == by_id.tobytes()
+    assert top_k_by_metric(g, metric, 30) == np.argsort(-by_id, kind="stable")[:30].tolist()
 
 
 @st.composite
