@@ -148,6 +148,8 @@ def render_chart(series: list[tuple[str, list[tuple[float, float]]]], kind: str,
     y_hi += pad
     if y_lo < 0:
         y_lo -= pad
+    if not math.isfinite(y_hi - y_lo):
+        raise CollectError(f"cannot chart {min(ys)!r} to {max(ys)!r}: their padded range passes the float maximum")
 
     sx = _scale(x_lo, x_hi, left, right)
     sy = _scale(y_lo, y_hi, bottom, top)

@@ -7,7 +7,11 @@ export. Exit codes are a stable contract for scripting:
 * 2 — usage or configuration problem (bad flags, invalid config, missing
   files/snapshots)
 * 3 — runtime failure inside a simulation (hook errors, metric divergence)
-* 4 — data/merge problem (mismatched series, malformed collector files)
+* 4 — data/merge problem (mismatched series, malformed collector files), or a
+  file that could not be read or written
+
+Every failure prints one ``error:`` line on stderr, except an invalid config,
+which prints an ``invalid config:`` line and one line per violation.
 """
 
 from __future__ import annotations
@@ -46,22 +50,24 @@ EXIT_RUNTIME = 3
 EXIT_DATA = 4
 
 
-def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, (HookError, MetricError)):
-        return EXIT_RUNTIME
-    if isinstance(exc, CollectError):
-        return EXIT_DATA
-    if isinstance(exc, (ConfigError, GraphError, GexfError)):
-        return EXIT_USAGE
-    return 1
+class _Commands(click.Group):
+    """``main``'s group: an error becomes one ``error:`` line and the code of its first class in ``EXIT_CODES``; a
+    ``BrokenPipeError`` (as in ``crowdkit run | head -1``) goes on to click, which exits 1 with no line."""
+
+    EXIT_CODES = (((HookError, MetricError), EXIT_RUNTIME), ((CollectError, OSError), EXIT_DATA),
+                  ((ConfigError, GraphError, GexfError), EXIT_USAGE), (CrowdkitError, 1))
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise
+        except (CrowdkitError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for kinds, code in self.EXIT_CODES if isinstance(exc, kinds)))
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(_exit_code_for(exc))
-
-
-@click.group()
+@click.group(cls=_Commands)
 @click.version_option(version=__version__)
 def main():
     """Configuration-driven agent-based simulations on networks."""
@@ -82,11 +88,7 @@ _home_option = click.option(
 @_home_option
 def project_new(name: str, home):
     """Create a new project directory."""
-    try:
-        project = Project.create(name, root=home)
-    except CrowdkitError as exc:
-        _fail(exc)
-    click.echo(str(project.dir))
+    click.echo(str(Project.create(name, root=home).dir))
 
 
 @main.command("project-list")
@@ -147,20 +149,17 @@ def _run_command(sweep, config_path, scenario_name, epochs, snapshot_period, bat
                  home):
     """The ``run`` command, or with ``sweep`` the ``sweep`` command: each run directory on stdout (each variant's
     after its ``[label]``), each failed batch on stderr, and exit 3 when any failed."""
-    try:
-        config, inputs = _load_run_inputs(config_path, scenario_name, epochs, snapshot_period, sweep)
-        sim_dir = Project.load_or_create(project_name, root=home).simulation_dir(sim_name or config.name)
-        outcomes = (sweep_run if sweep else batch_run)(
-            config,
-            sim_dir,
-            batches=batches,
-            epochs=epochs,
-            snapshot_period=snapshot_period,
-            master_seed=master_seed,
-            **inputs,
-        )
-    except CrowdkitError as exc:
-        _fail(exc)
+    config, inputs = _load_run_inputs(config_path, scenario_name, epochs, snapshot_period, sweep)
+    sim_dir = Project.load_or_create(project_name, root=home).simulation_dir(sim_name or config.name)
+    outcomes = (sweep_run if sweep else batch_run)(
+        config,
+        sim_dir,
+        batches=batches,
+        epochs=epochs,
+        snapshot_period=snapshot_period,
+        master_seed=master_seed,
+        **inputs,
+    )
     failed = False
     for label, batch_outcomes in [(v.label, v.batch_outcomes) for v in outcomes] if sweep else [(None, outcomes)]:
         if sweep:
@@ -213,28 +212,25 @@ def _default_label(run_dir: Path) -> str:
 @click.option("--json", "as_json", is_flag=True, help="Print machine-readable output.")
 def cmd_merge(mode, dirs, collector_name, out_path, labels_csv, as_json):
     """Merge collector series: batch mean under a parent, or labeled across runs."""
-    try:
-        if mode == "mean":
-            if len(dirs) != 1:
-                raise ConfigError("mean mode takes exactly one parent directory")
-            written = merge_parent_directory(dirs[0], collector_name)
-        else:
-            if not dirs:
-                raise ConfigError("labeled mode needs at least one run directory")
-            if collector_name is None:
-                raise ConfigError("labeled mode requires --name")
-            labels = (
-                [label.strip() for label in labels_csv.split(",")]
-                if labels_csv
-                else [_default_label(Path(d)) for d in dirs]
-            )
-            if len(labels) != len(dirs):
-                raise ConfigError(f"{len(labels)} labels for {len(dirs)} directories")
-            if out_path is None:
-                out_path = Path(f"{collector_name}-labeled.json")
-            written = [merge_simulations(list(dirs), labels, collector_name, out_path)]
-    except CrowdkitError as exc:
-        _fail(exc)
+    if mode == "mean":
+        if len(dirs) != 1:
+            raise ConfigError("mean mode takes exactly one parent directory")
+        written = merge_parent_directory(dirs[0], collector_name)
+    else:
+        if not dirs:
+            raise ConfigError("labeled mode needs at least one run directory")
+        if collector_name is None:
+            raise ConfigError("labeled mode requires --name")
+        labels = (
+            [label.strip() for label in labels_csv.split(",")]
+            if labels_csv
+            else [_default_label(Path(d)) for d in dirs]
+        )
+        if len(labels) != len(dirs):
+            raise ConfigError(f"{len(labels)} labels for {len(dirs)} directories")
+        if out_path is None:
+            out_path = Path(f"{collector_name}-labeled.json")
+        written = [merge_simulations(list(dirs), labels, collector_name, out_path)]
     if as_json:
         click.echo(json.dumps({"written": [str(p) for p in written]}))
     else:
@@ -249,11 +245,7 @@ def cmd_merge(mode, dirs, collector_name, out_path, labels_csv, as_json):
 @click.option("--title", default=None)
 def cmd_chart(inputs, kind, out_path, title):
     """Draw a deterministic SVG/HTML chart from collector JSON files."""
-    try:
-        written = write_chart(list(inputs), kind, out_path, title=title)
-    except CrowdkitError as exc:
-        _fail(exc)
-    click.echo(str(written))
+    click.echo(str(write_chart(list(inputs), kind, out_path, title=title)))
 
 
 def _snapshot_path(run_dir: Path, iteration: int) -> Path:
@@ -270,13 +262,10 @@ def _snapshot_path(run_dir: Path, iteration: int) -> Path:
 @click.option("--json", "as_json", is_flag=True, help="Print machine-readable output.")
 def cmd_inspect(run_dir, iteration, node_id, as_json):
     """Show a node's type, attributes, and neighbors at a snapshot iteration."""
-    try:
-        path = _snapshot_path(Path(run_dir), iteration)
-        _, graph, states, attrs, _ = read_snapshot(path)
-        if not 0 <= node_id < graph.num_nodes:
-            raise ConfigError(f"node {node_id} out of range [0, {graph.num_nodes})")
-    except CrowdkitError as exc:
-        _fail(exc)
+    path = _snapshot_path(Path(run_dir), iteration)
+    _, graph, states, attrs, _ = read_snapshot(path)
+    if not 0 <= node_id < graph.num_nodes:
+        raise ConfigError(f"node {node_id} out of range [0, {graph.num_nodes})")
     node_attrs = {key: column[node_id] for key, column in attrs.node.items() if node_id in column}
     neighbors = sorted(graph.neighbors(node_id))
     payload = {
@@ -309,15 +298,12 @@ def cmd_inspect(run_dir, iteration, node_id, as_json):
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None)
 def cmd_export(run_dir, iteration, fmt, out_path):
     """Export a snapshot as GEXF."""
-    try:
-        if fmt != "gexf":
-            raise ConfigError(f"unknown export format {fmt!r} (valid: gexf)")
-        path = _snapshot_path(Path(run_dir), iteration)
-        if out_path is None:
-            out_path = Path(run_dir) / f"export-iter_{iteration}.gexf"
-        export_gexf(path, out_path)
-    except CrowdkitError as exc:
-        _fail(exc)
+    if fmt != "gexf":
+        raise ConfigError(f"unknown export format {fmt!r} (valid: gexf)")
+    path = _snapshot_path(Path(run_dir), iteration)
+    if out_path is None:
+        out_path = Path(run_dir) / f"export-iter_{iteration}.gexf"
+    export_gexf(path, out_path)
     click.echo(str(out_path))
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import os  # noqa: F401 -- kept so that ``crowdkit.collect.os.replace`` stays patchable
 from collections.abc import Mapping
 from pathlib import Path
 from typing import Any, Union

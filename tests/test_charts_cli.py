@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -11,13 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+import click
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crowdkit.cli as cli_mod
 import crowdkit.engine as engine_mod
-from crowdkit import CollectError, SeriesRecorder, batch_run, load_config, load_edge_list, load_gexf, merge_labeled
+from crowdkit import (CollectError, ConfigError, CrowdkitError, EdgeListError, GexfError, HookError, MetricError,
+                      SeriesRecorder, batch_run, load_config, load_edge_list, load_gexf, merge_labeled)
 from crowdkit.charts import (
     CHART_KINDS,
     HEIGHT,
@@ -823,6 +826,22 @@ class TestChartCommand:
         res = invoke("chart", doc, "--kind", "pie", "--out", tmp_path / "o.svg")
         assert res.exit_code == 2
 
+    # Finite values whose axis range, with 0 and 5% padding, passes the float maximum are refused; 1.7e308 alone
+    # pads to 1.785e308 and is drawn.
+    @pytest.mark.parametrize("values, drawn", [([1.5e308, -1.5e308], False), ([-1.7e308], False), ([1.7e308], True)])
+    def test_values_whose_padded_range_passes_the_float_maximum_exit_4(self, tmp_path, values, drawn):
+        doc = write_doc(tmp_path / "t.json", scalar_doc("t", values))
+        out = tmp_path / "t.svg"
+        res = invoke("chart", doc, "--out", out)
+        if drawn:
+            assert res.exit_code == 0, res.output
+            assert "<polyline" in out.read_text()
+            return
+        assert res.exit_code == 4, res.output
+        [line] = res.output.splitlines()
+        assert line.startswith("error: cannot chart ") and "float maximum" in line
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # CLI: inspect and export
@@ -1017,3 +1036,62 @@ def test_merge_mean_writes_no_merged_file_when_a_later_collector_is_refused(tmp_
     [line] = res.output.splitlines()
     assert line.startswith("error: ") and "z.json" in line
     assert not (tmp_path / "merged").exists()
+
+
+# ---------------------------------------------------------------------------
+# CLI: one error boundary for every command
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("error, code", [
+    (HookError("boom", hook="h", iteration=2), 3),
+    (MetricError("diverged"), 3),
+    (CollectError("bad series"), 4),
+    (ConfigError("bad key", path="structure"), 2),
+    (EdgeListError("expected 2 fields", line=3, path="e.txt"), 2),
+    (GexfError("bad gexf"), 2),
+    (CrowdkitError("other"), 1),
+    (FileNotFoundError(errno.ENOENT, "No such file or directory", "x.json"), 4),
+    (OSError(errno.ENOSPC, "No space left on device"), 4),
+])
+def test_each_error_exits_with_its_code_and_one_error_line(tmp_path, monkeypatch, error, code):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "write_chart", failing)
+    res = invoke("chart", tmp_path / "in.json", "--out", tmp_path / "o.svg")
+    assert res.exit_code == code
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("project-new", "p", "--home", "{file}/home"),
+    ("run", "--scenario", "sir", "--epochs", 1, "--home", "{file}/home"),
+    ("chart", "{doc}", "--out", "{file}/c.svg"),
+    ("merge", "labeled", "{run}", "--name", "node_counts", "--out", "{file}/l.json"),
+    ("export", "{run}", "--out", "{file}/s.gexf"),
+])
+def test_a_write_under_a_regular_file_exits_4_with_one_error_line(tmp_path, project_home, command):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    run = Path(invoke("run", "--scenario", "sir", "--epochs", 1).output.splitlines()[0])
+    doc = run / "collectors" / "node_counts.json"
+    res = invoke(*(str(a).format(file=afile, doc=doc, run=run) for a in command))
+    assert res.exit_code == 4, res.output
+    assert isinstance(res.exception, SystemExit)
+    [line] = res.output.splitlines()
+    assert line.startswith("error: [Errno ") and str(afile) in line
+
+
+def test_a_closed_stdout_goes_to_clicks_own_handler(tmp_path, project_home, monkeypatch):
+    def echo(message=None, err=False, **kwargs):
+        if not err:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        click.echo(message, err=True, **kwargs)
+
+    monkeypatch.setattr(cli_mod.click, "echo", echo)
+    res = invoke("run", "--scenario", "sir", "--epochs", 1)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "error:" not in res.output

@@ -294,7 +294,7 @@ class TestSnapshots:
             raise OSError("disk went away")
 
         # the temp file is complete but the rename fails
-        monkeypatch.setattr("crowdkit.collect.os.replace", failing_replace)
+        monkeypatch.setattr("os.replace", failing_replace)
         states[0] = "B"
         with pytest.raises(OSError):
             write_snapshot(0, g, states, attrs, params, tmp_path)
