@@ -62,17 +62,20 @@ def _fmt(value: float) -> str:
 
 def extract_series(document: dict) -> list[tuple[str, list[tuple[float, float]]]]:
     """Flatten a collector document, checked by ``check_collector``, into [(label, points)] pairs: one series per
-    map key, named ``<label>.<key>`` in a labelled document."""
+    map key, named ``<label>.<key>`` in a labelled document. An int past the float range is a ``CollectError``."""
     labeled = isinstance(document, dict) and document.get("aggregation") == "labeled"
     out = []
     for label, entries in check_collector(document, "chart input", labeled):
         first = entries[0]["value"] if entries else None
-        if not isinstance(first, dict):
-            out.append((label, [(float(e["iteration"]), float(e["value"])) for e in entries]))
-            continue
-        for key in first:
-            name = f"{label}.{key}" if labeled and key != label else key
-            out.append((name, [(float(e["iteration"]), float(e["value"][key])) for e in entries]))
+        try:
+            if not isinstance(first, dict):
+                out.append((label, [(float(e["iteration"]), float(e["value"])) for e in entries]))
+                continue
+            for key in first:
+                name = f"{label}.{key}" if labeled and key != label else key
+                out.append((name, [(float(e["iteration"]), float(e["value"][key])) for e in entries]))
+        except OverflowError:  # an int of 309 digits or more
+            raise CollectError(f"cannot chart series {label!r}: an int in it passes the float maximum") from None
     return out
 
 
@@ -148,8 +151,8 @@ def render_chart(series: list[tuple[str, list[tuple[float, float]]]], kind: str,
     y_hi += pad
     if y_lo < 0:
         y_lo -= pad
-    if not math.isfinite(y_hi - y_lo):
-        raise CollectError(f"cannot chart {min(ys)!r} to {max(ys)!r}: their padded range passes the float maximum")
+    if not math.isfinite(max(x_hi - x_lo, y_hi - y_lo)):
+        raise CollectError(f"cannot chart x {x_lo!r}..{x_hi!r}, y {min(ys)!r}..{max(ys)!r}: past the float maximum")
 
     sx = _scale(x_lo, x_hi, left, right)
     sy = _scale(y_lo, y_hi, bottom, top)

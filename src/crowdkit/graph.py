@@ -6,18 +6,19 @@ but answer adjacency symmetrically.
 
 A graph is stored as read-only CSR arrays ``(indptr, indices)``: row u lists
 the out-neighbors of u (every neighbor when undirected) in ascending order.
-Each CSR is built from the sorted pair codes ``u << 32 | v`` of its entries
-(so ids lie below 2**31), in bulk by ``Graph.from_edges`` or a generator; copies
-share the arrays. ``add_edge`` and ``remove_edge`` record each edit in a dict
-keyed by pair code, merged into the CSR's codes in one pass on the next read.
+Both are int32, as in scipy; ``indptr`` is int64 only from 2**31 entries. Each
+CSR is built from the sorted pair codes ``u << 32 | v`` of its entries (so ids
+lie below 2**31), in bulk by ``Graph.from_edges`` or a generator; copies share
+the arrays. ``add_edge`` and ``remove_edge`` record each edit in a dict keyed
+by pair code, merged into the CSR's codes in one pass on the next read.
 ``_code_csr`` finds each row's start by binary search of the codes' source
-words, read through an int32 view of the codes (``_halves``), so building a
-CSR holds no entry-sized temporary beyond its indices. The random-regular
-generator writes its codes' words in place and, as each of its rows holds
-``degree`` entries, takes ``indptr`` from an ``arange``.
-``csr_matvec`` gathers into a work buffer that an iterating caller owns.
-``load_edge_list`` has ``np.loadtxt`` read the file from its path, renumbers
-ids in first-seen order from one ``argsort``, and names the file on errors.
+words, read through an int32 view (``_halves``), so a build holds no
+entry-sized temporary beyond its indices. The random-regular generator writes
+its codes' words in place and, as each of its rows holds ``degree`` entries,
+takes ``indptr`` from an int32 ``arange``. ``csr_matvec`` gathers into a work
+buffer that an iterating caller owns. ``load_edge_list`` has ``np.loadtxt``
+read the file from its path, renumbers ids in first-seen order from one
+``argsort``, and names the file on errors.
 
 Node states (``NodeStates``) map node ids to type names through one signed
 code array: ``codes[v]`` is the position of v's type in the declared type
@@ -123,13 +124,16 @@ class _CSR(tuple):
         return entries
 
 
-def _code_csr(n: int, codes: np.ndarray) -> _CSR:
-    """Read-only CSR ``(indptr, indices)`` of sorted, distinct pair codes with ids in ``[0, n)``.
+def _offset_dtype(entries: int) -> type:
+    """The dtype of a CSR's row offsets over ``entries`` entries: int32 while they fit, as scipy keeps them."""
+    return np.int32 if entries < 2**31 else np.int64
 
-    Each row's start is found by a binary search of the codes' source words, read in place, so beside
-    ``codes`` the build holds only its output and one int32 id per node.
-    """
-    indptr = _halves(codes)[:, 1].searchsorted(np.arange(n + 1, dtype=np.int32))
+
+def _code_csr(n: int, codes: np.ndarray) -> _CSR:
+    """Read-only CSR ``(indptr, indices)`` of sorted, distinct pair codes with ids in ``[0, n)``. Each row's start is
+    found by a binary search of the codes' source words, read in place, so beside ``codes`` the build holds only its
+    output and one int32 id per node."""
+    indptr = _halves(codes)[:, 1].searchsorted(np.arange(n + 1, dtype=np.int32)).astype(_offset_dtype(codes.size))
     return _CSR((_frozen(indptr), _frozen(codes.astype(np.int32))))  # indices: the codes' low 32 bits
 
 
@@ -702,10 +706,9 @@ class AttributeTable:
 def generate_random_regular(num_nodes: int, degree: int, rng: np.random.Generator) -> Graph:
     """Random d-regular graph via stub pairing with leftover repair.
 
-    Requires num_nodes * degree even and degree < num_nodes. Memory: a pairing pass holds at most its int32
-    stubs, its pair codes and one sorted copy of them; the CSR step writes every entry's code into one array
-    (beside the edges' codes, then dropped), sorts it in place and holds it only until the int32 indices are
-    copied out. Every row holds ``degree`` entries, so ``indptr`` is an ``arange`` made last.
+    Requires num_nodes * degree even and degree < num_nodes. Memory: the CSR's codes are sorted in place in the
+    pairing's n * degree int64 slots (its edges' codes copied to the first half, reversed into the second) and held
+    only until the int32 indices are copied out; as every row holds ``degree`` entries, ``indptr`` is an ``arange``.
     """
     if degree < 0 or num_nodes < 0:
         raise GraphError("num_nodes and degree must be non-negative")
@@ -719,34 +722,37 @@ def generate_random_regular(num_nodes: int, degree: int, rng: np.random.Generato
     for _attempt in range(100):
         edges = _try_stub_pairing(num_nodes, degree, rng)
         if edges is not None:  # with each edge's reversed code (its words swapped), sorted: the CSR's codes
-            codes = np.empty(2 * edges.size, dtype=np.int64)
+            codes = edges.base  # the pairing's n * degree slots, whose second half ``edges`` is
             codes[: edges.size] = edges
-            _halves(codes[edges.size :])[:] = _halves(edges)[:, ::-1]
-            edges = None
+            _halves(edges)[:] = _halves(codes[: edges.size])[:, ::-1]
             codes.sort()
             indices = codes.astype(np.int32)  # the codes' low 32 bits
-            codes = None
-            csr = _CSR((_frozen(np.arange(0, indices.size + 1, degree)), _frozen(indices)))
-            return Graph(num_nodes, _out=(csr, indices.size // 2))
+            codes = edges = None
+            indptr = np.arange(0, indices.size + 1, degree, dtype=_offset_dtype(indices.size))
+            return Graph(num_nodes, _out=(_CSR((_frozen(indptr), _frozen(indices))), indices.size // 2))
     raise GraphError(f"could not realize a {degree}-regular graph on {num_nodes} nodes")
 
 
 def _try_stub_pairing(n: int, d: int, rng: np.random.Generator) -> np.ndarray | None:
-    """Sorted pair codes ``u << 32 | v`` (u < v) of a d-regular pairing's edges; None when a pass gets stuck.
+    """Sorted pair codes ``u << 32 | v`` (u < v) of a d-regular pairing's edges, a view of the second half of
+    one array of ``n * d`` int64 slots (their ``base``); None when a pass gets stuck.
 
     A pass keeps each shuffled stub pair that is no self-loop, taken edge or repeat within it. The draws
     depend only on the stub count and code order is ``(u, v)`` order, so the result is the scalar pairing's.
-    Memory: the int64 stubs live only through the shuffle; a pass writes its pair codes' words in place from
-    the int32 stubs, finds repeats from one sorted copy of the codes, and looks up only the pairs that share a
-    source with a repeat, through a node-sized table.
+    Memory: a pass narrows its shuffled int64 stubs to int32 in place and writes its pair codes into the second half
+    of their array; it finds repeats from one sorted copy of the codes, looks up only the pairs that share a source
+    with a repeat, through a node-sized table, and adds the codes it keeps to the second half of the first pass's
+    array (``codes``), after those kept before.
     """
-    taken = np.empty(0, dtype=np.int64)
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    codes = stubs = np.empty(n * d, dtype=np.int64)
+    codes.reshape(n, d)[:] = np.arange(n)[:, None]
+    taken = codes[codes.size // 2 :][:0]
     while stubs.size:
         rng.shuffle(stubs)  # the draws do not depend on the item size, and 8-byte items swap fastest
-        stubs = stubs.astype(np.int32)
+        wide, stubs, keys = stubs, stubs.view(np.int32)[: stubs.size], stubs[stubs.size // 2 :]
+        for at in range(0, wide.size, 2**16):  # in runs, so that only the first overlaps its source
+            stubs[at : at + 2**16] = wide[at : at + 2**16]
         a, b = stubs[0::2], stubs[1::2]
-        keys = np.empty(a.size, dtype=np.int64)
         np.minimum(a, b, out=_halves(keys)[:, 1])
         np.maximum(a, b, out=_halves(keys)[:, 0])
         ok = a != b
@@ -767,10 +773,9 @@ def _try_stub_pairing(n: int, d: int, rng: np.random.Generator) -> np.ndarray | 
         stubs = stubs.reshape(-1, 2)[~ok].ravel().astype(np.int64)
         keys = keys[ok]
         keys.sort()
-        if taken.size:  # disjoint sorted runs: the stable sort merges them
-            keys = np.concatenate((taken, keys))
-            keys.sort(kind="stable")
-        taken = keys
+        taken = codes[codes.size // 2 :][: taken.size + keys.size]
+        taken[-keys.size :] = keys
+        taken.sort(kind="stable")  # disjoint sorted runs: the stable sort merges them
     return taken
 
 
@@ -887,8 +892,10 @@ def load_edge_list(path, directed: bool = False, return_id_map: bool = False):
 
 
 def write_atomic(path, text: str | tuple[str, ...]) -> None:
-    """Write ``text`` (or its pieces, in order) via ``<name>.tmp`` (not ``*.json``) and ``os.replace``; leaves no temp."""
+    """Write ``text`` (or its pieces, in order) via ``<name>.tmp`` (not ``*.json``) and ``os.replace``. A failure leaves
+    no temp, and no parent directory that this call made and that is still empty."""
     path = Path(path)
+    made = [parent for parent in path.parents if not parent.exists()]  # deepest first
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -897,6 +904,9 @@ def write_atomic(path, text: str | tuple[str, ...]) -> None:
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        with suppress(OSError):  # a directory that is not empty ends the removal, as every one above holds it
+            for parent in made:
+                parent.rmdir()
         raise
 
 

@@ -33,8 +33,8 @@ using every draw they might have needed.
 
 Memory: a pass holds node ids and member positions as int32, counts each
 node's draws and turns the counts into its first draw's index in one array,
-makes the rewind's shift only when a draw goes unused, and builds the
-counters it keeps after the draws are decided.
+makes the rewind's shift only when a draw goes unused, and writes the counters
+it keeps into the ledger's arrays in place once the draws are decided.
 
 Count-down clearing: leaving the source type by any means clears the counter.
 A rule move clears the node's counters of the type it left, and a pass drops
@@ -109,11 +109,12 @@ class CountdownLedger:
 
 
 def _out_neighbors(graph: Graph, holders: np.ndarray) -> np.ndarray:
-    """A node mask of every out-neighbor (neighbor, when undirected) of ``holders``, read from their out-rows."""
+    """A node mask of every out-neighbor (neighbor, when undirected) of ``holders``, read from their out-rows in
+    runs of at most 2**14 holders, so that marking holds a bounded number of entries at any epidemic density."""
     out = graph.out_csr()
-    entries = out.entries(holders)  # taken before ``hit`` is allocated, so its row-bound temporaries are freed first
     hit = np.zeros(graph.num_nodes, dtype=bool)
-    hit[out[1][entries]] = True
+    for at in range(0, holders.size, 2**14):
+        hit[out[1][out.entries(holders[at : at + 2**14])]] = True
     return hit
 
 
@@ -242,7 +243,8 @@ def apply_rules(
         start -= np.cumsum(shift, out=shift)
 
     moves = NodeStates(state.types, n)
-    kept = {}  # counters survive the pass only for nodes in a source type of their name
+    for name in {name for *_, counters, _ in plans for name in counters}:  # every plan holds its own counters
+        ledger.counters(name, n).fill(0)  # they survive the pass only for nodes in a source type of their name
     for group, members, chances, counters, drawn in plans:
         passes = {}
         for j, at in drawn.items():
@@ -255,8 +257,5 @@ def apply_rules(
             for left in counters.values():
                 left[fires] = 0
         for name, left in counters.items():
-            if name not in kept:
-                kept[name] = np.zeros(n, dtype=np.int32)
-            kept[name][members] = left
-    ledger._counters.update(kept)
+            ledger.counters(name, n)[members] = left
     return moves

@@ -842,6 +842,31 @@ class TestChartCommand:
         assert line.startswith("error: cannot chart ") and "float maximum" in line
         assert not out.exists()
 
+    # Iterations and values are JSON ints of any size. One past the float range (400 digits), or iterations whose
+    # span passes the float maximum (-10**308 to 10**308), are refused; -10**307 to 10**307 is drawn.
+    @pytest.mark.parametrize("entries, drawn", [
+        ([(10**400, 1)], False),
+        ([(0, 10**400)], False),
+        ([(-10**308, 1), (10**308, 2)], False),
+        ([(-10**307, 1), (10**307, 2)], True),
+    ])
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_iterations_or_ints_past_the_float_range_exit_4(self, tmp_path, entries, drawn, labeled):
+        doc = scalar_doc("t", [])
+        doc["entries"] = [{"iteration": i, "value": {"S": v} if labeled else v} for i, v in entries]
+        if labeled:
+            doc = {"aggregation": "labeled", "series": [{"label": "run", "entries": doc["entries"]}]}
+        out = tmp_path / "t.svg"
+        res = invoke("chart", write_doc(tmp_path / "t.json", doc), "--out", out)
+        if drawn:
+            assert res.exit_code == 0, res.output
+            assert "<polyline" in out.read_text()
+            return
+        assert res.exit_code == 4, res.output
+        [line] = res.output.splitlines()
+        assert line.startswith("error: cannot chart ") and "float maximum" in line
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # CLI: inspect and export

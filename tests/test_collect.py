@@ -302,7 +302,7 @@ class TestSnapshots:
             write_collectors([SeriesRecorder("c")], tmp_path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in path.parent.iterdir()) == ["iter_0.json"]
-        assert list((tmp_path / COLLECTOR_DIR).iterdir()) == []
+        assert not (tmp_path / COLLECTOR_DIR).exists()  # the failed write removes the directory it made
 
     @pytest.mark.parametrize(("column", "bad"), [({0: 1.5, 7: 2.5, -1: 3.5}, "7"), ({0: 1.5, 1.0: 2.5}, "1.0")])
     def test_node_ids_outside_the_graph_refused_before_any_file(self, tmp_path, column, bad):

@@ -137,16 +137,13 @@ def test_each_writer_command_whose_write_fails_exits_4_with_one_error_line(tmp_p
         "export": ("export", batch, "--out", out / "snap.gexf"),
         "chart": ("chart", batch / "collectors" / "node_counts.json", "--out", out / "chart.svg"),
     }
-    def files():
-        return sorted(p for p in tmp_path.rglob("*") if p.is_file())
-
-    before = files()
+    before = sorted(tmp_path.rglob("*"))
     monkeypatch.setattr("os.replace", FailingReplace(-1))
     for name, args in commands.items():
         res = invoke(*args)
         assert_error_line(res, 4)
         assert "No space left on device" in res.stderr, name
-    assert files() == before  # no project file, merged file, export, chart or temp file
+        assert sorted(tmp_path.rglob("*")) == before, name  # no file, temp file or directory the command made
 
 
 CRASHING_RUN = """

@@ -33,6 +33,7 @@ from crowdkit import (
 )
 from crowdkit.engine import derive_seed
 from crowdkit.graph import _try_stub_pairing, _value_kind
+from crowdkit.metrics import pagerank
 from conftest import column_kind
 
 
@@ -366,6 +367,23 @@ class TestEdgeListIO:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["net.txt"]
 
+    @pytest.mark.parametrize("filled", [False, True])
+    def test_failed_write_removes_only_the_empty_directories_it_made(self, tmp_path, monkeypatch, filled):
+        """A failed write removes the parent directories it made, deepest first, while they are empty: ``kept``
+        was there before and stays, and so does ``kept/made`` once another writer puts a file in it meanwhile."""
+        (tmp_path / "kept").mkdir()
+
+        def failing_replace(src, dst):
+            if filled:
+                (tmp_path / "kept" / "made" / "other.txt").write_text("")
+            raise OSError("disk went away")
+
+        monkeypatch.setattr("os.replace", failing_replace)
+        with pytest.raises(OSError, match="disk went away"):
+            write_edge_list(generate_random_regular(10, 2, make_rng(0)), tmp_path / "kept" / "made" / "a" / "net.txt")
+        left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert left == (["kept", "kept/made", "kept/made/other.txt"] if filled else ["kept"])
+
     def test_inline_comment_rejected_with_its_line(self, tmp_path):
         path = tmp_path / "inline.txt"
         path.write_text("# header\n0 1 # note\n")
@@ -662,7 +680,7 @@ def test_random_regular_restarts_match_the_scalar_pairing():
     assert restarted >= 5
 
 
-# sha256 of the 100k-node, degree-4 CSR's ``indptr`` bytes then ``indices`` bytes, by master seed.
+# sha256 of the 100k-node, degree-4 CSR's ``indptr`` bytes (as int64) then ``indices`` bytes, by master seed.
 RANDOM_REGULAR_100K_CSR = {
     0: "bd96bf4029ff2219db0f96c29c19c53d76a43925f22511afa7dddb04ddccbbc1",
     1: "bb117c9df8475115a66f439938818c04e661a65868d887770c0bad3a97057ce0",
@@ -683,9 +701,39 @@ def test_random_regular_100k_build_stays_small(master_seed):
     assert g.num_edges == 200_000
     assert peak <= (4.96 + 1) * 2**20, f"peak {peak / 2**20:.2f} MiB"
     indptr, indices = g.out_csr()
-    assert (indptr.dtype, indices.dtype) == (np.int64, np.int32)
-    digest = hashlib.sha256(indptr.tobytes() + indices.tobytes()).hexdigest()
+    assert (indptr.dtype, indices.dtype) == (np.int32, np.int32)
+    digest = hashlib.sha256(indptr.astype(np.int64).tobytes() + indices.tobytes()).hexdigest()
     assert digest == RANDOM_REGULAR_100K_CSR[master_seed]
+
+
+def test_csr_row_offsets_are_int32_until_the_entry_count_reaches_2_to_31(tmp_path, monkeypatch):
+    """Every CSR builder takes its ``indptr`` dtype from ``_offset_dtype``: int32 below 2**31 entries, int64 from
+    there. Forcing int64 offsets (the >= 2**31 case, without allocating it) leaves every read the same."""
+    assert [graph_mod._offset_dtype(k) for k in (0, 2**31 - 1, 2**31, 2**40)] == [np.int32] * 2 + [np.int64] * 2
+    path = tmp_path / "edges.txt"
+    path.write_text("5 7\n7 9\n9 5\n2 5\n", encoding="utf-8")
+
+    def builds():
+        directed, _ = Graph.from_edges(6, [0, 1, 2, 4, 5], [1, 2, 0, 3, 1], directed=True)
+        merged = generate_random_regular(40, 3, make_rng(3))
+        merged.remove_edge(0, int(merged.out_csr()[1][0]))
+        merged.add_edge(0, 39)  # pending until the next read merges both edits
+        return {"empty": Graph(4), "from_edges": directed, "in_csr": directed, "merged": merged,
+                "regular": generate_random_regular(40, 3, make_rng(3)), "edge list": load_edge_list(path)}
+
+    def reads(graphs):
+        csrs = {name: g.in_csr() if name == "in_csr" else g.out_csr() for name, g in graphs.items()}
+        dtypes = {name: csr[0].dtype for name, csr in csrs.items()}
+        rows = {name: csr_rows(csr) for name, csr in csrs.items()}
+        ranks = {name: pagerank(g) for name, g in graphs.items() if g.num_edges}
+        return dtypes, rows, ranks, {name: list(map(g.degree, g.nodes())) for name, g in graphs.items()}
+
+    dtypes, *contents = reads(builds())
+    assert set(dtypes.values()) == {np.dtype(np.int32)}
+    monkeypatch.setattr(graph_mod, "_offset_dtype", lambda entries: np.int64)
+    wide, *wide_contents = reads(builds())
+    assert set(wide.values()) == {np.dtype(np.int64)}
+    assert wide_contents == contents
 
 
 def scalar_build(n: int, directed: bool, pairs):
