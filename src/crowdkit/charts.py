@@ -79,15 +79,6 @@ def extract_series(document: dict) -> list[tuple[str, list[tuple[float, float]]]
     return out
 
 
-def load_chart_series(paths) -> list[tuple[str, list[tuple[float, float]]]]:
-    out = []
-    for path in map(Path, paths):
-        if not path.is_file():
-            raise CollectError(f"no such chart input: {path}")
-        out.extend(extract_series(_load_json(path)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Scales and ticks.
 # ---------------------------------------------------------------------------
@@ -111,13 +102,15 @@ def _ticks(lo: float, hi: float) -> list[float]:
     t = first
     while t <= hi + step * 1e-9:
         ticks.append(round(t, 10))
+        if t + step == t:  # the step is below the float spacing at t
+            break
         t += step
     return ticks or [lo]
 
 
 def _scale(lo: float, hi: float, out_lo: float, out_hi: float):
     if hi <= lo:
-        hi = lo + 1.0
+        hi = lo + max(1.0, math.ulp(lo))  # past 2**53, lo + 1.0 rounds back to lo
     return lambda v: out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo)
 
 
@@ -219,8 +212,13 @@ def render_html(svg: str, title: str) -> str:
 
 
 def write_chart(input_paths, kind: str, out_path, title: str | None = None) -> Path:
-    """Load collector JSON inputs, render one chart, write SVG or HTML by extension."""
-    series = load_chart_series(input_paths)
+    """Render one chart of every series in the collector JSON files ``input_paths`` (a missing one is a
+    ``CollectError``) and write it to ``out_path``: HTML for a .html or .htm suffix, else SVG."""
+    series = []
+    for path in map(Path, input_paths):
+        if not path.is_file():
+            raise CollectError(f"no such chart input: {path}")
+        series.extend(extract_series(_load_json(path)))
     if title is None:
         title = Path(out_path).stem
     svg = render_chart(series, kind, title=title)

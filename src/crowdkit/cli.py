@@ -25,7 +25,7 @@ import click
 
 from . import __version__
 from .charts import CHART_KINDS, write_chart
-from .collect import export_gexf, merge_parent_directory, merge_simulations, read_snapshot, snapshot_path
+from .collect import merge_parent_directory, merge_simulations, read_snapshot, snapshot_path, write_gexf
 from .config import FileStructure, build_graph, expand_sweep, load_config, validate
 from .engine import (
     HOME_ENV_VAR,
@@ -303,7 +303,8 @@ def cmd_export(run_dir, iteration, fmt, out_path):
     path = _snapshot_path(Path(run_dir), iteration)
     if out_path is None:
         out_path = Path(run_dir) / f"export-iter_{iteration}.gexf"
-    export_gexf(path, out_path)
+    _, graph, states, attrs, _ = read_snapshot(path)
+    write_gexf(graph, out_path, states, attrs)
     click.echo(str(out_path))
 
 

@@ -294,12 +294,6 @@ def write_gexf(graph: Graph, path, states: dict[int, str] | None = None, attrs: 
     write_atomic(Path(path), gexf_document(graph, states, attrs))
 
 
-def export_gexf(snapshot_path, out_path) -> None:
-    """Write the GEXF form of a JSON snapshot to ``out_path``."""
-    _, graph, states, attrs, _ = read_snapshot(snapshot_path)
-    write_gexf(graph, out_path, states, attrs)
-
-
 def snapshot_path(run_dir, iteration) -> Path:
     """Where a run writes its snapshot of ``iteration``: ``<run_dir>/snapshots/iter_<iteration>.json``."""
     return Path(run_dir) / SNAPSHOT_DIR / f"iter_{iteration}.json"

@@ -662,7 +662,7 @@ def build_rules(definitions: Definitions) -> list[Rule]:
                 f"dangling reference to compartment {spec.compartment!r}",
                 f"definitions.pd-model.rules.{rid}",
             )
-        out.append(Rule(spec.from_type, spec.to_type, comp, compartment_id=spec.compartment))
+        out.append(Rule(spec.from_type, spec.to_type, comp))
     return out
 
 
@@ -711,7 +711,8 @@ def _read_node_id_file(path: Path) -> list[int]:
 
 def _weighted_choice(weights, draws: np.ndarray) -> np.ndarray:
     """Index of the weight whose cumulative interval holds each uniform draw."""
-    return np.minimum(np.searchsorted(np.cumsum(weights), draws, side="right"), len(weights) - 1)
+    index = np.searchsorted(np.cumsum(weights), draws, side="right")
+    return np.minimum(index, len(weights) - 1, out=index)  # clipped in place: one node-sized array fewer
 
 
 def _draw(spec: ParamSpec, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -42,7 +42,7 @@ import json
 import os
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -67,7 +67,6 @@ from .config import (
     expand_sweep,
     initialize_population,
     serialize_config,
-    sweep_assignments,
     sweep_label_violations,
     sweep_labels,
 )
@@ -477,7 +476,6 @@ class BatchOutcome:
     batch_index: int
     run_dir: Path
     error: str | None = None
-    result: SimResult | None = field(default=None, repr=False)
 
 
 def batch_run(
@@ -492,11 +490,11 @@ def batch_run(
     registry_factory: Callable[[], tuple[HookRegistry | None, Callable | None]] | None = None,
     base_dir=None,
     graph: Graph | None = None,
-    keep_results: bool = False,
 ) -> list[BatchOutcome]:
     """Run ``batches`` replicas of one config into batch-<k> subdirectories.
 
-    A failing batch is recorded in its outcome and does not stop the others.
+    Each outcome holds its batch's run directory, where the results are, and its error if it failed; a
+    failing batch does not stop the others.
     ``registry_factory`` is invoked once per batch so hook closures never
     leak state across replicas. ``graph``, when given, is copied for each
     batch in place of building the config's structure.
@@ -510,7 +508,7 @@ def batch_run(
         registry, setup = registry_factory() if registry_factory else (None, None)
         outcome = BatchOutcome(batch_index=k, run_dir=run_dir)
         try:
-            result = simulate(
+            simulate(
                 config,
                 epochs=epochs,
                 master_seed=master_seed,
@@ -523,8 +521,6 @@ def batch_run(
                 run_dir=run_dir,
                 snapshot_period=snapshot_period,
             )
-            if keep_results:
-                outcome.result = result
         except Exception as exc:  # noqa: BLE001 — batch isolation is the contract
             outcome.error = f"{type(exc).__name__}: {exc}"
         outcomes.append(outcome)
@@ -533,9 +529,7 @@ def batch_run(
 
 @dataclass
 class SweepOutcome:
-    sweep_index: int
     label: str
-    assignment: tuple[str, Any]
     parent_dir: Path
     batch_outcomes: list[BatchOutcome]
 
@@ -554,6 +548,9 @@ def sweep_run(
 ) -> list[SweepOutcome]:
     """Expand the sweep section and batch-run each variant under its label dir.
 
+    Each outcome holds a variant's label, directory and batch outcomes; the variant's index in the sweep is
+    in each of its batches' ``run-meta.json`` as ``sweep_index``.
+
     ``graphs`` maps structures to graphs already built from them: a variant
     whose ``structure`` is a key hands its graph to ``batch_run``; any other
     variant builds its own in each batch.
@@ -565,9 +562,8 @@ def sweep_run(
         raise ConfigError("invalid sweep:\n  " + "\n  ".join(violations))
     variants = expand_sweep(config)
     labels = sweep_labels(config)
-    assignments = sweep_assignments(config)
     outcomes: list[SweepOutcome] = []
-    for index, (variant, label, assignment) in enumerate(zip(variants, labels, assignments)):
+    for index, (variant, label) in enumerate(zip(variants, labels)):
         parent = Path(sim_dir) / label
         batch_outcomes = batch_run(
             variant,
@@ -583,9 +579,7 @@ def sweep_run(
         )
         outcomes.append(
             SweepOutcome(
-                sweep_index=index,
                 label=label,
-                assignment=assignment,
                 parent_dir=parent,
                 batch_outcomes=batch_outcomes,
             )

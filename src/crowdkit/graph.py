@@ -475,6 +475,8 @@ class AttributeColumn(MutableMapping):
             keys, values = list(values), list(values.values())
         elif edge and keys is not None:  # (src, dst): coded as given, stacked into (m, 2) pairs only if a key is bad
             codes = _split_codes(keys)
+            if codes is None and len(keys) == 2 and len(keys[0]) != len(keys[1]):
+                raise GraphError(f"attribute {name!r}: {len(keys[0])} edge sources but {len(keys[1])} targets")
             keys = keys if codes is not None else np.column_stack(keys) if len(keys[0]) else ()
         values, self.kind = _typed(name, values)
         if keys is None and not edge:  # default node ids are their own sorted codes; an edge column's raise below

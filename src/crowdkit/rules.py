@@ -84,7 +84,6 @@ class Rule:
     from_type: str
     to_type: str
     compartment: Compartment
-    compartment_id: str = ""
 
 
 class CountdownLedger:

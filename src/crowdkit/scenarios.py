@@ -329,34 +329,24 @@ def stayhome_registry() -> tuple[HookRegistry, None]:
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
-    description: str
     fixture: str
     make_hooks: Callable[[], tuple[HookRegistry, Callable | None]]
 
 
 SCENARIOS: dict[str, Scenario] = {
     "sir": Scenario(
-        name="sir",
-        description="Susceptible/Infected/Recovered epidemic on a random-regular graph",
         fixture="sir.yaml",
         make_hooks=sir_registry,
     ),
     "infmax": Scenario(
-        name="infmax",
-        description="Independent-cascade influence spread from top-centrality seeds",
         fixture="infmax.yaml",
         make_hooks=ic_registry,
     ),
     "trust": Scenario(
-        name="trust",
-        description="Investor/trustee game with proportional imitation",
         fixture="trust.yaml",
         make_hooks=trust_registry,
     ),
     "stayhome": Scenario(
-        name="stayhome",
-        description="Logistic stay-home decisions against an ambient infection",
         fixture="stayhome.yaml",
         make_hooks=stayhome_registry,
     ),

@@ -102,8 +102,8 @@ def _countdown_trial(k: int, rng: np.random.Generator) -> bool:
     g.add_edge(0, 1)
     attrs = AttributeTable()
     rules = [
-        Rule("Susceptible", "Infected", NodeStochastic(ratio=0.3, triggering_status="Seed"), "c1"),
-        Rule("Infected", "Recovered", CountDown(name="timer", iteration_count=k), "c2"),
+        Rule("Susceptible", "Infected", NodeStochastic(ratio=0.3, triggering_status="Seed")),
+        Rule("Infected", "Recovered", CountDown(name="timer", iteration_count=k)),
     ]
     ledger = CountdownLedger()
     states = {0: "Susceptible", 1: "Seed"}

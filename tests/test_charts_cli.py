@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -866,6 +867,27 @@ class TestChartCommand:
         [line] = res.output.splitlines()
         assert line.startswith("error: cannot chart ") and "float maximum" in line
         assert not out.exists()
+
+    # Iterations whose axis step is below their float spacing: one at 2**60 (a zero span widened by less than
+    # that spacing), or 10**16 and 10**16 + 2 (a tick step of 0.5 that no longer moves the tick). Both are drawn;
+    # an alarm fails the test if drawing never ends.
+    @pytest.mark.parametrize("iterations", [[2**60], [10**16, 10**16 + 2]])
+    def test_iterations_finer_than_their_float_spacing_are_drawn(self, tmp_path, iterations):
+        doc = {"name": "t", "entries": [{"iteration": i, "value": k + 1} for k, i in enumerate(iterations)]}
+        out = tmp_path / "t.svg"
+
+        def hang(signum, frame):
+            raise RuntimeError("chart did not end within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            res = invoke("chart", write_doc(tmp_path / "t.json", doc), "--out", out)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert res.exit_code == 0, (res.output, res.exception)
+        assert "<polyline" in out.read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -149,9 +149,14 @@ class TestSimulate:
         assert result.epochs == 0
         assert result.summary["epochs"] == 0
 
-    def test_negative_epochs_rejected(self):
-        with pytest.raises(ConfigError):
-            simulate(tiny_config(), epochs=-1)
+    # A config that fails validation (type weights summing to 0.9) is refused before the run, as are negative epochs.
+    @pytest.mark.parametrize("text, epochs, match", [
+        (TINY, -1, "epochs must be >= 0, got -1"),
+        (TINY.replace("initial-weight: 0.5", "initial-weight: 0.4", 1), 1, r"(?s)^invalid config:\n.*sum"),
+    ], ids=["negative-epochs", "invalid-config"])
+    def test_negative_epochs_or_invalid_config_rejected(self, text, epochs, match):
+        with pytest.raises(ConfigError, match=match):
+            simulate(parse_config(text), epochs=epochs)
 
     def test_node_counts_recorded_automatically(self):
         result = simulate(tiny_config(), epochs=5, master_seed=2)
@@ -635,12 +640,13 @@ definitions:
         reg.add(PHASE_BEFORE, "cut", cut)
         simulate(tiny_config(), epochs=1, master_seed=16, registry=reg, setup=setup)
 
-    def test_bad_endpoint_raises_hook_error(self):
+    @pytest.mark.parametrize("edit", ["add", "remove"])
+    def test_bad_endpoint_raises_hook_error(self, edit):
         reg = HookRegistry()
-        reg.add(PHASE_BEFORE, "bad", lambda ctx: ctx.mutate_edges(add=[(0, 99)]))
+        reg.add(PHASE_BEFORE, "bad", lambda ctx: ctx.mutate_edges(**{edit: [(0, 99)]}))
         with pytest.raises(HookError) as exc:
             simulate(tiny_config(), epochs=1, registry=reg)
-        assert str(exc.value) == "hook bad (iteration 1): cannot add edge (0, 99): endpoint out of range"
+        assert str(exc.value) == f"hook bad (iteration 1): cannot {edit} edge (0, 99): endpoint out of range"
 
     def test_self_loop_raises_hook_error(self):
         reg = HookRegistry()
@@ -895,16 +901,6 @@ class TestBatchRun:
             merge_parent_directory(tmp_path)
         assert str(exc.value) == f"batch-1: its run failed: {error}"
         assert not (tmp_path / "merged").exists()
-
-    def test_keep_results(self, tmp_path):
-        outcomes = batch_run(
-            tiny_config(), tmp_path, batches=2, epochs=1, keep_results=True
-        )
-        assert all(o.result is not None for o in outcomes)
-        outcomes2 = batch_run(
-            tiny_config(), tmp_path / "x", batches=2, epochs=1
-        )
-        assert all(o.result is None for o in outcomes2)
 
     def test_zero_batches_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -25,7 +25,7 @@ import pytest
 import yaml
 from conftest import _surrogate_social_graph
 
-from crowdkit import SCENARIOS, batch_run, collect, fixture_path, load_config, parse_config
+from crowdkit import SCENARIOS, collect, fixture_path, load_config, parse_config, simulate
 
 SEED = 20240917
 
@@ -62,20 +62,21 @@ def run_digests(name: str, parent: Path) -> dict[str, str]:
     graph = _surrogate_social_graph() if name == "infmax" else None
     parent.mkdir(parents=True, exist_ok=True)
     config = _directed_sir_config(parent) if name == "sir-directed" else load_config(fixture_path(scenario.fixture))
-    (outcome,) = batch_run(
+    registry, setup = scenario.make_hooks()
+    run_dir = parent / "batch-0"
+    result = simulate(  # as batch_run runs its first batch
         config,
-        parent,
-        base_dir=parent,
-        batches=1,
         epochs=epochs,
-        snapshot_period=period,
         master_seed=SEED,
-        registry_factory=scenario.make_hooks,
+        batch_index=0,
+        sweep_index=0,
+        registry=registry,
+        setup=setup,
+        base_dir=parent,
         graph=graph,
-        keep_results=True,
+        run_dir=run_dir,
+        snapshot_period=period,
     )
-    assert outcome.error is None, outcome.error
-    run_dir = outcome.run_dir
     digests = {
         f"collectors/{path.name}": _sha256(path.read_bytes())
         for path in sorted((run_dir / "collectors").glob("*.json"))
@@ -85,7 +86,7 @@ def run_digests(name: str, parent: Path) -> dict[str, str]:
         for path in sorted((run_dir / "snapshots").glob("iter_*.json"))
     )
     digests["summary.json"] = _sha256((run_dir / "summary.json").read_bytes())
-    states = outcome.result.states
+    states = result.states
     final = json.dumps([states[v] for v in range(len(states))]).encode("utf-8")
     digests["final_states"] = _sha256(final)
     return digests

@@ -544,6 +544,10 @@ class TestAttributeTable:
         assert attrs.get_node(1, "score") == 2.0
         with pytest.raises(GraphError):
             attrs.set_node_column("score", {2: "text"})
+        attrs.node["score"].clear()  # an emptied column forgets its kind
+        assert attrs.node["score"] == {} and attrs.node["score"].kind is None
+        attrs.set_node_column("score", {2: "text"})
+        assert attrs.node["score"] == {2: "text"}
 
     def test_values_without_keys_sit_at_node_ids_and_have_no_edge_pairs(self):
         column = graph_mod.AttributeColumn("age", np.array([3.0, 1.0, 2.0]))
@@ -551,6 +555,19 @@ class TestAttributeTable:
         with pytest.raises(GraphError, match=r"attribute 'w': .* is not a pair of integer node ids"):
             graph_mod.AttributeColumn("w", [1.5, 2.5], edge=True)
         assert graph_mod.AttributeColumn("w", [], edge=True) == {}
+
+    @pytest.mark.parametrize("edge, values, keys, message", [
+        (False, [1.0, 2.0], [0], "1 keys for 2 values"),
+        (True, [1.0, 2.0], ([0], [1]), "1 keys for 2 values"),
+        (True, [1.0], ([0], [1, 2]), "1 edge sources but 2 targets"),
+        (True, [1.0, 2.0], (np.array([0, 1]), np.array([2])), "2 edge sources but 1 targets"),
+    ], ids=["node-keys", "edge-pairs", "more-targets", "more-sources"])
+    def test_keys_and_values_of_unequal_counts_raise_graph_error(self, edge, values, keys, message):
+        attrs = AttributeTable()
+        write = attrs.set_edge_column if edge else attrs.set_node_column
+        with pytest.raises(GraphError, match=rf"^attribute 'k': {message}$"):
+            write("k", values, keys)
+        assert not attrs.node and not attrs.edge
 
     def test_copy_and_equality(self):
         attrs = AttributeTable()
@@ -1131,7 +1148,8 @@ def refused(fn, *args) -> bool:
 @given(data=st.data())
 def test_property_column_facade_matches_a_dict_reference(data):
     attrs, ref = AttributeTable(), ReferenceTable()
-    ops = ["set", "item", "get", "del", "update", "setdefault", "set_column", "assign", "arrays", "drop_edge", "copy"]
+    ops = ["set", "item", "get", "del", "update", "setdefault", "set_column", "assign", "arrays", "drop_edge", "copy",
+           "clear"]
     for _ in range(data.draw(st.integers(1, 25))):
         op, edge, key = data.draw(st.sampled_from(ops)), data.draw(st.booleans()), data.draw(st.sampled_from("ab"))
         columns, ref_columns = (attrs.edge, ref.sides[True]) if edge else (attrs.node, ref.sides[False])
@@ -1184,6 +1202,9 @@ def test_property_column_facade_matches_a_dict_reference(data):
             for column in ref.sides[True].values():
                 column.pop(at, None)
                 column.pop(at[::-1], None)
+        elif op == "clear" and key in columns:  # the emptied column forgets its kind: checked below
+            columns[key].clear()
+            ref_columns[key].clear()
         elif op == "copy":
             before, attrs = attrs, attrs.copy()
             assert attrs == before and attrs.copy() == attrs  # NaN included

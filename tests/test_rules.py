@@ -42,7 +42,7 @@ def two_path() -> Graph:
 
 def fires(state, graph, compartment, node, rng=None, attrs=None, ledger=None):
     """Whether a one-rule pass moves ``node`` out of its current type."""
-    rules = [Rule(state[node], "Z", compartment, "r")]
+    rules = [Rule(state[node], "Z", compartment)]
     attrs = AttributeTable() if attrs is None else attrs
     ledger = CountdownLedger() if ledger is None else ledger
     rng = make_rng() if rng is None else rng
@@ -106,7 +106,7 @@ class TestNodeStochastic:
             for leaf in range(hub + 1, hub + 6):
                 g.add_edge(hub, leaf)
                 states[leaf] = "I"
-        rules = [Rule("S", "I", NodeStochastic(ratio=0.1, triggering_status="I"), "r1")]
+        rules = [Rule("S", "I", NodeStochastic(ratio=0.1, triggering_status="I"))]
         rng = make_rng(42)
         fired = len(apply_rules(states, g, AttributeTable(), rules, CountdownLedger(), rng))
         assert rng.bit_generator.state == make_rng(42).bit_generator.advance(trials).state
@@ -122,7 +122,7 @@ class TestNodeStochastic:
             g.add_edge(2 * i, 2 * i + 1)
             states[2 * i] = "I"
             states[2 * i + 1] = "S"
-        rules = [Rule("S", "I", NodeStochastic(ratio=0.1, triggering_status="I"), "r1")]
+        rules = [Rule("S", "I", NodeStochastic(ratio=0.1, triggering_status="I"))]
         transitions = apply_rules(
             states, g, AttributeTable(), rules, CountdownLedger(), make_rng(7)
         )
@@ -159,7 +159,7 @@ class TestCountDown:
         # A node entering the source type at round 0 transitions at exactly
         # round k under a countdown of k — never earlier, never later.
         g = Graph(1)
-        rules = [Rule("I", "R", CountDown(name="heal", iteration_count=k), "r")]
+        rules = [Rule("I", "R", CountDown(name="heal", iteration_count=k))]
         history = run_rounds({0: "I"}, g, rules, make_rng(k), rounds=k + 2)
         for t in range(k):
             assert history[t][0] == "I"
@@ -170,8 +170,8 @@ class TestCountDown:
         # A node that leaves and re-enters the source type restarts the timer.
         g = Graph(1)
         rules = [
-            Rule("A", "B", CountDown(name="ab", iteration_count=2), "r1"),
-            Rule("B", "A", CountDown(name="ba", iteration_count=2), "r2"),
+            Rule("A", "B", CountDown(name="ab", iteration_count=2)),
+            Rule("B", "A", CountDown(name="ba", iteration_count=2)),
         ]
         history = run_rounds({0: "A"}, g, rules, make_rng(1), rounds=8)
         types = [h[0] for h in history]
@@ -218,8 +218,8 @@ class TestApplyRules:
     def test_sir_step_on_edge(self):
         g = two_path()
         rules = [
-            Rule("S", "I", NodeStochastic(ratio=1.0, triggering_status="I"), "r1"),
-            Rule("I", "R", CountDown(name="heal", iteration_count=4), "r2"),
+            Rule("S", "I", NodeStochastic(ratio=1.0, triggering_status="I")),
+            Rule("I", "R", CountDown(name="heal", iteration_count=4)),
         ]
         transitions = apply_rules(
             {0: "I", 1: "S"}, g, AttributeTable(), rules, CountdownLedger(), make_rng()
@@ -229,8 +229,8 @@ class TestApplyRules:
     def test_mutual_trigger_swap_is_synchronous(self):
         g = two_path()
         rules = [
-            Rule("X", "Y", NodeStochastic(ratio=1.0, triggering_status="Y"), "r1"),
-            Rule("Y", "X", NodeStochastic(ratio=1.0, triggering_status="X"), "r2"),
+            Rule("X", "Y", NodeStochastic(ratio=1.0, triggering_status="Y")),
+            Rule("Y", "X", NodeStochastic(ratio=1.0, triggering_status="X")),
         ]
         transitions = apply_rules(
             {0: "X", 1: "Y"}, g, AttributeTable(), rules, CountdownLedger(), make_rng()
@@ -240,8 +240,8 @@ class TestApplyRules:
     def test_first_firing_rule_wins(self):
         g = Graph(1)
         rules = [
-            Rule("A", "B", NodeStochastic(ratio=1.0), "r1"),
-            Rule("A", "C", NodeStochastic(ratio=1.0), "r2"),
+            Rule("A", "B", NodeStochastic(ratio=1.0)),
+            Rule("A", "C", NodeStochastic(ratio=1.0)),
         ]
         transitions = apply_rules(
             {0: "A"}, g, AttributeTable(), rules, CountdownLedger(), make_rng()
@@ -251,8 +251,8 @@ class TestApplyRules:
     def test_later_rule_reached_when_first_cannot_fire(self):
         g = Graph(1)
         rules = [
-            Rule("A", "B", NodeStochastic(ratio=0.0), "r1"),
-            Rule("A", "C", NodeStochastic(ratio=1.0), "r2"),
+            Rule("A", "B", NodeStochastic(ratio=0.0)),
+            Rule("A", "C", NodeStochastic(ratio=1.0)),
         ]
         transitions = apply_rules(
             {0: "A"}, g, AttributeTable(), rules, CountdownLedger(), make_rng()
@@ -262,7 +262,7 @@ class TestApplyRules:
     def test_rules_restricted_to_frozen_from_type(self):
         # Node 1's transition this round must not make node 0 see it as "I".
         g = two_path()
-        rules = [Rule("S", "I", NodeStochastic(ratio=1.0, triggering_status="I"), "r1")]
+        rules = [Rule("S", "I", NodeStochastic(ratio=1.0, triggering_status="I"))]
         state = {0: "S", 1: "S"}
         transitions = apply_rules(
             state, g, AttributeTable(), rules, CountdownLedger(), make_rng()
@@ -271,7 +271,7 @@ class TestApplyRules:
 
     def test_no_transition_without_matching_from_type(self):
         g = two_path()
-        rules = [Rule("S", "I", NodeStochastic(ratio=1.0), "r1")]
+        rules = [Rule("S", "I", NodeStochastic(ratio=1.0))]
         transitions = apply_rules(
             {0: "R", 1: "R"}, g, AttributeTable(), rules, CountdownLedger(), make_rng()
         )
@@ -284,8 +284,8 @@ class TestApplyRules:
             g.add_edge(v, v + 1)
         states = {v: ("I" if v % 5 == 0 else "S") for v in range(30)}
         rules = [
-            Rule("S", "I", NodeStochastic(ratio=0.3, triggering_status="I"), "r1"),
-            Rule("I", "R", CountDown(name="heal", iteration_count=2), "r2"),
+            Rule("S", "I", NodeStochastic(ratio=0.3, triggering_status="I")),
+            Rule("I", "R", CountDown(name="heal", iteration_count=2)),
         ]
         ledger = CountdownLedger()
         current = dict(states)
@@ -300,7 +300,7 @@ class TestApplyRules:
         for v in range(49):
             g.add_edge(v, v + 1)
         states = {v: ("I" if v < 5 else "S") for v in range(50)}
-        rules = [Rule("S", "I", NodeStochastic(ratio=0.5, triggering_status="I"), "r1")]
+        rules = [Rule("S", "I", NodeStochastic(ratio=0.5, triggering_status="I"))]
         t1 = apply_rules(states, g, AttributeTable(), rules, CountdownLedger(), make_rng(11))
         t2 = apply_rules(states, g, AttributeTable(), rules, CountdownLedger(), make_rng(11))
         assert t1 == t2
@@ -320,8 +320,8 @@ def test_property_mutual_swap_at_ratio_one(ratio, seed):
     g = Graph(2)
     g.add_edge(0, 1)
     rules = [
-        Rule("X", "Y", NodeStochastic(ratio=1.0, triggering_status="Y"), "r1"),
-        Rule("Y", "X", NodeStochastic(ratio=1.0, triggering_status="X"), "r2"),
+        Rule("X", "Y", NodeStochastic(ratio=1.0, triggering_status="Y")),
+        Rule("Y", "X", NodeStochastic(ratio=1.0, triggering_status="X")),
     ]
     transitions = apply_rules(
         {0: "X", 1: "Y"}, g, AttributeTable(), rules, CountdownLedger(), make_rng(seed)
@@ -333,7 +333,7 @@ def test_property_mutual_swap_at_ratio_one(ratio, seed):
 @given(k=st.integers(min_value=1, max_value=25), seed=st.integers(min_value=0, max_value=2**31))
 def test_property_countdown_exactness(k, seed):
     g = Graph(1)
-    rules = [Rule("I", "R", CountDown(name="heal", iteration_count=k), "r")]
+    rules = [Rule("I", "R", CountDown(name="heal", iteration_count=k))]
     ledger = CountdownLedger()
     rng = make_rng(seed)
     current = {0: "I"}
