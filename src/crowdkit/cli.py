@@ -12,6 +12,9 @@ export. Exit codes are a stable contract for scripting:
 
 Every failure prints one ``error:`` line on stderr, except an invalid config,
 which prints an ``invalid config:`` line and one line per violation.
+``run`` and ``sweep`` write nothing until every config that will run is valid
+(each sweep variant's lines are led by its ``[label]``) and every directory
+name (project, simulation, sweep label) passes ``config.is_plain_name``.
 """
 
 from __future__ import annotations
@@ -26,14 +29,8 @@ import click
 from . import __version__
 from .charts import CHART_KINDS, write_chart
 from .collect import merge_parent_directory, merge_simulations, read_snapshot, snapshot_path, write_gexf
-from .config import FileStructure, build_graph, expand_sweep, load_config, validate
-from .engine import (
-    HOME_ENV_VAR,
-    Project,
-    batch_run,
-    projects_root,
-    sweep_run,
-)
+from .config import FileStructure, build_graph, expand_sweep, load_config, sweep_labels, validate
+from .engine import HOME_ENV_VAR, batch_run, create_project, list_projects, projects_root, simulation_dir, sweep_run
 from .errors import (
     CollectError,
     ConfigError,
@@ -88,27 +85,22 @@ _home_option = click.option(
 @_home_option
 def project_new(name: str, home):
     """Create a new project directory."""
-    click.echo(str(Project.create(name, root=home).dir))
+    click.echo(str(create_project(name, root=home)))
 
 
 @main.command("project-list")
 @_home_option
 def project_list(home):
     """List projects under the projects root."""
-    names = Project.list_projects(root=home)
-    if not names:
-        click.echo(f"no projects under {projects_root(home)}")
-        return
-    for name in names:
-        click.echo(name)
+    names = list_projects(root=home)
+    click.echo("\n".join(names) if names else f"no projects under {projects_root(home)}")
 
 
 def _load_run_inputs(config_path, scenario_name, epochs, snapshot_period, sweep):
-    """The config, and the keywords ``run`` passes on (registry_factory, base_dir, graph) or, with ``sweep``,
-    those ``sweep`` passes on (graphs in place of graph).
+    """The config, and the keywords ``run`` and ``sweep`` pass on: registry_factory, base_dir and graphs.
 
-    Each distinct structure file is read once, before anything is written: the config's and, for a sweep, every
-    variant's. A file that cannot be read, or type counts that do not match its nodes, exits 2 here.
+    The config and, with ``sweep``, each variant (its violation lines led by its ``[label]``) is validated with its
+    graph's node count, each distinct structure file read once. An unreadable file or any violation exits 2 here.
     """
     if snapshot_period is not None and snapshot_period > epochs:
         raise ConfigError(f"--snapshot must be <= --epochs, got {snapshot_period} with --epochs {epochs}")
@@ -119,22 +111,24 @@ def _load_run_inputs(config_path, scenario_name, epochs, snapshot_period, sweep)
         config_path = fixture_path(scenario.fixture)
     config_path = Path(config_path)
     config = load_config(config_path)
+    if sweep and not config.sweep:
+        raise ConfigError("no sweep section in config")
     base_dir = config_path.parent
     graphs = {}  # structure -> its graph, for each distinct structure file
-    if isinstance(config.structure, FileStructure):  # a file draws nothing from the RNG
-        graphs[config.structure] = build_graph(config, None, base_dir=base_dir)
-    graph = graphs.get(config.structure)
-    _exit_on_violations(validate(config, node_count_hint=None if graph is None else graph.num_nodes))
-    inputs = {"registry_factory": scenario.make_hooks if scenario else None, "base_dir": base_dir}
-    if not sweep:
-        return config, {**inputs, "graph": graph}
-    if not config.sweep:
-        raise ConfigError("no sweep section in config")
-    for variant in expand_sweep(config):
+
+    def check(variant, label=None):
         if isinstance(variant.structure, FileStructure) and variant.structure not in graphs:
-            built = graphs[variant.structure] = build_graph(variant, None, base_dir=base_dir)
-            _exit_on_violations(validate(variant, node_count_hint=built.num_nodes))
-    return config, {**inputs, "graphs": graphs}
+            graphs[variant.structure] = build_graph(variant, None, base_dir=base_dir)  # a file draws nothing
+        graph = graphs.get(variant.structure)
+        lines = validate(variant, node_count_hint=None if graph is None else graph.num_nodes)
+        return [line if label is None else f"[{label}] {line}" for line in lines]
+
+    _exit_on_violations(check(config))  # the sweep section must hold before it can be expanded
+    if sweep:
+        _exit_on_violations([line for label, variant in zip(sweep_labels(config), expand_sweep(config))
+                             for line in check(variant, label)])
+    return config, {"registry_factory": scenario.make_hooks if scenario else None, "base_dir": base_dir,
+                    "graphs": graphs}
 
 
 def _exit_on_violations(violations: list[str]) -> None:
@@ -150,16 +144,9 @@ def _run_command(sweep, config_path, scenario_name, epochs, snapshot_period, bat
     """The ``run`` command, or with ``sweep`` the ``sweep`` command: each run directory on stdout (each variant's
     after its ``[label]``), each failed batch on stderr, and exit 3 when any failed."""
     config, inputs = _load_run_inputs(config_path, scenario_name, epochs, snapshot_period, sweep)
-    sim_dir = Project.load_or_create(project_name, root=home).simulation_dir(sim_name or config.name)
-    outcomes = (sweep_run if sweep else batch_run)(
-        config,
-        sim_dir,
-        batches=batches,
-        epochs=epochs,
-        snapshot_period=snapshot_period,
-        master_seed=master_seed,
-        **inputs,
-    )
+    sim_dir = simulation_dir(project_name, config.name if sim_name is None else sim_name, root=home)
+    outcomes = (sweep_run if sweep else batch_run)(config, sim_dir, batches=batches, epochs=epochs,
+                                                   snapshot_period=snapshot_period, master_seed=master_seed, **inputs)
     failed = False
     for label, batch_outcomes in [(v.label, v.batch_outcomes) for v in outcomes] if sweep else [(None, outcomes)]:
         if sweep:

@@ -35,11 +35,14 @@ import numpy as np
 import yaml
 
 from . import gexf as gexf_io
-from .errors import ConfigError
+from .errors import ConfigError, GraphError
 from .graph import (
     AttributeTable,
     Graph,
     NodeStates,
+    check_barabasi_albert,
+    check_erdos_renyi,
+    check_random_regular,
     generate_barabasi_albert,
     generate_erdos_renyi,
     generate_random_regular,
@@ -288,8 +291,12 @@ def _read_sweep(value, path: str) -> dict[str, tuple] | None:
     return None if value is None else _map_of(_read_sweep_values)(value, path) or None
 
 
-# Generator type -> its one parameter and that parameter's reader.
-_GENERATORS = {"random-regular": ("degree", _as_int), "barabasi-albert": ("m", _as_int), "erdos-renyi": ("p", _as_number)}
+# Generator type -> its one parameter, that parameter's reader, the generator and the check it makes first.
+_GENERATORS = {
+    "random-regular": ("degree", _as_int, generate_random_regular, check_random_regular),
+    "barabasi-albert": ("m", _as_int, generate_barabasi_albert, check_barabasi_albert),
+    "erdos-renyi": ("p", _as_number, generate_erdos_renyi, check_erdos_renyi),
+}
 
 
 def _read_random(value, path: str) -> RandomStructure:
@@ -300,7 +307,7 @@ def _read_random(value, path: str) -> RandomStructure:
         raise ConfigError(f"count must be >= 0, got {count}", f"{path}.count")
     if gen not in _GENERATORS:
         raise ConfigError(f"unknown generator type {gen!r} (valid: {', '.join(_GENERATORS)})", f"{path}.type")
-    key, read = _GENERATORS[gen]
+    key, read, _, _ = _GENERATORS[gen]
     _check_keys(r, {"type", "count", key}, path)
     return RandomStructure(gen, count, **{key: read(_require(r, key, path), f"{path}.{key}")})
 
@@ -395,7 +402,7 @@ _RECORDS = {
     RandomStructure: (
         ("type", "generator", _as_str),
         ("count", "count", _as_int),
-        *((key, key, read) for key, read in _GENERATORS.values()),
+        *((key, key, read) for key, read, _, _ in _GENERATORS.values()),
     ),
     FileStructure: (("path", "path", _as_str), ("format", "format", _read_format), ("directed", "directed", _as_bool)),
     RandomWithWeight: (("initial-weight", "weight", _as_number),),
@@ -501,13 +508,14 @@ def validate(config: ProjectConfig, node_count_hint: int | None = None) -> list[
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             v.append(f"{base}.nodetypes: initial weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
 
-    n = None
+    n = node_count_hint
     if isinstance(config.structure, RandomStructure):
-        n = config.structure.count
-        if config.structure.generator == "barabasi-albert" and config.structure.m < 1:
-            v.append(f"structure.random.m: m must be >= 1, got {config.structure.m}")
-    if node_count_hint is not None:
-        n = node_count_hint
+        key, _, _, check = _GENERATORS[config.structure.generator]
+        try:
+            check(config.structure.count, getattr(config.structure, key))
+        except GraphError as exc:
+            v.append(f"structure.random.{key}: {exc}")
+        n = config.structure.count if n is None else n
     if n is not None:
         fixed = sum(i.count for i in metric_types.values())
         for name, init in metric_types.items():
@@ -639,6 +647,11 @@ def sweep_labels(config: ProjectConfig) -> list[str]:
     ]
 
 
+def is_plain_name(name: str) -> bool:
+    """Whether ``name`` names one directory entry: not empty, ``.`` or ``..``, with no ``/``, ``os.sep`` or NUL."""
+    return name not in ("", ".", "..") and not any(c in name for c in ("/", os.sep, "\0"))
+
+
 def sweep_label_violations(config: ProjectConfig) -> list[str]:
     """A violation per sweep label that repeats an earlier one or is no plain directory name."""
     v: list[str] = []
@@ -646,7 +659,7 @@ def sweep_label_violations(config: ProjectConfig) -> list[str]:
     for (path_key, _), label in zip(sweep_assignments(config), sweep_labels(config)):
         if label in seen:
             v.append(f"sweep.{path_key}: label {label!r} repeats; two variants would share one directory")
-        elif "/" in label or os.sep in label:  # "=" in every label rules out "." and ".."
+        elif not is_plain_name(label):
             v.append(f"sweep.{path_key}: label {label!r} is not a plain directory name")
         seen.add(label)
     return v
@@ -682,11 +695,8 @@ def build_graph(config: ProjectConfig, rng: np.random.Generator, base_dir=None) 
     """Realize the structure section into a Graph (drawing from rng if random; a file draws nothing)."""
     s = config.structure
     if isinstance(s, RandomStructure):
-        if s.generator == "random-regular":
-            return generate_random_regular(s.count, s.degree or 0, rng)
-        if s.generator == "barabasi-albert":
-            return generate_barabasi_albert(s.count, s.m, rng)
-        return generate_erdos_renyi(s.count, s.p or 0.0, rng)
+        key, _, generate, _ = _GENERATORS[s.generator]
+        return generate(s.count, getattr(s, key), rng)
     path = _resolve(s.path, base_dir)
     if not path.is_file():
         raise ConfigError(f"structure file not found: {path}", "structure.file.path")

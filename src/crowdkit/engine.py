@@ -29,6 +29,10 @@ Node state: ``ctx.states`` is a ``NodeStates`` mapping over one code array
 (see ``graph.py``). It iterates in ascending node id, and a write of an
 undeclared type or to an out-of-range node raises ``HookError`` at once.
 
+Projects are three functions: ``create_project``, ``list_projects`` and
+``simulation_dir`` (which makes a missing project). The two that make
+directories refuse a name failing ``is_plain_name`` before making anything.
+
 Determinism: every random draw in a run flows from one ``numpy`` PCG64
 generator seeded by ``derive_seed(master_seed, batch_index, sweep_index)``,
 so a rerun with the same config and seed produces byte-identical collector
@@ -66,6 +70,7 @@ from .config import (
     build_rules,
     expand_sweep,
     initialize_population,
+    is_plain_name,
     serialize_config,
     sweep_label_violations,
     sweep_labels,
@@ -125,7 +130,6 @@ def make_rng(seed: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class Hook:
     name: str
-    phase: str
     fn: Callable
     record_initial: bool = False
 
@@ -151,7 +155,7 @@ class HookRegistry:
         if record_initial and phase != PHASE_AFTER:
             raise HookError(f"record_initial only applies to {PHASE_AFTER} hooks", hook=name)
         self._names.add(name)
-        self._hooks[phase].append(Hook(name=name, phase=phase, fn=fn, record_initial=record_initial))
+        self._hooks[phase].append(Hook(name, fn, record_initial))
 
     def hooks(self, phase: str) -> list[Hook]:
         return list(self._hooks[phase])
@@ -169,7 +173,7 @@ class SimContext:
     """Everything a hook can see and touch during a run.
 
     ``states`` is the live node-to-type map, a ``NodeStates`` over one code
-    array in ``node_types`` order; a plain mapping given here is encoded into
+    array in ``node_types`` order (``states.types``); a mapping is encoded into
     one (writes of undeclared types or out-of-range nodes raise ``HookError``).
     ``frozen_states`` is the read-only copy taken before the agent phase,
     which agent hooks should read when they need simultaneous-update
@@ -194,7 +198,6 @@ class SimContext:
         self.attrs = attrs
         self.net_params = net_params
         self.rng = rng
-        self.node_types = node_types
         self.iteration = 0
         self.frozen_states: Mapping[int, str] = {}
         self.scratch: dict[str, Any] = {}
@@ -231,7 +234,6 @@ def shuffle_agents(ctx: SimContext) -> list[int]:
 
 @dataclass
 class SimResult:
-    run_seed: int
     epochs: int
     states: NodeStates  # read-only
     records: dict[str, list[dict]]
@@ -297,10 +299,7 @@ def simulate(
     started = time.perf_counter()
     started_at = _dt.datetime.now(_dt.timezone.utc).isoformat()
 
-    if graph is None:
-        g = build_graph(config, rng, base_dir=base_dir)
-    else:
-        g = graph.copy()
+    g = build_graph(config, rng, base_dir=base_dir) if graph is None else graph.copy()
     states, attrs, net_params = initialize_population(g, config, rng, base_dir=base_dir)
 
     d = config.definitions
@@ -314,10 +313,8 @@ def simulate(
     after_hooks = registry.hooks(PHASE_AFTER)
     final_hooks = registry.hooks(PHASE_FINAL)
     if record_node_counts and NODE_COUNTS_HOOK not in registry:  # this run's list, not the caller's registry
-        after_hooks.append(Hook(NODE_COUNTS_HOOK, PHASE_AFTER, _node_counts_hook, record_initial=True))
-    recorders: dict[str, SeriesRecorder] = {
-        hook.name: SeriesRecorder(hook.name) for hook in before_hooks + after_hooks
-    }
+        after_hooks.append(Hook(NODE_COUNTS_HOOK, _node_counts_hook, record_initial=True))
+    recorders = {hook.name: SeriesRecorder(hook.name) for hook in before_hooks + after_hooks}
 
     persist = run_dir is not None
     run_path = Path(run_dir) if persist else None
@@ -344,7 +341,7 @@ def simulate(
 
     try:
         if setup is not None:
-            _call_hook(Hook(name="setup", phase=PHASE_BEFORE, fn=setup), ctx)
+            _call_hook(Hook("setup", setup), ctx)
 
         _record([hook for hook in after_hooks if hook.record_initial], ctx, recorders)
         if persist:
@@ -391,15 +388,9 @@ def simulate(
     if persist:
         _flush(None)
 
-    return SimResult(
-        run_seed=run_seed,
-        epochs=epochs,
-        states=ctx.states.frozen(),
-        records={name: rec.entries for name, rec in recorders.items()},
-        summary=summary,
-        context=ctx,
-        run_dir=run_path,
-    )
+    records = {name: rec.entries for name, rec in recorders.items()}
+    return SimResult(epochs=epochs, states=ctx.states.frozen(), records=records, summary=summary, context=ctx,
+                     run_dir=run_path)
 
 
 # ---------------------------------------------------------------------------
@@ -411,59 +402,43 @@ def projects_root(override=None) -> Path:
     """The directory that holds projects (CROWDKIT_HOME or ./crowdkit-projects)."""
     if override is not None:
         return Path(override)
-    env = os.environ.get(HOME_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.cwd() / DEFAULT_PROJECTS_DIRNAME
+    return Path(os.environ.get(HOME_ENV_VAR) or Path.cwd() / DEFAULT_PROJECTS_DIRNAME)
 
 
-class Project:
-    """A named directory of simulation runs under the projects root."""
+def _plain(name: str, what: str) -> str:
+    if not is_plain_name(name):
+        raise ConfigError(f"{what} {name!r} is not a plain directory name")
+    return name
 
-    def __init__(self, directory: Path, name: str):
-        self.dir = Path(directory)
-        self.name = name
 
-    @classmethod
-    def create(cls, name: str, root=None) -> "Project":
-        root_path = projects_root(root)
-        directory = root_path / name
-        if (directory / PROJECT_FILE).exists():
-            raise ConfigError(f"project {name!r} already exists at {directory}")
-        payload = {"name": name, "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat()}
-        write_atomic(directory / PROJECT_FILE, yaml.safe_dump(payload, sort_keys=False))
-        return cls(directory, name)
+def create_project(name: str, root=None) -> Path:
+    """Make the project ``name`` under the projects root and return its directory."""
+    directory = projects_root(root) / _plain(name, "project name")
+    if (directory / PROJECT_FILE).exists():
+        raise ConfigError(f"project {name!r} already exists at {directory}")
+    payload = {"name": name, "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat()}
+    write_atomic(directory / PROJECT_FILE, yaml.safe_dump(payload, sort_keys=False))
+    return directory
 
-    @classmethod
-    def load(cls, name: str, root=None) -> "Project":
-        directory = projects_root(root) / name
-        if not (directory / PROJECT_FILE).is_file():
-            raise ConfigError(f"no project {name!r} under {projects_root(root)}")
-        return cls(directory, name)
 
-    @classmethod
-    def load_or_create(cls, name: str, root=None) -> "Project":
-        try:
-            return cls.load(name, root=root)
-        except ConfigError:
-            return cls.create(name, root=root)
+def list_projects(root=None) -> list[str]:
+    """The names of the projects under the projects root, sorted."""
+    root_path = projects_root(root)
+    if not root_path.is_dir():
+        return []
+    return sorted(p.name for p in root_path.iterdir() if (p / PROJECT_FILE).is_file())
 
-    @staticmethod
-    def list_projects(root=None) -> list[str]:
-        root_path = projects_root(root)
-        if not root_path.is_dir():
-            return []
-        return sorted(p.name for p in root_path.iterdir() if (p / PROJECT_FILE).is_file())
 
-    def simulation_dir(self, sim_name: str) -> Path:
-        """A fresh directory for a simulation, suffixed -2, -3, ... if taken."""
-        candidate = self.dir / sim_name
-        if not candidate.exists():
-            return candidate
-        k = 2
-        while (self.dir / f"{sim_name}-{k}").exists():
-            k += 1
-        return self.dir / f"{sim_name}-{k}"
+def simulation_dir(project: str, sim_name: str, root=None) -> Path:
+    """A fresh directory for ``sim_name`` in ``project`` (made if missing, once both names pass), suffixed -2, ..."""
+    directory = projects_root(root) / _plain(project, "project name")
+    _plain(sim_name, "simulation name")
+    if not (directory / PROJECT_FILE).is_file():
+        create_project(project, root)
+    candidate, k = directory / sim_name, 2
+    while candidate.exists():
+        candidate, k = directory / f"{sim_name}-{k}", k + 1
+    return candidate
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +464,21 @@ def batch_run(
     sweep_index: int = 0,
     registry_factory: Callable[[], tuple[HookRegistry | None, Callable | None]] | None = None,
     base_dir=None,
-    graph: Graph | None = None,
+    graphs: Mapping[Structure, Graph] | None = None,
 ) -> list[BatchOutcome]:
     """Run ``batches`` replicas of one config into batch-<k> subdirectories.
 
     Each outcome holds its batch's run directory, where the results are, and its error if it failed; a
     failing batch does not stop the others.
     ``registry_factory`` is invoked once per batch so hook closures never
-    leak state across replicas. ``graph``, when given, is copied for each
-    batch in place of building the config's structure.
+    leak state across replicas. ``graphs`` maps structures to graphs already
+    built from them: when the config's ``structure`` is a key, each batch
+    copies that graph in place of building its own.
     """
     if batches < 1:
         raise ConfigError(f"batches must be >= 1, got {batches}")
     parent = Path(parent_dir)
+    graph = (graphs or {}).get(config.structure)
     outcomes: list[BatchOutcome] = []
     for k in range(batches):
         run_dir = parent / f"batch-{k}"
@@ -551,19 +528,15 @@ def sweep_run(
     Each outcome holds a variant's label, directory and batch outcomes; the variant's index in the sweep is
     in each of its batches' ``run-meta.json`` as ``sweep_index``.
 
-    ``graphs`` maps structures to graphs already built from them: a variant
-    whose ``structure`` is a key hands its graph to ``batch_run``; any other
-    variant builds its own in each batch.
+    ``graphs`` goes to each variant's ``batch_run``.
     """
     if not config.sweep:
         raise ConfigError("config has no sweep section")
     violations = sweep_label_violations(config)
     if violations:
         raise ConfigError("invalid sweep:\n  " + "\n  ".join(violations))
-    variants = expand_sweep(config)
-    labels = sweep_labels(config)
     outcomes: list[SweepOutcome] = []
-    for index, (variant, label) in enumerate(zip(variants, labels)):
+    for index, (variant, label) in enumerate(zip(expand_sweep(config), sweep_labels(config))):
         parent = Path(sim_dir) / label
         batch_outcomes = batch_run(
             variant,
@@ -575,13 +548,7 @@ def sweep_run(
             sweep_index=index,
             registry_factory=registry_factory,
             base_dir=base_dir,
-            graph=(graphs or {}).get(variant.structure),
+            graphs=graphs,
         )
-        outcomes.append(
-            SweepOutcome(
-                label=label,
-                parent_dir=parent,
-                batch_outcomes=batch_outcomes,
-            )
-        )
+        outcomes.append(SweepOutcome(label=label, parent_dir=parent, batch_outcomes=batch_outcomes))
     return outcomes

@@ -705,6 +705,16 @@ class AttributeTable:
 # ---------------------------------------------------------------------------
 
 
+def check_random_regular(num_nodes: int, degree: int) -> None:
+    """``GraphError`` unless a ``degree``-regular graph on ``num_nodes`` nodes exists."""
+    if degree < 0 or num_nodes < 0:
+        raise GraphError("num_nodes and degree must be non-negative")
+    if (num_nodes * degree) % 2 != 0:
+        raise GraphError(f"no {degree}-regular graph on {num_nodes} nodes: odd stub count")
+    if degree >= num_nodes and degree > 0:
+        raise GraphError(f"degree {degree} must be < num_nodes {num_nodes}")
+
+
 def generate_random_regular(num_nodes: int, degree: int, rng: np.random.Generator) -> Graph:
     """Random d-regular graph via stub pairing with leftover repair.
 
@@ -712,12 +722,7 @@ def generate_random_regular(num_nodes: int, degree: int, rng: np.random.Generato
     pairing's n * degree int64 slots (its edges' codes copied to the first half, reversed into the second) and held
     only until the int32 indices are copied out; as every row holds ``degree`` entries, ``indptr`` is an ``arange``.
     """
-    if degree < 0 or num_nodes < 0:
-        raise GraphError("num_nodes and degree must be non-negative")
-    if (num_nodes * degree) % 2 != 0:
-        raise GraphError(f"no {degree}-regular graph on {num_nodes} nodes: odd stub count")
-    if degree >= num_nodes and degree > 0:
-        raise GraphError(f"degree {degree} must be < num_nodes {num_nodes}")
+    check_random_regular(num_nodes, degree)
     if degree == 0 or _node_count(num_nodes) == 0:
         return Graph(num_nodes)
 
@@ -781,6 +786,14 @@ def _try_stub_pairing(n: int, d: int, rng: np.random.Generator) -> np.ndarray | 
     return taken
 
 
+def check_barabasi_albert(num_nodes: int, m: int) -> None:
+    """``GraphError`` unless ``m`` is in ``[1, num_nodes]``."""
+    if m < 1:
+        raise GraphError(f"m must be >= 1, got {m}")
+    if num_nodes < m:
+        raise GraphError(f"num_nodes {num_nodes} must be >= m {m}")
+
+
 def generate_barabasi_albert(num_nodes: int, m: int, rng: np.random.Generator) -> Graph:
     """Preferential-attachment graph seeded with a complete graph on m nodes.
 
@@ -788,10 +801,7 @@ def generate_barabasi_albert(num_nodes: int, m: int, rng: np.random.Generator) -
     nodes chosen proportionally to degree. Edge count is exactly
     m * (num_nodes - m) + m * (m - 1) / 2.
     """
-    if m < 1:
-        raise GraphError(f"m must be >= 1, got {m}")
-    if num_nodes < m:
-        raise GraphError(f"num_nodes {num_nodes} must be >= m {m}")
+    check_barabasi_albert(num_nodes, m)
     src, dst = (pairs.tolist() for pairs in np.triu_indices(m, 1))
     # One entry per degree unit: sampling uniformly from this list is
     # preferential attachment.
@@ -810,10 +820,15 @@ def generate_barabasi_albert(num_nodes: int, m: int, rng: np.random.Generator) -
     return Graph.from_edges(num_nodes, src, dst)[0]
 
 
-def generate_erdos_renyi(num_nodes: int, p: float, rng: np.random.Generator) -> Graph:
-    """G(n, p) random graph via geometric edge skipping, O(n + E)."""
+def check_erdos_renyi(num_nodes: int, p: float) -> None:
+    """``GraphError`` unless ``p`` is in ``[0, 1]``."""
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability must be in [0, 1], got {p}")
+
+
+def generate_erdos_renyi(num_nodes: int, p: float, rng: np.random.Generator) -> Graph:
+    """G(n, p) random graph via geometric edge skipping, O(n + E)."""
+    check_erdos_renyi(num_nodes, p)
     if p == 0.0 or num_nodes < 2:
         return Graph(num_nodes)
     if p == 1.0:

@@ -74,6 +74,9 @@ sweep:
 """
 
 
+SIR_FIXTURE = fixture_path("sir.yaml").read_text(encoding="utf-8")
+
+
 def write_tiny(tmp_path: Path, sweep: bool = False) -> Path:
     path = tmp_path / "tiny.yaml"
     path.write_text(TINY + (SWEEP_TAIL if sweep else ""), encoding="utf-8")
@@ -498,20 +501,61 @@ class TestRunCommand:
         assert "invalid config" in res.output
 
     @pytest.mark.parametrize(
-        "edit",
+        "text, edit, violation",
         [
-            ("- 0.3", "- 0.1"),  # two variants labelled pressure=0.1
-            ("- 0.3", '- "b/c"'),  # a label that would nest the variant directory
-            ("type: random-regular\n    count: 6\n    degree: 2", "type: barabasi-albert\n    count: 6\n    m: 0"),
+            (TINY + SWEEP_TAIL, ("- 0.3", "- 0.1"), "label 'pressure=0.1' repeats"),
+            (TINY + SWEEP_TAIL, ("- 0.3", '- "b/c"'), "label 'pressure=b/c' is not a plain directory name"),
+            (TINY + SWEEP_TAIL, ("type: random-regular\n    count: 6\n    degree: 2",
+                                 "type: barabasi-albert\n    count: 6\n    m: 0"), "m must be >= 1, got 0"),
+            # one bad variant among good ones: its line carries its label, and no variant runs
+            (SIR_FIXTURE + "sweep:\n  definitions.nodetypes.Infected.random-with-weight.initial-weight: [0.1, 0.5]\n",
+             ("", ""), "[initial-weight=0.5] definitions.pd-model.nodetypes: initial weights sum to 1.4"),
+            (SIR_FIXTURE + "sweep:\n  definitions.compartments.infection.ratio: [0.2, 1.5]\n", ("", ""),
+             "[ratio=1.5] definitions.pd-model.compartments.infection: ratio must be in [0, 1], got 1.5"),
         ],
+        ids=["edit0", "edit1", "edit2", "variant-weights", "variant-ratio"],
     )
-    def test_sweep_config_violations_exit_2_before_any_directory(self, tmp_path, project_home, edit):
-        cfg = write_tiny(tmp_path, sweep=True)
-        cfg.write_text(cfg.read_text(encoding="utf-8").replace(*edit), encoding="utf-8")
+    def test_sweep_config_violations_exit_2_before_any_directory(self, tmp_path, project_home, text, edit, violation):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(text.replace(*edit), encoding="utf-8")
         res = invoke("sweep", "--config", cfg)
         assert res.exit_code == 2, res.output
-        assert "invalid config" in res.output
-        assert not list((project_home / "default").glob("tiny*"))
+        assert res.output.startswith("invalid config:\n")
+        assert any(violation in line for line in res.output.splitlines()), res.output
+        assert list(project_home.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "structure",
+        ["random-regular\n    count: 5\n    degree: 3", "random-regular\n    count: 100\n    degree: 100",
+         "erdos-renyi\n    count: 6\n    p: 1.5", "barabasi-albert\n    count: 6\n    m: 7"],
+        ids=["odd-stubs", "degree-not-below-count", "p-above-1", "m-above-count"],
+    )
+    def test_impossible_random_structure_exits_2_before_any_directory(self, tmp_path, project_home, structure):
+        cfg = write_tiny(tmp_path)
+        cfg.write_text(TINY.replace("random-regular\n    count: 6\n    degree: 2", structure), encoding="utf-8")
+        res = invoke("run", "--config", cfg)
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith("invalid config:\n  - structure.random.")
+        assert list(project_home.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "where, name",
+        [(where, name) for where in ("project-new", "--project", "--name", "config name")
+         for name in ("..", ".", "../x", "a/b", "")] + [("config name", "a\0b")],  # no NUL fits in an argument
+    )
+    def test_names_that_are_not_plain_exit_2_writing_nothing(self, tmp_path, where, name):
+        home = tmp_path / "home"
+        cfg = tmp_path / "in" / "tiny.yaml"
+        cfg.parent.mkdir()
+        cfg.write_text(TINY.replace("name: tiny", f"name: {json.dumps(name)}" if where == "config name" else "name: tiny"),
+                       encoding="utf-8")
+        args = {"project-new": ["project-new", name], "--project": ["run", "--config", cfg, "--project", name],
+                "--name": ["run", "--config", cfg, "--name", name], "config name": ["run", "--config", cfg]}[where]
+        res = invoke(*args, "--home", home)
+        assert res.exit_code == 2, res.output
+        assert res.output.count("error:") == 1 and res.output.startswith("error: ")
+        assert "is not a plain directory name" in res.output
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["in", "in/tiny.yaml"]
 
     def test_hook_failure_exits_runtime_code(self, tmp_path, project_home):
         # stay-home hooks on a config with no location attribute

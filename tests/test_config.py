@@ -6,6 +6,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -336,6 +337,25 @@ sweep:
         assert validate(self.swept('[a, "b/c"]')) == [
             "sweep.definitions.network-parameters.x: label 'x=b/c' is not a plain directory name"
         ]
+
+    @pytest.mark.parametrize(
+        "structure, violation",
+        [
+            ("barabasi-albert\n    count: 20\n    m: 21", "m: num_nodes 20 must be >= m 21"),
+            ("random-regular\n    count: 5\n    degree: 3", "degree: no 3-regular graph on 5 nodes: odd stub count"),
+            ("random-regular\n    count: 100\n    degree: 100", "degree: degree 100 must be < num_nodes 100"),
+            ("random-regular\n    count: 10\n    degree: -2", "degree: num_nodes and degree must be non-negative"),
+            ("erdos-renyi\n    count: 10\n    p: 1.5", "p: edge probability must be in [0, 1], got 1.5"),
+            ("erdos-renyi\n    count: 10\n    p: -0.5", "p: edge probability must be in [0, 1], got -0.5"),
+        ],
+    )
+    def test_impossible_generator_parameters_are_violations(self, structure, violation):
+        # validate and the generator make the one check, so they report the same message
+        doc = MINIMAL.replace("random-regular\n    count: 10\n    degree: 2", structure)
+        cfg = parse_config(doc)
+        assert validate(cfg) == [f"structure.random.{violation}"]
+        with pytest.raises(GraphError, match=re.escape(violation.split(": ", 1)[1])):
+            build_graph(cfg, make_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -969,12 +989,12 @@ def corpus_digest(source: str) -> str:
 
 CORPUS_DIGESTS = {
     "barabasi-albert": "e673c0bf86d1bdddec8bb53fb8cc15dee6beedbd98caa2d72a412efa5b831986",
-    "erdos-renyi": "253725e735df9e92d7c654345faee8e1a78f2caa0a351762842617ba4a4b6dd2",
+    "erdos-renyi": "61314c8475d8f52a595cc6120c7a09c1240220aaef73e13b77d6d9981b8171db",
     "every-key": "6f245c8ffeb4a89b0a323ab43e2461c4e8e72a56c14d9b50d45e3d5c9aa30063",
     "infmax.yaml": "2defb08c56216f406102ca8c43b33bad5f7d50cba2a1882604805c3dbae74186",
-    "random-regular": "c36add8833622826e474031079bbfab039f5eedb054d475b5fe1bf0229f7977b",
-    "sir.yaml": "0f2b13ac7d5247b2e3fd95badd08dce4b97c7d954f7cc29b1ef5a85f387f30ee",
-    "stayhome.yaml": "40734cd76a6b8d2d30ba2db95f6b362282cf2d51cc0834874ff2be721e3179b0",
+    "random-regular": "c5103402f89573411aa2c48d31ddfc05ad98edc262e1bc3d0b71b906bdcbe8e7",
+    "sir.yaml": "21b0f0356fabed1dce5856d361eb6387d9e94e8c51cd8af0d0a2ebb8557249bb",
+    "stayhome.yaml": "c53b99f3472ac1d7cc0cdbbe9811a37c7ebba06608c464c76dda46a74d42bd83",
     "trust.yaml": "0e187ff50f3ba5bc1c6a916df1447487b526816983151f1c1a306fc8ab505ef3"
 }
 

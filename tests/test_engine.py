@@ -18,12 +18,13 @@ from crowdkit import (
     HookError,
     HookRegistry,
     NodeStates,
-    Project,
     SCENARIOS,
     batch_run,
+    create_project,
     derive_seed,
     fixture_path,
     generate_barabasi_albert,
+    list_projects,
     list_snapshots,
     load_config,
     merge_parent_directory,
@@ -32,6 +33,7 @@ from crowdkit import (
     read_snapshot,
     read_summary,
     simulate,
+    simulation_dir,
     sweep_run,
     write_edge_list,
 )
@@ -803,35 +805,39 @@ class TestHookFailure:
 
 
 class TestProject:
-    def test_create_load_list(self, project_home):
-        p = Project.create("epidemics")
-        assert p.dir.is_dir()
-        assert Project.list_projects() == ["epidemics"]
-        q = Project.load("epidemics")
-        assert q.dir == p.dir
+    def test_create_list(self, project_home):
+        directory = create_project("epidemics")
+        assert directory == project_home / "epidemics" and directory.is_dir()
+        assert list_projects() == ["epidemics"]
 
     def test_create_twice_rejected(self, project_home):
-        Project.create("epidemics")
+        create_project("epidemics")
         with pytest.raises(ConfigError):
-            Project.create("epidemics")
+            create_project("epidemics")
 
-    def test_load_missing_rejected(self, project_home):
-        with pytest.raises(ConfigError):
-            Project.load("ghost")
-
-    def test_load_or_create(self, project_home):
-        a = Project.load_or_create("x")
-        b = Project.load_or_create("x")
-        assert a.dir == b.dir
+    def test_simulation_dir_creates_a_missing_project_once(self, project_home):
+        first = simulation_dir("x", "sir")
+        assert list_projects() == ["x"]
+        assert simulation_dir("x", "sir") == first == project_home / "x" / "sir"
+        assert list_projects() == ["x"]
 
     def test_simulation_dir_suffixes_on_collision(self, project_home):
-        p = Project.create("epidemics")
-        d1 = p.simulation_dir("sir")
+        create_project("epidemics")
+        d1 = simulation_dir("epidemics", "sir")
         d1.mkdir(parents=True)
-        d2 = p.simulation_dir("sir")
+        d2 = simulation_dir("epidemics", "sir")
         assert d2.name == "sir-2"
         d2.mkdir(parents=True)
-        assert p.simulation_dir("sir").name == "sir-3"
+        assert simulation_dir("epidemics", "sir").name == "sir-3"
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "a\0b"])
+    def test_names_that_are_not_plain_are_refused_before_anything_is_made(self, tmp_path, name):
+        root = tmp_path / "home"
+        for make in (lambda: create_project(name, root), lambda: simulation_dir(name, "sim", root),
+                     lambda: simulation_dir("p", name, root)):
+            with pytest.raises(ConfigError, match="is not a plain directory name"):
+                make()
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
